@@ -701,8 +701,16 @@ class IncrementalTreeChecker:
 
     Every growth step is checked through :func:`check_state`, which
     takes the provenance fast path (:func:`_delta_clean`) because the
-    previous tree's clean report is always in its memo -- each observed
-    entry costs O(depth), not O(tree).  After each step the superseded
+    previous tree's clean report is always in its memo, so the *check*
+    of an observed entry looks only at the new node and its parent.
+    Growing the tree is not that cheap yet: every ``add_leaf`` /
+    ``insert_btw`` builds its successor through ``CacheTree.__init__``,
+    which makes two Python-level passes over every node (the order
+    check and the item tuple), so an observed entry costs O(tree) and
+    folding a log is quadratic in its length.  Commit markers and
+    reconfiguration entries pay one more pass each (the kind partition,
+    the child map, the branch table of the committed tip).  After each
+    step the superseded
     tree is released from the hash-consing table (``trim=True``), so a
     monitor that runs for days holds one tree, not its whole history.
     """

@@ -14,7 +14,7 @@ transport, with client histories checked for linearizability
 
 from .autonomous import AutonomousCluster, LeaderChange
 from .cluster import Cluster, RequestRecord
-from .driver import ElectionDriver, TimingConfig, find_request
+from .driver import ElectionDriver, TimingConfig
 from .failover import FailoverDriver, FailoverEvent
 from .history import History, Operation
 from .kvstore import ReplicatedKV, apply_command, materialize
@@ -73,7 +73,6 @@ __all__ = [
     "check_key",
     "duplicate_request_audit",
     "fig16_chaos_config",
-    "find_request",
     "materialize",
     "run_fig16_experiment",
     "run_fig16_workload",

@@ -12,17 +12,109 @@ through the same path (hot reconfiguration: processing never stops).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..core.cache import Config, Method, NodeId
 from ..core.config import ReconfigScheme
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..raft.messages import CommitReq, ElectReq, Msg
+from ..raft.messages import CommitReq, ElectReq, Log, LogEntry, Msg
 from ..raft.server import FOLLOWER, LEADER, Server
-from .driver import find_request
 from .simnet import FaultPlan, LatencyModel, Simulator
+
+#: The fields of a (frozen) log entry that can hold a mutable object.
+_contents_of = attrgetter("payload", "request_id")
+
+
+def _is_hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def independent_copy(msg: Msg) -> Msg:
+    """A second in-flight copy of ``msg`` that no recipient can corrupt.
+
+    The copy is a new message object.  Log entries are frozen, so all a
+    handler can mutate through one is a mutable payload or request id;
+    an entry whose contents hash has neither (a hashable value keeps
+    its equality-relevant state for life), so both copies may share it.
+    Only entries with unhashable contents are deep-copied -- re-creating
+    every entry of a full-log message cost more than anything else the
+    simulator did, per duplicate and in proportion to log length.
+    """
+    if not isinstance(msg, (ElectReq, CommitReq)):
+        return replace(msg)  # acks carry scalars only
+    log = msg.log
+    try:
+        hash(tuple(map(_contents_of, log)))  # one C-level pass
+    except TypeError:
+        log = tuple(
+            entry if _is_hashable(_contents_of(entry)) else copy.deepcopy(entry)
+            for entry in log
+        )
+    return replace(msg, log=log)
+
+
+class LogFold:
+    """State derived from one log by folding its entries in order.
+
+    :meth:`follow` brings the state up to date with a log.  When the
+    log extends the one folded so far, only the new entries are folded,
+    so a consumer that asks once per operation pays for that
+    operation's entries, not for the whole log again.  That the old log
+    *is* a prefix of the new one is checked, never assumed -- one tuple
+    comparison in C, which compares shared entries by identity -- and
+    when it is not (a follower adopted a diverging log, a failover moved
+    the question to another server) the state is refolded from scratch.
+    The result therefore always equals a fresh fold of the log given.
+    """
+
+    def __init__(self) -> None:
+        self._folded: Log = ()
+        self.reset()
+
+    def reset(self) -> None:
+        """Return the derived state to that of the empty log."""
+        raise NotImplementedError
+
+    def absorb(self, position: int, entry: LogEntry) -> None:
+        """Fold in ``entry``, the ``position``-th (1-based) of the log."""
+        raise NotImplementedError
+
+    def follow(self, log: Log) -> None:
+        folded = self._folded
+        if log is folded:
+            return
+        done = len(folded)
+        if len(log) < done or log[:done] != folded:
+            self.reset()
+            done = 0
+        for position, entry in enumerate(log[done:], done + 1):
+            self.absorb(position, entry)
+        self._folded = log
+
+
+class RequestIndex(LogFold):
+    """Where each client request sits in a log, and which terms it holds.
+
+    ``positions`` maps a request id to the 1-based position of the
+    *first* entry carrying it, which is what a front-to-back scan for
+    the id returns; ``terms`` is the set of ``entry.time`` values.
+    """
+
+    def reset(self) -> None:
+        self.positions: Dict[object, int] = {}
+        self.terms: set = set()
+
+    def absorb(self, position: int, entry: LogEntry) -> None:
+        if entry.request_id is not None:
+            self.positions.setdefault(entry.request_id, position)
+        self.terms.add(entry.time)
 
 
 @dataclass
@@ -73,6 +165,9 @@ class Cluster:
         self.records: List[RequestRecord] = []
         self.messages_sent = 0
         self._crashed: set = set()
+        #: Per-server request index, owned by this cluster: two clusters
+        #: in one process share nothing.
+        self._request_index: Dict[NodeId, RequestIndex] = {}
         self.faults = faults
         # -- observability (see repro.obs) -----------------------------
         # The disabled path must stay near-free: one boolean (`_obs`)
@@ -213,7 +308,7 @@ class Cluster:
             # fault-injected duplicates used to alias the *same* Msg, so
             # a handler mutating its received message (e.g. through a
             # mutable payload) corrupted the copy still on the wire.
-            delivery = msg if i == 0 else copy.deepcopy(msg)
+            delivery = msg if i == 0 else independent_copy(msg)
             delay = extra_delay + self.latency.sample(
                 self.sim.rng, self._payload_size(msg)
             )
@@ -343,10 +438,20 @@ class Cluster:
         """Submit a reconfiguration command and wait for commit."""
         return self._submit(new_conf, leader, True, max_wait_ms, request_id)
 
-    @staticmethod
-    def _find_request(server: Server, request_id) -> Optional[int]:
-        """Log position (1-based prefix length) of ``request_id``."""
-        return find_request(server, request_id)
+    def _index_of(self, server: Server) -> RequestIndex:
+        """``server``'s request index, brought up to its current log."""
+        index = self._request_index.get(server.nid)
+        if index is None:
+            index = self._request_index[server.nid] = RequestIndex()
+        index.follow(server.log)
+        return index
+
+    def _find_request(self, server: Server, request_id) -> Optional[int]:
+        """Log position (1-based prefix length) of ``request_id``, if a
+        previous attempt's entry already survived into ``server``'s log."""
+        if request_id is None:
+            return None
+        return self._index_of(server).positions.get(request_id)
 
     def _submit(
         self,
@@ -382,7 +487,7 @@ class Cluster:
             # counting (Raft's commit rule), so lay down a no-op
             # barrier at the current term if none exists yet.
             target_len = existing
-            if all(e.time != server.time for e in server.log):
+            if server.time not in self._index_of(server).terms:
                 server.invoke(("noop",))
         elif is_reconfig:
             ok, reason = server.reconfig(

@@ -51,17 +51,6 @@ class TimingConfig:
     election_timeout_max_ms: float = 30.0
 
 
-def find_request(server: Server, request_id) -> Optional[int]:
-    """Log position (1-based prefix length) of ``request_id``, if a
-    previous attempt's entry already survived into ``server``'s log."""
-    if request_id is None:
-        return None
-    for i, entry in enumerate(server.log):
-        if entry.request_id == request_id:
-            return i + 1
-    return None
-
-
 class ElectionDriver:
     """Election-timeout and heartbeat policy for one server.
 

@@ -153,7 +153,7 @@ class FailoverDriver:
                 continue
             server = self.cluster.servers[self.leader]
             already_appended = (
-                Cluster._find_request(server, request_id) is not None
+                self.cluster._find_request(server, request_id) is not None
             )
             if not already_appended and not server.has_commit_at_current_time():
                 self.submit(("noop",))

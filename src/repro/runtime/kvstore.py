@@ -14,7 +14,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.cache import Config, NodeId
 from ..core.config import ReconfigScheme
-from .cluster import Cluster
+from ..raft.messages import Log, LogEntry
+from .cluster import Cluster, LogFold
 from .simnet import FaultPlan, LatencyModel
 
 
@@ -58,6 +59,31 @@ def materialize(entries) -> Dict[str, Any]:
     return store
 
 
+class KVView(LogFold):
+    """The key-value state of a log prefix, kept applied as it grows.
+
+    ``state_of(prefix)`` equals ``materialize(prefix)`` for every
+    prefix given, in any order: :class:`LogFold` checks that what was
+    applied so far is a prefix of the new one and starts over when it
+    is not, so a reader of the view observes what a fresh fold would
+    show -- it does not come to rely on the Log Matching property that
+    the linearizability checker is there to test.
+    """
+
+    def reset(self) -> None:
+        self._store: Dict[str, Any] = {}
+
+    def absorb(self, position: int, entry: LogEntry) -> None:
+        if not entry.is_config:
+            apply_command(self._store, entry.payload)
+
+    def state_of(self, prefix: Log) -> Dict[str, Any]:
+        """The state after ``prefix``; the view's own dictionary, valid
+        until the next call -- copy it to keep or change it."""
+        self.follow(prefix)
+        return self._store
+
+
 class ReplicatedKV:
     """A strongly-consistent key-value store over a simulated cluster."""
 
@@ -80,6 +106,8 @@ class ReplicatedKV:
             faults=faults,
         )
         self.leader = leader if leader is not None else min(scheme.members(conf0))
+        #: One applied view per replica read so far.
+        self._views: Dict[NodeId, KVView] = {}
         if not self.cluster.elect(self.leader):
             raise RuntimeError("initial election failed")
 
@@ -98,17 +126,23 @@ class ReplicatedKV:
         record = self.cluster.submit(("delete", key), self.leader)
         return record.latency_ms
 
+    def _committed_state(self, nid: NodeId) -> Dict[str, Any]:
+        view = self._views.get(nid)
+        if view is None:
+            view = self._views[nid] = KVView()
+        return view.state_of(self.cluster.committed_entries(nid))
+
     def get(self, key: str, default: Any = None) -> Any:
         """Read from the leader's committed state."""
-        return self.snapshot().get(key, default)
+        return self._committed_state(self.leader).get(key, default)
 
     def snapshot(self) -> Dict[str, Any]:
         """The full committed key-value state at the leader."""
-        return materialize(self.cluster.committed_entries(self.leader))
+        return dict(self._committed_state(self.leader))
 
     def snapshot_at(self, nid: NodeId) -> Dict[str, Any]:
         """A replica's committed view (a prefix of the leader's)."""
-        return materialize(self.cluster.committed_entries(nid))
+        return dict(self._committed_state(nid))
 
     def reconfigure(self, new_conf: Config) -> float:
         """Change the membership without stopping the store."""

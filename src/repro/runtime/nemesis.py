@@ -34,7 +34,7 @@ from ..schemes.single_node import RaftSingleNodeScheme
 from .cluster import Cluster
 from .failover import FailoverDriver
 from .history import History
-from .kvstore import materialize
+from .kvstore import KVView
 from .linearize import LinearizabilityResult, check_history
 from .simnet import FaultPlan, LatencyModel, NetworkConditions
 
@@ -224,6 +224,7 @@ def run_nemesis(config: NemesisConfig) -> NemesisResult:
     )
     history = History()
     stats = NemesisStats()
+    reads = KVView()
     rng = random.Random(config.seed + 0xC0FFEE)
 
     crash_at = set(config.crash_leader_at)
@@ -302,7 +303,7 @@ def run_nemesis(config: NemesisConfig) -> NemesisResult:
                     driver.client_id, "get", key, None, cluster.sim.now
                 )
                 record = driver.submit(("get", key))
-                observed = materialize(
+                observed = reads.state_of(
                     cluster.servers[driver.leader].log[: record.log_index]
                 ).get(key)
                 history.complete(op, cluster.sim.now, observed)

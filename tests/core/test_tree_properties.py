@@ -9,7 +9,7 @@ nearest common ancestors) satisfy their algebraic laws.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CacheTree, MCache
+from repro.core import CacheTree, MCache, TreeEntry
 from repro.core.tree import ROOT_CID
 
 from ..helpers import root
@@ -126,3 +126,26 @@ def test_insert_btw_preserves_leaf_count_or_structure(data):
     # The new cache takes over exactly the old children.
     assert grown.children(parent) == (cid,)
     assert set(grown.children(cid)) == set(children_before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
+    # Direct construction sorts and validates; the growth operations
+    # rely on producing cid order by construction.  Fed the same entries
+    # in any order, direct construction must arrive at the grown tree --
+    # the reference any cheaper growth path has to meet.
+    tree = grow_random_tree(data)
+    entries = [
+        (cid, TreeEntry(tree.parent(cid), tree.cache(cid)))
+        for cid in tree.cids()
+    ]
+    shuffled = data.draw(st.permutations(entries), label="order")
+    direct = CacheTree(dict(shuffled))
+    assert list(tree.cids()) == sorted(cid for cid, _ in entries)
+    assert list(tree.cids()) == list(direct.cids())
+    assert list(tree.items()) == list(direct.items())
+    assert list(tree.parent_items()) == list(direct.parent_items())
+    assert tree.fingerprint() == direct.fingerprint()
+    assert tree == direct
+    assert tree.fresh_cid() == direct.fresh_cid()

@@ -1,0 +1,323 @@
+"""The runtime's per-op work is flat in log length *and* exact.
+
+The simulated cluster used to re-walk whole logs on every client
+operation.  It now keeps derived state that follows each log
+(:class:`~repro.runtime.cluster.LogFold`): a request index per server
+and an applied key-value view.  These tests hold both to the linear
+reference implementations, which live here and nowhere in ``src/``, and
+pin the work done per run by deterministic counts, not by the clock.
+"""
+
+import copy
+import random
+
+import repro.runtime.kvstore as kvstore_mod
+import repro.runtime.nemesis as nemesis_mod
+from repro.raft.messages import CommitReq, LogEntry
+from repro.raft.server import Server
+from repro.runtime import (
+    Cluster,
+    FailoverDriver,
+    NemesisConfig,
+    NetworkConditions,
+    ReplicatedKV,
+    fig16_chaos_config,
+    materialize,
+    run_nemesis,
+)
+from repro.runtime.cluster import independent_copy
+from repro.runtime.kvstore import KVView
+from repro.schemes import RaftSingleNodeScheme
+
+NODES = frozenset({1, 2, 3})
+SCHEME = RaftSingleNodeScheme()
+
+
+def scan_for_request(server, request_id):
+    """Reference: the front-to-back scan the index replaced."""
+    if request_id is None:
+        return None
+    for i, entry in enumerate(server.log):
+        if entry.request_id == request_id:
+            return i + 1
+    return None
+
+
+def put(term, vrsn, value, rid=None):
+    return LogEntry(
+        time=term, vrsn=vrsn, payload=("put", "k", value), request_id=rid
+    )
+
+
+def assert_index_matches_scan(cluster, server, request_ids):
+    for rid in request_ids:
+        assert cluster._find_request(server, rid) == scan_for_request(
+            server, rid
+        ), rid
+
+
+class TestRequestIndex:
+    RIDS = [("c", n) for n in range(6)] + [("other", 0), None]
+
+    def test_first_match_wins(self):
+        cluster = Cluster(NODES, SCHEME)
+        server = cluster.servers[1]
+        server.log = (
+            put(1, 1, "a", ("c", 0)),
+            put(1, 2, "b", ("c", 1)),
+            put(1, 3, "c", ("c", 0)),  # the same request id again
+        )
+        assert cluster._find_request(server, ("c", 0)) == 1
+        assert cluster._find_request(server, ("c", 1)) == 2
+        assert cluster._find_request(server, ("c", 2)) is None
+
+    def test_none_is_never_found(self):
+        cluster = Cluster(NODES, SCHEME)
+        server = cluster.servers[1]
+        server.log = (put(1, 1, "a"), put(1, 2, "b", ("c", 0)))
+        assert cluster._find_request(server, None) is None
+
+    def test_follows_appends_without_losing_earlier_positions(self):
+        cluster = Cluster(NODES, SCHEME)
+        assert cluster.elect(1)
+        for n in range(5):
+            cluster.submit(("put", "k", n), 1, request_id=("c", n))
+            assert_index_matches_scan(cluster, cluster.servers[1], self.RIDS)
+
+    def test_follower_log_replaced_by_a_diverging_one(self):
+        cluster = Cluster(NODES, SCHEME)
+        follower = cluster.servers[2]
+        follower.time = 1
+        follower.log = (
+            put(1, 1, "a", ("c", 0)),
+            put(1, 2, "b", ("c", 1)),
+            put(1, 3, "c", ("c", 2)),
+        )
+        assert cluster._find_request(follower, ("c", 2)) == 3
+        # A term-2 leader overwrites everything after the first entry:
+        # ("c", 1) is gone and ("c", 2) moved.
+        winner = (
+            follower.log[0],
+            put(2, 1, "x", ("c", 2)),
+            put(2, 2, "y", ("c", 3)),
+        )
+        follower._on_commit_req(
+            CommitReq(frm=3, to=2, time=2, log=winner, commit_len=1)
+        )
+        assert follower.log == winner
+        assert cluster._find_request(follower, ("c", 1)) is None
+        assert cluster._find_request(follower, ("c", 2)) == 2
+        assert_index_matches_scan(cluster, follower, self.RIDS)
+
+    def test_shorter_log_is_refolded(self):
+        cluster = Cluster(NODES, SCHEME)
+        server = cluster.servers[1]
+        server.log = (put(1, 1, "a", ("c", 0)), put(1, 2, "b", ("c", 1)))
+        assert cluster._find_request(server, ("c", 1)) == 2
+        server.log = server.log[:1]
+        assert cluster._find_request(server, ("c", 1)) is None
+
+    def test_after_restart(self):
+        cluster = Cluster(NODES, SCHEME)
+        assert cluster.elect(1)
+        for n in range(3):
+            cluster.submit(("put", "k", n), 1, request_id=("c", n))
+        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+        cluster.crash(2)
+        cluster.submit(("put", "k", 3), 1, request_id=("c", 3))
+        cluster.restart(2)
+        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+        cluster.submit(("put", "k", 4), 1, request_id=("c", 4))
+        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+
+    def test_two_clusters_share_nothing(self):
+        a, b = Cluster(NODES, SCHEME), Cluster(NODES, SCHEME)
+        a.servers[1].log = (put(1, 1, "a", ("c", 0)),)
+        b.servers[1].log = (put(1, 1, "z"), put(1, 2, "a", ("c", 0)))
+        assert a._find_request(a.servers[1], ("c", 0)) == 1
+        assert b._find_request(b.servers[1], ("c", 0)) == 2
+        assert a._find_request(a.servers[1], ("c", 0)) == 1
+
+    def test_server_from_outside_the_cluster_is_still_answered_exactly(self):
+        # The index is keyed by node id but never trusts the key: what
+        # it returns is checked against the log it is asked about.
+        cluster = Cluster(NODES, SCHEME)
+        cluster.servers[1].log = (put(1, 1, "a", ("c", 0)),)
+        assert cluster._find_request(cluster.servers[1], ("c", 0)) == 1
+        stranger = Server(nid=1, conf0=NODES, log=(put(1, 1, "z"),))
+        assert cluster._find_request(stranger, ("c", 0)) is None
+
+    def test_random_log_histories_match_the_scan(self):
+        rng = random.Random(20220613)
+        cluster = Cluster(NODES, SCHEME)
+        server = cluster.servers[1]
+        rids = [("c", n) for n in range(8)]
+        for _ in range(300):
+            log = list(server.log)
+            if log and rng.random() < 0.3:
+                del log[rng.randrange(len(log)) :]  # diverge: cut a suffix
+            for _ in range(rng.randrange(4)):
+                rid = rng.choice(rids + [None])
+                log.append(put(1, len(log) + 1, rng.randrange(3), rid))
+            server.log = tuple(log)
+            assert_index_matches_scan(cluster, server, rids + [None])
+
+    def test_retry_barrier_decision_matches_the_term_scan(self):
+        # The retry path lays a no-op barrier iff the log holds no entry
+        # of the leader's term; that used to be its own scan.
+        cluster = Cluster(NODES, SCHEME)
+        assert cluster.elect(1)
+        cluster.submit(("put", "k", 1), 1, request_id=("c", 0))
+        assert cluster.elect(2)  # term 2, log holds term-1 entries only
+        leader = cluster.servers[2]
+        assert all(e.time != leader.time for e in leader.log)
+        before = len(leader.log)
+        cluster.submit(("put", "k", 1), 2, request_id=("c", 0))
+        assert [e.payload for e in leader.log[before:]] == [("noop",)]
+        # The barrier exists now: a second retry appends nothing.
+        cluster.submit(("put", "k", 1), 2, request_id=("c", 0))
+        assert len(leader.log) == before + 1
+
+    def test_reconfigure_consults_the_clusters_own_index(self):
+        cluster = Cluster(NODES, SCHEME, extra_nodes={4})
+        assert cluster.elect(1)
+        driver = FailoverDriver(cluster, leader=1)
+        driver.reconfigure(frozenset({1, 2, 3, 4}))
+        leader = cluster.servers[1]
+        config_entries = [e for e in leader.log if e.is_config]
+        assert len(config_entries) == 1
+        rid = config_entries[0].request_id
+        assert cluster._find_request(leader, rid) == scan_for_request(
+            leader, rid
+        )
+
+
+class TestKVView:
+    def test_any_sequence_of_prefixes_matches_materialize(self):
+        a = tuple(put(1, n + 1, n) for n in range(6))
+        b = a[:3] + tuple(
+            LogEntry(time=2, vrsn=n + 1, payload=("add", "k", 10))
+            for n in range(4)
+        )
+        view = KVView()
+        for prefix in (a[:2], a[:5], a[:5], b[:6], b[:3], a[:4], (), a, b):
+            assert view.state_of(prefix) == materialize(prefix)
+
+    def test_config_entries_are_skipped(self):
+        log = (
+            put(1, 1, "a"),
+            LogEntry(time=1, vrsn=2, payload=frozenset({1, 2}), is_config=True),
+            LogEntry(time=1, vrsn=3, payload=("add", "n", 2)),
+        )
+        assert KVView().state_of(log) == materialize(log) == {"k": "a", "n": 2}
+
+    def test_failover_that_swaps_the_leaders_log(self):
+        # The old leader holds an entry nobody else has; the view has
+        # applied it.  After the failover the new leader's log differs
+        # at that position, so extending would show a value no fresh
+        # fold of the new log shows.
+        cluster = Cluster(NODES, SCHEME, seed=2)
+        assert cluster.elect(1)
+        driver = FailoverDriver(cluster, leader=1)
+        driver.submit(("put", "k", 1))
+        driver.submit(("add", "k", 1))
+        view = KVView()
+        old = cluster.servers[1]
+        assert old.invoke(("put", "k", "lost"))  # never replicated
+        assert view.state_of(old.log) == materialize(old.log) == {"k": "lost"}
+        cluster.crash(1)
+        driver.submit(("add", "k", 5))
+        new = cluster.servers[driver.leader]
+        assert driver.leader != 1
+        assert new.log[: len(old.log)] != old.log
+        assert view.state_of(new.log) == materialize(new.log) == {"k": 7}
+        assert view.state_of(old.log) == materialize(old.log)
+
+    def test_replicated_kv_snapshots_are_fresh_dicts(self):
+        kv = ReplicatedKV(NODES, SCHEME, seed=4)
+        kv.put("a", 1)
+        kv.add("n", 2)
+        snap = kv.snapshot()
+        assert snap == materialize(kv.cluster.committed_entries(kv.leader))
+        snap["a"] = "scribbled"  # a caller's copy, not the view's state
+        kv.put("b", 3)
+        kv.sync()
+        assert kv.snapshot() == {"a": 1, "n": 2, "b": 3}
+        assert kv.get("a") == 1
+        for nid in sorted(NODES):
+            assert kv.snapshot_at(nid) == materialize(
+                kv.cluster.committed_entries(nid)
+            )
+
+
+class TestIndependentCopy:
+    def test_hashable_entries_are_shared_and_the_shell_is_new(self):
+        log = (put(1, 1, "a", ("c", 0)), put(1, 2, "b"))
+        msg = CommitReq(frm=1, to=2, time=1, log=log, commit_len=1)
+        dup = independent_copy(msg)
+        assert dup == msg and dup is not msg
+        assert all(x is y for x, y in zip(dup.log, msg.log))
+
+    def test_only_entries_with_mutable_contents_are_copied(self):
+        shared = put(1, 1, "a")
+        mutable = LogEntry(time=1, vrsn=2, payload=["v"])
+        msg = CommitReq(frm=1, to=2, time=1, log=(shared, mutable), commit_len=0)
+        dup = independent_copy(msg)
+        assert dup == msg
+        assert dup.log[0] is shared
+        assert dup.log[1] is not mutable
+        assert dup.log[1].payload is not mutable.payload
+
+
+class TestWorkCounts:
+    """Deterministic counts: the same on every machine, every run."""
+
+    def test_reads_apply_each_committed_entry_a_bounded_number_of_times(
+        self, monkeypatch
+    ):
+        applied = []
+        real_apply = kvstore_mod.apply_command
+
+        def counting_apply(store, command):
+            applied.append(command)
+            real_apply(store, command)
+
+        clusters = []
+
+        class RecordedCluster(Cluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                clusters.append(self)
+
+        monkeypatch.setattr(kvstore_mod, "apply_command", counting_apply)
+        monkeypatch.setattr(nemesis_mod, "Cluster", RecordedCluster)
+        result = run_nemesis(fig16_chaos_config(seed=3, ops=400))
+        assert result.ok
+        reads = sum(1 for op in result.history.operations if op.op == "get")
+        assert reads > 50
+        (cluster,) = clusters
+        committed = max(
+            sum(1 for e in server.committed_log() if not e.is_config)
+            for server in cluster.servers.values()
+        )
+        # Refolding per read cost reads x log length (about 25,000 here,
+        # 2.48 M at 4,000 ops); following the log costs each entry once,
+        # twice if a failover ever forces a refold.
+        assert 0 < len(applied) <= 2 * committed
+
+    def test_deepcopy_is_not_reached_when_every_payload_is_hashable(
+        self, monkeypatch
+    ):
+        def refuse(obj, memo=None):
+            raise AssertionError(f"deepcopy of {type(obj).__name__}")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        result = run_nemesis(
+            NemesisConfig(
+                seed=5,
+                ops=40,
+                conditions=NetworkConditions(duplicate_prob=1.0),
+            )
+        )
+        assert result.ok
+        assert result.metrics["counters"]["cluster.messages_duplicated"] > 100
