@@ -107,7 +107,7 @@ if __name__ == "__main__":
     parser.add_argument("--json", metavar="PATH", help="write the JSON report")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="parallel workers per cell (demotes guided search to bfs)",
+        help="worker processes per cell (default: 1, in-process)",
     )
     parser.add_argument(
         "--scheme", action="append", dest="schemes", metavar="NAME",

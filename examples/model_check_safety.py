@@ -9,13 +9,14 @@ the checker finds.
 
 Run:  python examples/model_check_safety.py              (quick)
       python examples/model_check_safety.py --full       (all ablations)
-      python examples/model_check_safety.py --workers 4  (parallel engine)
+      python examples/model_check_safety.py --workers 4  (worker pool)
       python examples/model_check_safety.py --smoke      (CI-sized run)
 
-``--workers N`` partitions each BFS frontier level across N processes;
-the verdict and state count are identical to the sequential run.
-``--checkpoint PATH`` makes the positive verification resumable: an
-interrupted run (or one stopped by ``--max-seconds``) continues from
+``--workers N`` expands each BFS frontier level (and each window of a
+guided hunt's best entries) across N processes; the positive
+verification's verdict and state count are identical to the sequential
+run.  ``--checkpoint PATH`` makes the positive verification resumable:
+an interrupted run (or one stopped by ``--max-seconds``) continues from
 its last completed level on the next invocation.
 """
 
@@ -45,8 +46,7 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the parallel engine (default: 1, "
-             "sequential; 0 = all cores)",
+        help="worker processes (default: 1, in-process; 0 = all cores)",
     )
     parser.add_argument(
         "--checkpoint", metavar="PATH", default=None,
@@ -60,7 +60,7 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--progress", action="store_true",
-        help="print per-level throughput counters (parallel engine)",
+        help="print per-level throughput counters",
     )
     return parser.parse_args()
 
@@ -82,13 +82,6 @@ def main(
         if args.smoke
         else OpBudget(pulls=2, invokes=2, reconfigs=1, pushes=2)
     )
-    engine_options = {}
-    parallel = args.workers != 1 or args.checkpoint or args.max_seconds
-    if parallel:
-        if args.max_seconds is not None:
-            engine_options["max_seconds"] = args.max_seconds
-        if args.progress:
-            engine_options["progress"] = print_progress
 
     print("== Positive verification: the intact model is safe ==\n")
     result = verify_intact(
@@ -96,12 +89,14 @@ def main(
         conf0=frozenset({1, 2, 3}),
         workers=args.workers,
         checkpoint=args.checkpoint,
-        **engine_options,
+        max_seconds=args.max_seconds,
+        progress=print_progress if args.progress else None,
     )
-    engine = f"{args.workers} worker(s)" if parallel else "sequential"
-    print(f"3 nodes, {result.budget} [{engine}] -> {result.summary()}")
-    if result.stats is not None:
-        print("engine:", result.stats.describe())
+    print(
+        f"3 nodes, {result.budget} [{args.workers} worker(s)] -> "
+        f"{result.summary()}"
+    )
+    print("engine:", result.stats.describe())
     if result.interrupted:
         print("\ninterrupted by --max-seconds; re-run with the same "
               "--checkpoint to continue")

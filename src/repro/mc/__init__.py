@@ -6,10 +6,13 @@ Appendix-B invariant at each state; :mod:`repro.mc.ablations` re-runs it
 with each design rule (R2, R3, OVERLAP, ``insertBtw``) disabled and
 exhibits concrete counterexample schedules.
 
-:class:`ParallelExplorer` (and the :func:`explore` dispatcher) run the
-same semantics across a ``multiprocessing`` worker pool with periodic
-checkpoints, so large schedule classes can be certified on all cores
-and interrupted runs resume instead of restarting.
+There is one search loop, :func:`repro.mc.parallel.search`, over a
+frontier (FIFO or best-first, in RAM or spilled to disk), a visited set
+and an executor (this process, or a ``multiprocessing`` fork pool).
+``Explorer.run()`` enters it with the defaults; :class:`ParallelExplorer`
+(and the :func:`explore` shorthand) add workers, periodic checkpoints and
+time slices -- for either strategy -- so large schedule classes can be
+certified on all cores and interrupted runs resume instead of restarting.
 """
 
 from .ablations import (
@@ -57,8 +60,8 @@ from .parallel import (
     print_progress,
 )
 from .spill import (
-    SpillDeque,
-    SpilledMinHeap,
+    BestFirstFrontier,
+    FifoFrontier,
     iter_packed_records,
     write_packed_records,
 )
@@ -71,6 +74,7 @@ from .symmetry import (
 
 __all__ = [
     "ABLATIONS",
+    "BestFirstFrontier",
     "DEFAULT_BUDGETS",
     "FIG4_BUDGET",
     "FIG4_NODES",
@@ -80,6 +84,7 @@ __all__ = [
     "EngineStats",
     "ExplorationResult",
     "Explorer",
+    "FifoFrontier",
     "FingerprintSet",
     "OpBudget",
     "OverlapAblation",
@@ -87,8 +92,6 @@ __all__ = [
     "ProgressSnapshot",
     "RunRecord",
     "SchemeScenario",
-    "SpillDeque",
-    "SpilledMinHeap",
     "SymmetryReducer",
     "Violation",
     "ablate_insert_btw",

@@ -10,15 +10,14 @@ Each ablation returns an :class:`~repro.mc.explorer.ExplorationResult`
 whose first violation carries the full schedule and tree.
 
 Every run here is built from a ``*_explorer()`` factory returning the
-configured :class:`Explorer`, so callers (tests, the parallel engine's
-equivalence suite, CI smoke jobs) can run the *same* instance under
-either engine.  The ``ablate_*``/``verify_intact`` entry points accept
-``workers=`` and ``checkpoint=``: with ``workers=1`` and no checkpoint
-they behave exactly as before; otherwise they route through
-:func:`repro.mc.parallel.explore`.  The parallel engine supports only
-breadth-first search, so hunts that default to the ``guided`` strategy
-switch to ``bfs`` when parallelized (same verdict; the hunt order, and
-hence the states-explored count, differs from the guided run).
+configured :class:`Explorer`, so callers (tests, the engine's
+equivalence suite, CI smoke jobs) can run the *same* instance under any
+engine options.  The ``ablate_*``/``verify_intact`` entry points pass
+``workers=``, ``checkpoint=`` and the other engine options straight to
+:func:`repro.mc.parallel.explore`; the strategy is never changed on the
+way.  A guided hunt with a worker pool is deterministic and reaches the
+same verdict, but expands a window of best entries between merges, so
+its states-explored count differs from the one-at-a-time guided run.
 """
 
 from __future__ import annotations
@@ -60,24 +59,6 @@ def _hunt_explorer(**overrides) -> Explorer:
     return Explorer(**params)
 
 
-def _run(
-    explorer: Explorer,
-    workers: int,
-    checkpoint: Optional[str],
-    **engine_options,
-) -> ExplorationResult:
-    return explore(
-        explorer, workers=workers, checkpoint=checkpoint, **engine_options
-    )
-
-
-def _hunt_overrides(workers: int, overrides: dict) -> dict:
-    """Force ``bfs`` when a guided hunt is parallelized."""
-    if workers != 1 and overrides.get("strategy", "guided") == "guided":
-        overrides = dict(overrides, strategy="bfs")
-    return overrides
-
-
 def verify_intact_explorer(
     budget: Optional[OpBudget] = None,
     conf0: frozenset = frozenset({1, 2, 3}),
@@ -109,13 +90,13 @@ def verify_intact(
 
     This is the positive half of the reproduction of Theorem 4.5: every
     reachable state of the bounded instance satisfies replicated state
-    safety and all Appendix-B invariants.  ``workers`` > 1 partitions
-    each frontier level across processes; ``checkpoint`` makes the run
+    safety and all Appendix-B invariants.  ``workers`` > 1 expands each
+    frontier level across processes; ``checkpoint`` makes the run
     resumable (see :mod:`repro.mc.parallel`); both leave the verdict
     and state count identical to the sequential run.
     """
     explorer = verify_intact_explorer(budget, conf0, max_states)
-    return _run(explorer, workers, checkpoint, **engine_options)
+    return explore(explorer, workers, checkpoint, **engine_options)
 
 
 def r3_explorer(max_states: int = 300_000, **overrides) -> Explorer:
@@ -135,10 +116,8 @@ def ablate_r3(
     reconfigure concurrently, end up with configurations two changes
     apart, and commit with disjoint quorums on divergent branches.
     """
-    overrides = _hunt_overrides(workers, {})
-    return _run(
-        r3_explorer(max_states, **overrides),
-        workers, checkpoint, **engine_options,
+    return explore(
+        r3_explorer(max_states), workers, checkpoint, **engine_options
     )
 
 
@@ -182,10 +161,8 @@ def ablate_r2(
     (which it can still see), commits on the main branch.  pulls=2,
     invokes=2, reconfigs=3, pushes=3 is exactly that schedule class.
     """
-    overrides = _hunt_overrides(workers, {})
-    return _run(
-        r2_explorer(max_states, **overrides),
-        workers, checkpoint, **engine_options,
+    return explore(
+        r2_explorer(max_states), workers, checkpoint, **engine_options
     )
 
 
@@ -213,10 +190,8 @@ def ablate_overlap(
     can move to a configuration with a disjoint majority, so even R2 and
     R3 cannot save safety.
     """
-    overrides = _hunt_overrides(workers, {})
-    return _run(
-        overlap_explorer(max_states, **overrides),
-        workers, checkpoint, **engine_options,
+    return explore(
+        overlap_explorer(max_states), workers, checkpoint, **engine_options
     )
 
 
@@ -275,7 +250,6 @@ def ablate_insert_btw(
     whose branch does not contain the earlier commit -- replicated
     state safety breaks immediately.
     """
-    return _run(
-        insert_btw_explorer(max_states),
-        workers, checkpoint, **engine_options,
+    return explore(
+        insert_btw_explorer(max_states), workers, checkpoint, **engine_options
     )

@@ -23,7 +23,7 @@ import tempfile
 from ..core import cachemgr
 from .ablations import verify_intact_explorer
 from .explorer import OpBudget
-from .parallel import ParallelExplorer
+from .parallel import explore
 
 #: CI-sized budgets: ``small`` finishes in seconds, ``fig4`` is the
 #: full paper budget (minutes).
@@ -115,13 +115,7 @@ def _bounded_leg(args, overrides) -> tuple:
                 spill_window=args.window,
                 **overrides,
             )
-            if args.workers > 1:
-                result = ParallelExplorer(explorer, workers=args.workers).run()
-            else:
-                # The sequential engine has the smaller footprint (no
-                # per-window batching buffers); use it unless worker
-                # parallelism was explicitly requested.
-                result = explorer.run()
+            result = explore(explorer, workers=args.workers)
             stats = cachemgr.stats()
     try:
         import resource
@@ -197,7 +191,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="parallel engine worker count (default: 1)",
+        help="worker processes for the bounded run (default: 1, in-process)",
     )
     args = parser.parse_args(argv)
     budget = BUDGETS[args.budget]

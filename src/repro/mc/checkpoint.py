@@ -1,9 +1,9 @@
 """Durable checkpoints for interruptible model-checking runs.
 
-A checkpoint captures everything the level-synchronized BFS engine
-(:mod:`repro.mc.parallel`) needs to continue exactly where it stopped:
-the current frontier (states with their remaining budgets and traces),
-the visited-key set, the aggregate counters, and a fingerprint of the
+A checkpoint captures everything the search loop
+(:func:`repro.mc.parallel.search`) needs to continue exactly where it
+stopped at a round boundary: the frontier's pending records, the
+visited-key set, the aggregate counters, and a fingerprint of the
 exploration configuration so a resume against a *different* model is
 detected instead of silently merging incompatible state spaces.
 
@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set
+
+from .fpset import FingerprintSet
+from .spill import file_sha256, iter_packed_records
 
 #: Bumped whenever the pickled layout changes; a loader seeing a
 #: different version discards the checkpoint rather than guessing.
@@ -57,11 +61,14 @@ class Checkpoint:
 
     #: :meth:`repro.mc.explorer.Explorer.config_fingerprint` of the run.
     fingerprint: str
-    #: BFS level the frontier sits at (== depth of every frontier trace).
+    #: Rounds completed so far; for a breadth-first run the BFS level
+    #: the frontier sits at (== depth of every frontier trace).
     level: int
-    #: ``(state, remaining_budget, trace)`` triples, in deterministic
-    #: frontier order.
-    frontier: List[Tuple[Any, Any, Tuple]]
+    #: The frontier's pending records, as its ``__iter__`` yields and its
+    #: ``restore`` takes them: ``(state, remaining_budget, trace)``
+    #: triples in queue order for a breadth-first run, heap records for
+    #: a guided one.
+    frontier: List[Any]
     #: Dedup keys of every visited state.
     visited_keys: Set[Any]
     transitions: int
@@ -102,8 +109,6 @@ class Checkpoint:
         """Iterate the frontier entries, embedded or from the sidecar."""
         if self.frontier_ref is None:
             return iter(self.frontier)
-        from .spill import iter_packed_records
-
         return iter_packed_records(sidecar_path(checkpoint_path, self.frontier_ref))
 
     def restore_visited(
@@ -121,12 +126,8 @@ class Checkpoint:
         it the snapshot is loaded into RAM.
         """
         if self.visited_ref is not None:
-            from .fpset import FingerprintSet
-
             src = sidecar_path(checkpoint_path, self.visited_ref)
             if spill_to is not None:
-                import shutil
-
                 os.makedirs(os.path.dirname(os.path.abspath(spill_to)), exist_ok=True)
                 shutil.copyfile(src, spill_to)
                 return FingerprintSet.spilled(spill_to, clear=False)
@@ -138,8 +139,6 @@ class Checkpoint:
             snapshot.release()
             return live
         if self.visited_fps is not None:
-            from .fpset import FingerprintSet
-
             return FingerprintSet.from_packed(self.visited_fps)
         return set(self.visited_keys)
 
@@ -150,6 +149,62 @@ def sidecar_path(checkpoint_path: Optional[str], ref: dict) -> str:
         raise ValueError("sidecar checkpoint needs the checkpoint path to resolve files")
     directory = os.path.dirname(os.path.abspath(checkpoint_path))
     return os.path.join(directory, ref["file"])
+
+
+def write_checkpoint(path: str, frontier, visited, **counters: Any) -> None:
+    """Snapshot a run at a round boundary into the checkpoint at ``path``.
+
+    ``counters`` are the remaining :class:`Checkpoint` fields.  What
+    lives in RAM is embedded in the pickle; what is spilled is
+    *snapshotted* into a sidecar next to it (the working spill files
+    keep mutating after this point, so the checkpoint must reference
+    copies, not the live files) and recorded by content fingerprint.
+    The frontier and the visited set decide independently.
+    """
+    records: List[Any] = []
+    visited_keys: Set[Any] = set()
+    visited_fps = None
+    refs = {}
+    if frontier.spill_path is not None:
+        sidecar = path + ".frontier"
+        refs["frontier_ref"] = {
+            "file": os.path.basename(sidecar),
+            "sha256": frontier.snapshot_to(sidecar),
+            "count": len(frontier),
+        }
+    else:
+        records = list(frontier)
+    if getattr(visited, "spill_path", None) is not None:
+        visited.sync()
+        sidecar = path + ".visited"
+        shutil.copyfile(visited.spill_path, sidecar + ".tmp")
+        os.replace(sidecar + ".tmp", sidecar)
+        refs["visited_ref"] = {
+            "file": os.path.basename(sidecar),
+            "sha256": file_sha256(sidecar),
+            "count": len(visited),
+        }
+    elif isinstance(visited, FingerprintSet):
+        visited_fps = visited.to_bytes()
+    else:
+        visited_keys = set(visited)
+    save_checkpoint(path, Checkpoint(
+        frontier=records,
+        visited_keys=visited_keys,
+        visited_fps=visited_fps,
+        **refs,
+        **counters,
+    ))
+
+
+def discard_checkpoint(path: str) -> None:
+    """Remove the checkpoint of a run that reached a final verdict,
+    along with any sidecar snapshots it referenced."""
+    for name in (path, path + ".frontier", path + ".visited"):
+        try:
+            os.unlink(name)
+        except OSError:
+            pass
 
 
 def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
@@ -254,8 +309,6 @@ def load_checkpoint(
     ):
         if ref is None:
             continue
-        from .spill import file_sha256
-
         try:
             side = sidecar_path(path, ref)
             actual = file_sha256(side)

@@ -20,14 +20,15 @@ ablating Adore's R2 or R3 leaves it SAFE while Raft single-node falls
 to the Fig. 4 counterexample.  Ablating OVERLAP kills both -- quorum
 intersection is the one assumption nobody can carry for themselves.
 
-Determinism: with ``workers=1`` every run is a sequential exploration
-with a fixed expansion order ("bfs" FIFO, or the "guided" best-first
-heap whose ties break on an insertion counter), so the same budgets
-produce the identical report -- state counts, frontier depths, and
-survival matrix -- on every invocation.  ``workers > 1`` routes through
-:class:`repro.mc.parallel.ParallelExplorer` (bfs only; verdicts are
-unchanged but guided-order state counts differ), and ``checkpoint_dir``
-makes each per-(scheme, ablation) run resumable.
+Determinism: every run has a fixed expansion order ("bfs" FIFO, or the
+"guided" best-first heap whose ties break on an insertion counter), so
+the same budgets produce the identical report -- state counts, frontier
+depths, and survival matrix -- on every invocation.  ``workers > 1``
+expands each cell across a pool in the requested strategy (the report
+is identical for any worker count > 1; a pooled *guided* cell reaches
+the sequential verdict with a different state count, see
+:mod:`repro.mc.parallel`), and ``checkpoint_dir`` makes each
+per-(scheme, ablation) run resumable without changing its result.
 """
 
 from __future__ import annotations
@@ -715,9 +716,8 @@ def run_differential(
     pure bfs truncates at 300k+ states before depth 8.  Runs remain
     deterministic either way (see the module docstring).  ``workers``
     > 1 parallelizes each cell through
-    :func:`repro.mc.parallel.explore` (bfs only, so guided is demoted
-    -- verdicts unchanged, state counts differ); ``checkpoint_dir``
-    stores one resumable checkpoint per cell.
+    :func:`repro.mc.parallel.explore`; ``checkpoint_dir`` stores one
+    resumable checkpoint per cell.
     """
     scenario_list = (
         list(scenarios) if scenarios is not None else default_scenarios()
@@ -731,13 +731,9 @@ def run_differential(
     universe: FrozenSet[NodeId] = frozenset()
     for scenario in scenario_list:
         universe |= scenario.scheme.members(scenario.conf0)
-    # The parallel engine (used for workers > 1 *or* checkpointing) is
-    # bfs-only, so those paths demote guided runs.
-    parallel = workers != 1 or checkpoint_dir is not None
-    run_strategy = "bfs" if parallel else strategy
     report = DifferentialReport(
         universe=tuple(sorted(universe)),
-        strategy=run_strategy,
+        strategy=strategy,
         max_states=max_states,
         budgets={a: budget_map[a] for a in ablations},
     )
@@ -748,7 +744,7 @@ def run_differential(
                 ablation,
                 budget=budget_map[ablation],
                 max_states=max_states,
-                strategy=run_strategy,
+                strategy=strategy,
             )
             checkpoint = None
             if checkpoint_dir:

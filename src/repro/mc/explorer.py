@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time as _time
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -141,8 +139,9 @@ class ExplorationResult:
     #: a checkpoint behind; resume by re-running with the same
     #: ``checkpoint=`` path (see :mod:`repro.mc.parallel`).
     interrupted: bool = False
-    #: Engine throughput counters (:class:`repro.mc.parallel.EngineStats`)
-    #: when the run came from the parallel engine; ``None`` otherwise.
+    #: Engine throughput counters of the slice that produced this result
+    #: (:class:`repro.mc.parallel.EngineStats`); ``None`` only on results
+    #: not built by the search loop (``merge_results``, hand-made ones).
     stats: Optional[object] = None
 
     @property
@@ -319,8 +318,8 @@ class Explorer:
 
     # ------------------------------------------------------------------
     # The pure step API.  Everything below is side-effect free, so the
-    # sequential loop in :meth:`run` and the parallel engine
-    # (:mod:`repro.mc.parallel`) share one semantics path.
+    # search loop (:func:`repro.mc.parallel.search`) can call it in this
+    # process or in forked pool workers alike.
     # ------------------------------------------------------------------
 
     def initial(self) -> AdoreState:
@@ -345,23 +344,28 @@ class Explorer:
 
         return canonical_key(state, self._sym_group)
 
+    def visited_spill_path(self) -> Optional[str]:
+        """The file a spilled visited table lives in; ``None`` when the
+        table stays in RAM (no ``spill_dir``, or legacy dedup, whose
+        full-state keys have no packed form)."""
+        if self.spill_dir is None or not self.fingerprints:
+            return None
+        return os.path.join(self.spill_dir, "visited.fps")
+
     def new_visited_set(self):
         """An empty visited-set of the kind this configuration needs:
         a :class:`repro.mc.fpset.FingerprintSet` in fingerprint mode
         (mmap-spilled under ``spill_dir`` when one is set), a plain
-        ``set`` otherwise (legacy dedup keeps full states, which cannot
-        spill)."""
-        if self.fingerprints:
-            from .fpset import FingerprintSet
+        ``set`` otherwise."""
+        if not self.fingerprints:
+            return set()
+        from .fpset import FingerprintSet
 
-            if self.spill_dir is not None:
-                os.makedirs(self.spill_dir, exist_ok=True)
-                return FingerprintSet.spilled(
-                    os.path.join(self.spill_dir, "visited.fps"),
-                    expected=self.max_states,
-                )
+        path = self.visited_spill_path()
+        if path is None:
             return FingerprintSet()
-        return set()
+        os.makedirs(self.spill_dir, exist_ok=True)
+        return FingerprintSet.spilled(path, expected=self.max_states)
 
     def check(self, state: AdoreState) -> SafetyReport:
         """The safety report for ``state`` under this exploration's
@@ -437,8 +441,8 @@ class Explorer:
         Yields ``(op_desc, next_state, remaining_budget, dedup_key)``
         for every successor the budget still allows, in the same
         deterministic order :meth:`successors` produces.  This is the
-        unit of work both engines execute; each yielded tuple counts as
-        one transition.
+        unit of work the search loop's executors run; each yielded tuple
+        counts as one transition.
         """
         ops = frozenset(
             op
@@ -551,186 +555,77 @@ class Explorer:
                 yield ("push", nid, detail), new_state
 
     # ------------------------------------------------------------------
+    # Guided search ranks states by how strongly they smell of a nearby
+    # safety violation.
+    # ------------------------------------------------------------------
+
+    #: The precursor lemmas (Lemma 4.4/B.8 RCache forks, election-commit
+    #: order): a violation of one is exactly what precedes a
+    #: replicated-state-safety violation.
+    SCENT_LABELS = ("ccache-in-rcache-fork", "election-commit-order")
+
+    def aux_score(self, state: AdoreState) -> int:
+        """The scent of ``state``: precursor-lemma violations weigh
+        most, and *uncommitted* RCaches -- the speculative configuration
+        changes every counterexample is built from -- add to it."""
+        full = check_state(
+            state, self.lemma_rdist_bound, only=self.SCENT_LABELS
+        )
+        uncommitted_r = sum(
+            1
+            for cid in state.tree.rcaches()
+            if not any(
+                state.tree.cache(d).kind == "C"
+                for d in state.tree.descendants(cid)
+            )
+        )
+        return 3 * len(full.all_violations()) + uncommitted_r
+
+    def guided_priority(self, entry) -> int:
+        """The best-first rank of a frontier entry (lower expands first).
+
+        Additive combination: scent and depth trade off, so a deep clean
+        state (the tail of a counterexample whose reconfigurations
+        already committed) still outranks shallow smelly ones.
+        """
+        state, _, trace = entry
+        if not trace:
+            # The initial state is alone in the frontier: any rank
+            # does, so do not spend a scoring walk on it.
+            return 0
+        return -(2 * self.aux_score(state) + len(trace))
+
+    def new_frontier(self):
+        """An empty frontier of the kind this configuration needs (see
+        :mod:`repro.mc.spill`): FIFO for ``bfs``, best-first for
+        ``guided``, either one spilling past ``spill_window`` entries
+        to a file under ``spill_dir`` when one is set."""
+        from .spill import BestFirstFrontier, FifoFrontier
+
+        path = None
+        if self.spill_dir is not None:
+            os.makedirs(self.spill_dir, exist_ok=True)
+            path = os.path.join(self.spill_dir, "frontier.spill")
+        if self.strategy == "guided":
+            return BestFirstFrontier(
+                self.guided_priority, path, self.spill_window
+            )
+        return FifoFrontier(path, self.spill_window)
 
     def run(self) -> ExplorationResult:
-        """Explore up to the budget and state cap.
+        """Explore up to the budget and state cap, in this process.
 
         With ``strategy="bfs"`` this is exhaustive breadth-first search
         (complete within the budget; finds minimal-depth violations).
         ``strategy="guided"`` is best-first: states with more auxiliary
         invariant violations are expanded first, then deeper states --
         effective for hunting deep counterexamples in ablated models.
+
+        One entry at a time through :func:`repro.mc.parallel.search`,
+        the only search loop; :class:`~repro.mc.parallel.ParallelExplorer`
+        runs the same loop with a worker pool, checkpoints and time
+        slices.
         """
-        import heapq
+        from .parallel import ParallelExplorer
 
-        start = _time.monotonic()
-        init = self.initial()
-        visited = self.new_visited_set()
-        visited.add(self.state_key(init))
-        # One probe per successor instead of two: FingerprintSet.add
-        # reports whether the key was new, and for plain sets a length
-        # comparison gives the same answer after one C-level insert.
-        if isinstance(visited, set):
-            def add_if_new(key, _add=visited.add, _visited=visited):
-                before = len(_visited)
-                _add(key)
-                return len(_visited) != before
-        else:
-            add_if_new = visited.add
-        violations: List[Violation] = []
-        transitions = 0
-        max_depth = 0
-        exhausted = True
-        guided = self.strategy == "guided"
-
-        # Guided search scores states by how strongly they smell of a
-        # nearby safety violation: violations of the precursor lemmas
-        # (Lemma 4.4/B.8 RCache forks, election-commit order) weigh
-        # most, and *uncommitted* RCaches -- the speculative
-        # configuration changes every counterexample is built from --
-        # add to the scent.
-        scent_labels = ("ccache-in-rcache-fork", "election-commit-order")
-
-        def aux_score(state: AdoreState) -> int:
-            full = check_state(state, self.lemma_rdist_bound, only=scent_labels)
-            uncommitted_r = sum(
-                1
-                for cid in state.tree.rcaches()
-                if not any(
-                    state.tree.cache(d).kind == "C"
-                    for d in state.tree.descendants(cid)
-                )
-            )
-            return 3 * len(full.all_violations()) + uncommitted_r
-
-        counter = 0
-        spill = self.spill_dir is not None
-        if guided:
-            if spill:
-                from .spill import SpilledMinHeap
-
-                frontier = SpilledMinHeap(
-                    os.path.join(self.spill_dir, "frontier.spill"),
-                    self.spill_window,
-                )
-                fpush, fpop = frontier.push, frontier.pop
-            else:
-                frontier: List = []
-
-                def fpush(item, _heap=frontier):
-                    heapq.heappush(_heap, item)
-
-                def fpop(_heap=frontier):
-                    return heapq.heappop(_heap)
-
-            fpush((0, 0, 0, counter, init, self.budget, ()))
-        else:
-            if spill:
-                from .spill import SpillDeque
-
-                frontier = SpillDeque(
-                    os.path.join(self.spill_dir, "frontier.spill"),
-                    self.spill_window,
-                )
-            else:
-                frontier = deque()
-            frontier.append((init, self.budget, ()))
-            fpop = frontier.popleft
-
-        # The "subnodes" wipe policy evicts trees unreachable from the
-        # engine's working set; tell the cache manager what that set is.
-        # Only the in-RAM window is pinned -- walking a spilled tail
-        # would unpickle (and re-intern!) the very trees a flush is
-        # trying to shed.
-        from ..core.tree import set_tree_pin_provider
-
-        expanding: List[Optional[AdoreState]] = [None]
-        state_index = 4 if guided else 0
-
-        def _pinned_tree_fps():
-            if spill:
-                entries = frontier._heap if guided else frontier._head
-            else:
-                entries = frontier
-            fps = [entry[state_index].tree.fingerprint() for entry in entries]
-            current = expanding[0]
-            if current is not None:
-                fps.append(current.tree.fingerprint())
-            return fps
-
-        previous_provider = set_tree_pin_provider(_pinned_tree_fps)
-
-        report = self.check(init)
-        if not report.ok:
-            violations.append(Violation(init, (), report))
-
-        try:
-            while frontier:
-                if guided:
-                    *_, state, budget, trace = fpop()
-                else:
-                    state, budget, trace = fpop()
-                expanding[0] = state
-                max_depth = max(max_depth, len(trace))
-                for op_desc, next_state, next_budget, key in self.expand(
-                    state, budget
-                ):
-                    transitions += 1
-                    if len(visited) >= self.max_states:
-                        if key not in visited:
-                            exhausted = False
-                        continue
-                    if not add_if_new(key):
-                        continue
-                    next_trace = trace + (op_desc,)
-                    report = self.check(next_state)
-                    if not report.ok:
-                        violations.append(Violation(next_state, next_trace, report))
-                        if self.stop_at_first_violation:
-                            return ExplorationResult(
-                                states_visited=len(visited),
-                                transitions=transitions,
-                                max_depth=len(next_trace),
-                                exhausted=False,
-                                violations=violations,
-                                elapsed_seconds=_time.monotonic() - start,
-                                budget=self.budget,
-                            )
-                        continue
-                    if guided:
-                        counter += 1
-                        # Additive combination: scent and depth trade off,
-                        # so a deep clean state (the tail of a
-                        # counterexample whose reconfigurations already
-                        # committed) still outranks shallow smelly ones.
-                        priority = (
-                            -(2 * aux_score(next_state) + len(next_trace)),
-                            0,
-                            0,
-                        )
-                        fpush(
-                            (*priority, counter, next_state, next_budget, next_trace),
-                        )
-                    else:
-                        frontier.append((next_state, next_budget, next_trace))
-        finally:
-            set_tree_pin_provider(previous_provider)
-            if spill:
-                frontier.close(unlink=True)
-                visited_path = getattr(visited, "spill_path", None)
-                if visited_path:
-                    visited.close()
-                    try:
-                        os.unlink(visited_path)
-                    except OSError:
-                        pass
-
-        return ExplorationResult(
-            states_visited=len(visited),
-            transitions=transitions,
-            max_depth=max_depth,
-            exhausted=exhausted and self.strategy == "bfs",
-            violations=violations,
-            elapsed_seconds=_time.monotonic() - start,
-            budget=self.budget,
-        )
+        return ParallelExplorer(self, workers=1).run()

@@ -1,104 +1,114 @@
-"""TLC-style parallel, resumable bounded model checking.
+"""The model checker's one search loop, in-process or across a pool.
 
-:class:`ParallelExplorer` runs the same transition semantics as the
-sequential :class:`~repro.mc.explorer.Explorer` -- both engines call the
-explorer's pure ``expand`` step API -- but partitions each BFS frontier
-level across a pool of ``multiprocessing`` workers.  Successor
-generation, symmetry canonicalization and invariant checking (the three
-hot operations) happen in the workers; the master keeps the shared
-seen-set and merges worker results **in deterministic frontier order**,
-so for any worker count the engine visits exactly the states the
-sequential breadth-first search visits, reports the same verdict, and
-finds the identical first violation.
+:func:`search` is the only loop in the checker.  ``Explorer.run()``,
+``ParallelExplorer(...).run()`` and :func:`explore` all enter it; what
+differs between a sequential breadth-first proof, a guided hunt, a
+bounded-memory run and a four-worker resumable one is only which three
+parts it was handed, each chosen once, before the loop starts:
 
-The search is level-synchronized: a barrier between BFS depths is what
-makes the merge order (and therefore the result) independent of worker
-scheduling.  Between levels the engine can write a
-:class:`~repro.mc.checkpoint.Checkpoint` to disk, so an interrupted run
+* a **frontier** (:mod:`repro.mc.spill`) -- FIFO or best-first, in RAM
+  or spilled past a window -- which decides the order entries are
+  expanded in;
+* the **visited set** ``Explorer.new_visited_set`` builds -- a plain
+  ``set``, a :class:`~repro.mc.fpset.FingerprintSet`, or one mmap'd
+  from a file;
+* an **executor** -- inline, one entry at a time in this process, or a
+  ``fork`` pool expanding contiguous batches of a window.
+
+The loop pops a *window* of entries, has the executor expand it, and
+merges the successors **in frontier order** (state cap, dedup, invariant
+check, then first violation or enqueue).  A window is a contiguous run
+of the frontier's own order and the merge is strictly in that order, so
+for the FIFO frontier the search visits exactly the states the
+one-entry-at-a-time search visits, for any worker count or batch size,
+and finds the identical first violation.  A best-first frontier hands a
+pool at most :data:`~repro.mc.spill.GUIDED_WINDOW` entries at a time:
+a pooled guided hunt is deterministic and independent of the worker
+count, but it is not the sequential guided hunt (which re-ranks after
+every single expansion), so its state count differs while its verdict
+does not.
+
+A *round* is as many entries as the frontier held when the round
+began -- for the FIFO frontier exactly one BFS level.  Between rounds
+the loop reports progress, tests ``max_seconds``/``max_levels`` and may
+write a :class:`~repro.mc.checkpoint.Checkpoint`, so an interrupted run
 -- a killed process, or a CI job that deliberately stops at
-``max_seconds`` -- resumes from the last completed level instead of
+``max_seconds`` -- resumes from the last completed round instead of
 restarting.
 
 Worker processes are created with the ``fork`` start method so that
 explorer configurations containing closures (reconfiguration candidate
 generators, the insertBtw ablation's push override) are inherited
 rather than pickled.  On platforms without ``fork`` the engine degrades
-to in-process execution with a warning; results are identical, only the
+to the inline executor with a warning; results are identical, only the
 speedup is lost.
-
-Parallel exploration supports the ``bfs`` strategy only: best-first
-("guided") search orders its global priority queue by previously
-expanded states, which a frontier partition cannot reproduce
-deterministically.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import time as _time
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.tree import set_tree_pin_provider
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import discard_checkpoint, load_checkpoint, write_checkpoint
 from .explorer import ExplorationResult, Explorer, OpBudget, Violation
 from .fpset import FingerprintSet
-
-#: One frontier entry: ``(state, remaining_budget, trace)``.
-FrontierEntry = Tuple[Any, OpBudget, Tuple]
+from .spill import Entry
 
 #: Refuse to place the shared visited table in a SharedMemory segment
 #: larger than this; bigger runs fall back to a master-private table.
 _SHARED_VISITED_MAX_BYTES = 256 * 1024 * 1024
 
-#: Explorer used by pool workers; populated by :func:`_init_worker`
-#: (inherited through ``fork``, never pickled).
+#: Set in pool workers only, by the pool initializer (inherited through
+#: ``fork``, never pickled): the explorer to expand with, and a read-only
+#: view of the master's shared visited table (``None`` when the run has
+#: none).  The master writes that table between windows, when no worker
+#: is running.
 _WORKER_EXPLORER: Optional[Explorer] = None
-
-#: Fork-inherited view of the master's shared-memory visited table
-#: (``None`` when the run has no shared table).  Workers only read it;
-#: the master writes between levels, when no worker is running.
 _WORKER_VISITED: Optional[FingerprintSet] = None
 
 
 def _init_worker(
-    explorer: Explorer, shared_visited: Optional[FingerprintSet] = None
+    explorer: Explorer, shared_visited: Optional[FingerprintSet]
 ) -> None:
     global _WORKER_EXPLORER, _WORKER_VISITED
     _WORKER_EXPLORER = explorer
     _WORKER_VISITED = shared_visited
 
 
-def _expand_batch(payload):
-    """Expand one contiguous slice of the frontier (runs in a worker).
+def _expand_batch(items):
+    """Expand one contiguous slice of a window (runs in a pool worker).
 
-    ``payload`` is ``(base_index, [(state, budget), ...])``.  Returns
-    ``(worker_name, produced, [(index, succs), ...])`` where ``succs``
-    preserves expansion order and each element is either
+    ``items`` is ``[(state, budget), ...]``.  Returns ``(worker_name,
+    produced, [succs, ...])`` with one ``succs`` list per item, each
+    preserving expansion order and holding either
 
     * ``None`` -- a successor whose dedup key is a guaranteed global
       duplicate: it already appeared earlier in this batch, or it is in
-      the fork-shared visited table from a previous level.  It still
-      counts as a transition but needs no state shipping or safety
-      check, and in the shared-table case does not even travel back to
-      the master as a key; or
+      the fork-shared visited table.  It still counts as a transition
+      but needs no state shipping or safety check, and in the
+      shared-table case does not even travel back to the master as a
+      key; or
     * ``(op_desc, next_state, next_budget, key, report)`` with
       ``report`` being ``None`` for a clean state and the full
       :class:`~repro.core.safety.SafetyReport` otherwise.
 
     The batch-local dedup is sound because batches are contiguous
-    frontier slices merged in order: the first occurrence inside the
-    batch is also the first occurrence the sequential search would see
-    within this level segment.  The shared-table probe is sound because
-    the level barrier (``pool.map``) means the master only inserts
+    window slices merged in order: the first occurrence inside the
+    batch is also the first occurrence the one-at-a-time search would
+    see within this segment.  The shared-table probe is sound because
+    the window barrier (``pool.map``) means the master only inserts
     fingerprints while no worker runs: a worker always observes a
-    consistent snapshot holding exactly the states visited up to the
-    previous level, and a hit is exactly the master's own
-    ``key in visited`` verdict.
+    consistent snapshot holding exactly the states visited before this
+    window, and a hit is exactly the master's own ``key in visited``
+    verdict.
     """
-    base_index, items = payload
     explorer = _WORKER_EXPLORER
     shared = _WORKER_VISITED
     batch_seen = set()
@@ -106,42 +116,32 @@ def _expand_batch(payload):
     results = []
     # Under the "subnodes" wipe policy (inherited through fork) a cache
     # flush inside this batch must keep the trees the batch is working
-    # from; the provider costs two calls per batch and is consulted
-    # only at flush time.
-    from ..core.tree import set_tree_pin_provider
-
+    # from; the provider is consulted only at flush time.
     previous_provider = set_tree_pin_provider(
         lambda: [state.tree.fingerprint() for state, _ in items]
     )
     try:
-        return _expand_batch_inner(
-            base_index, items, explorer, shared, batch_seen, results
-        )
+        for state, budget in items:
+            succs: List[Optional[Tuple]] = []
+            for op_desc, next_state, next_budget, key in explorer.expand(
+                state, budget
+            ):
+                produced += 1
+                if (shared is not None and key in shared) or key in batch_seen:
+                    succs.append(None)
+                    continue
+                batch_seen.add(key)
+                report = explorer.check(next_state)
+                succs.append((
+                    op_desc,
+                    next_state,
+                    next_budget,
+                    key,
+                    None if report.ok else report,
+                ))
+            results.append(succs)
     finally:
         set_tree_pin_provider(previous_provider)
-
-
-def _expand_batch_inner(base_index, items, explorer, shared, batch_seen, results):
-    produced = 0
-    for offset, (state, budget) in enumerate(items):
-        succs: List[Optional[Tuple]] = []
-        for op_desc, next_state, next_budget, key in explorer.expand(
-            state, budget
-        ):
-            produced += 1
-            if (shared is not None and key in shared) or key in batch_seen:
-                succs.append(None)
-                continue
-            batch_seen.add(key)
-            report = explorer.check(next_state)
-            succs.append((
-                op_desc,
-                next_state,
-                next_budget,
-                key,
-                None if report.ok else report,
-            ))
-        results.append((base_index + offset, succs))
     return multiprocessing.current_process().name, produced, results
 
 
@@ -151,8 +151,9 @@ class EngineStats:
 
     workers: int
     levels: int = 0
+    #: Pool tasks dispatched (0 for an in-process run: nothing is batched).
     batches: int = 0
-    #: Successor states produced by workers (== transitions this slice).
+    #: Successors merged (== transitions this slice).
     produced: int = 0
     #: Successors dropped as duplicates (batch-local or in the shared
     #: seen-set).
@@ -182,12 +183,13 @@ class EngineStats:
 
 @dataclass(frozen=True)
 class ProgressSnapshot:
-    """Observability record emitted after every completed BFS level."""
+    """Observability record emitted after every completed round (for a
+    breadth-first run: every BFS level)."""
 
     level: int
-    #: Entries expanded at this level (the queue depth going in).
+    #: Entries expanded in this round (the queue depth going in).
     frontier: int
-    #: Entries queued for the next level (the queue depth going out).
+    #: Entries queued for the next round (the queue depth going out).
     next_frontier: int
     states_visited: int
     transitions: int
@@ -211,44 +213,203 @@ def print_progress(snapshot: ProgressSnapshot) -> None:
     print("  " + snapshot.describe(), flush=True)
 
 
+# ----------------------------------------------------------------------
+# Executors: how one window of frontier entries gets expanded.  Both
+# yield ``(entry, successors)`` in window order; a successor is ``None``
+# (a known duplicate) or a tuple starting ``(op_desc, next_state,
+# next_budget, key)``, and ``report(successor)`` is its violation report
+# (``None`` when clean).
+# ----------------------------------------------------------------------
+
+
+class _InlineExecutor:
+    """Expand in this process, one entry at a time.
+
+    Successors are generated lazily and the invariant check is deferred
+    to :meth:`report`, which the loop calls only after dedup -- so a
+    duplicate is never checked and nothing past a first violation is
+    ever generated.  Streaming is also what keeps memory flat: batching
+    a whole level through the pool's code path instead holds every
+    successor of the level with its report at once (388 vs 354 MiB peak
+    on the exhaustive Fig. 4 intact run).
+    """
+
+    #: Entries per window.
+    window = 1
+
+    def __init__(self, explorer: Explorer, visited) -> None:
+        self._explorer = explorer
+        self.visited = visited
+
+    def expand(self, window: Sequence[Entry]):
+        expand = self._explorer.expand
+        for entry in window:
+            yield entry, expand(entry[0], entry[1])
+
+    def report(self, successor: Tuple):
+        report = self._explorer.check(successor[1])
+        return None if report.ok else report
+
+    def close(self) -> None:
+        pass
+
+
+class _PoolExecutor:
+    """Expand each window across a ``fork`` pool (see :func:`_expand_batch`).
+
+    The visited table moves into a SharedMemory segment so workers can
+    probe it directly, pre-filtering duplicates without shipping states
+    back to the master; ``visited`` is the table the loop must use from
+    then on.  A *spilled* table needs no segment: its ``MAP_SHARED``
+    file mapping is inherited through ``fork``.  (A master growth swaps
+    in a *new* file; workers then keep their stale, smaller mapping --
+    a subset of visited, which is sound for a pre-filter: it can only
+    miss, never wrongly hit.)  A table too big for the segment cap, or
+    legacy full-state keys, stay master-private and just lose the
+    pre-filter.
+    """
+
+    #: Entries per window: as many as the frontier hands out.
+    window = sys.maxsize
+
+    def __init__(
+        self, context, explorer: Explorer, workers: int, batch_size: int,
+        visited, stats: EngineStats,
+    ) -> None:
+        self._workers = workers
+        self._batch_size = batch_size
+        self._stats = stats
+        self._shm = None
+        self.visited = visited
+        shared = None
+        if getattr(visited, "spill_path", None) is not None:
+            shared = visited
+        elif explorer.fingerprints:
+            shared = self._move_to_shared_memory(explorer.max_states)
+        self._pool = context.Pool(
+            processes=workers,
+            initializer=_init_worker,
+            initargs=(explorer, shared),
+        )
+
+    def _move_to_shared_memory(self, max_states: int):
+        nbytes = FingerprintSet.buffer_bytes(max_states)
+        if nbytes > _SHARED_VISITED_MAX_BYTES:
+            return None
+        try:
+            from multiprocessing import shared_memory
+
+            self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        except (ImportError, OSError):
+            return None
+        shared = FingerprintSet.attach(self._shm.buf, clear=True)
+        for fp in self.visited:
+            shared.add(fp)
+        self.visited = shared
+        return shared
+
+    def _batches(self, window: Sequence[Entry]) -> List[List[Tuple]]:
+        """Contiguous ``[(state, budget), ...]`` slices of ``window``.
+
+        The slice size balances scheduling overhead against pool
+        utilization; correctness does not depend on it.
+        """
+        per_worker = -(-len(window) // (self._workers * 4)) or 1
+        size = max(1, min(self._batch_size, per_worker))
+        return [
+            [(state, budget) for state, budget, _ in window[start:start + size]]
+            for start in range(0, len(window), size)
+        ]
+
+    def expand(self, window: Sequence[Entry]):
+        batches = self._batches(window)
+        stats = self._stats
+        stats.batches += len(batches)
+        successors: List[List] = []
+        # ``map`` returns in batch order and batches are contiguous, so
+        # concatenating the results lines them up with ``window``.
+        for worker_name, produced, results in self._pool.map(
+            _expand_batch, batches, chunksize=1
+        ):
+            stats.per_worker[worker_name] = (
+                stats.per_worker.get(worker_name, 0) + produced
+            )
+            successors.extend(results)
+        return zip(window, successors)
+
+    def report(self, successor: Tuple):
+        return successor[4]
+
+    def close(self) -> None:
+        # terminate, not close: after an interrupt or an error a map
+        # call may be abandoned, and close()+join() would block on it.
+        # On a normal exit the workers are idle and it is the same.
+        self._pool.terminate()
+        self._pool.join()
+        if self._shm is not None:
+            # The pool is gone, so no process maps the segment but this
+            # one; release our view, then free the segment.
+            self.visited.release()
+            self._shm.close()
+            self._shm.unlink()
+
+
+def _executor(options: "ParallelExplorer", visited, stats: EngineStats):
+    if options.workers > 1:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            warnings.warn(
+                "the 'fork' start method is unavailable on this platform; "
+                "running the search in-process (results are identical, "
+                "the speedup is lost)",
+                stacklevel=2,
+            )
+        else:
+            return _PoolExecutor(
+                context, options.explorer, options.workers,
+                options.batch_size, visited, stats,
+            )
+    return _InlineExecutor(options.explorer, visited)
+
+
 class ParallelExplorer:
-    """Work-queue engine running an :class:`Explorer` across processes.
+    """The engine options for running an :class:`Explorer` through
+    :func:`search`.
 
     Parameters
     ----------
     explorer:
-        A configured sequential explorer (``strategy="bfs"``).  Its
-        ``expand``/``check`` step API defines the semantics; this class
-        only schedules it.
+        A configured explorer, either strategy.  Its ``expand``/``check``
+        step API defines the semantics; the engine only schedules it.
     workers:
         Pool size; ``None`` or ``0`` means ``os.cpu_count()``.
-        ``workers=1`` runs in-process (no pool) but keeps every other
-        engine feature -- checkpointing, time slicing, progress
-        counters.
+        ``workers=1`` runs in-process (no pool) with every other engine
+        feature -- checkpointing, time slicing, progress counters.
     checkpoint:
         Path for the resumable snapshot.  When the file already exists
         and matches the explorer's configuration fingerprint, the run
         resumes from it; on successful completion the file is removed.
     checkpoint_interval:
-        Minimum seconds between checkpoint writes (checked at level
-        boundaries).  ``0`` checkpoints after every level.
+        Minimum seconds between checkpoint writes (checked at round
+        boundaries).  ``0`` checkpoints after every round.
     batch_size:
-        Upper bound on frontier entries per worker task.  Within a
-        level, batches are contiguous slices, so the merged result is
+        Upper bound on frontier entries per worker task.  Batches are
+        contiguous slices of a window, so the merged result is
         independent of this value.
     max_seconds / max_levels:
         Stop cleanly (checkpointing first) once the slice has run this
-        long / processed this many levels.  The returned result has
-        ``interrupted=True``; re-running with the same ``checkpoint=``
-        path continues the search.
+        long / processed this many rounds (BFS levels).  The returned
+        result has ``interrupted=True``; re-running with the same
+        ``checkpoint=`` path continues the search.
     progress:
         Optional callback receiving a :class:`ProgressSnapshot` after
-        each level (see :func:`print_progress`).
+        each round (see :func:`print_progress`).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  After
-        every level the engine updates ``mc.levels`` / ``mc.states`` /
+        every round the engine updates ``mc.levels`` / ``mc.states`` /
         ``mc.transitions`` / ``mc.frontier`` / ``mc.dedup_hit_rate``
-        and the per-level throughput histogram
+        and the per-round throughput histogram
         ``mc.level_states_per_second`` -- the structured version of
         what ``print_progress`` prints.
     """
@@ -265,11 +426,6 @@ class ParallelExplorer:
         progress: Optional[Callable[[ProgressSnapshot], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if explorer.strategy != "bfs":
-            raise ValueError(
-                "parallel exploration requires strategy='bfs'; best-first "
-                "('guided') search has no deterministic frontier partition"
-            )
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if workers is not None and workers < 0:
@@ -284,487 +440,241 @@ class ParallelExplorer:
         self.progress = progress
         self.metrics = metrics if metrics is not None else NULL_METRICS
 
-    # ------------------------------------------------------------------
+    def run(self, resume: bool = True) -> ExplorationResult:
+        """Explore to completion, a violation, or a slice limit."""
+        return search(self, resume)
 
-    def _batches(self, frontier: Sequence[FrontierEntry]):
-        """Contiguous ``(base_index, [(state, budget), ...])`` slices.
 
-        The slice size balances scheduling overhead against pool
-        utilization; correctness does not depend on it.
-        """
-        per_worker = -(-len(frontier) // (self.workers * 4)) or 1
-        size = max(1, min(self.batch_size, per_worker))
-        for start in range(0, len(frontier), size):
-            chunk = frontier[start:start + size]
-            yield start, [(state, budget) for state, budget, _ in chunk]
+def _restore_visited(explorer: Explorer, loaded, checkpoint: str):
+    """The visited set of a loaded checkpoint, where this run keeps it."""
+    spill_to = explorer.visited_spill_path()
+    visited = loaded.restore_visited(checkpoint, spill_to=spill_to)
+    if spill_to is not None and visited.spill_path is None:
+        # A checkpoint that embeds its visited set (v2, or v3 taken
+        # unspilled) resumed in spill mode: migrate the set to disk.
+        ram = visited
+        visited = FingerprintSet.spilled(
+            spill_to, expected=max(explorer.max_states, len(ram))
+        )
+        for fp in ram:
+            visited.add(fp)
+    return visited
 
-    def _run_level(self, pool, frontier: Sequence[FrontierEntry], stats):
-        """Expand one full level, returning per-entry successor lists
-        ordered by frontier index."""
-        payloads = list(self._batches(frontier))
-        stats.batches += len(payloads)
-        if pool is None:
-            outputs = [_expand_batch(payload) for payload in payloads]
-        else:
-            outputs = pool.map(_expand_batch, payloads, chunksize=1)
-        merged: List[Tuple[int, List]] = []
-        for worker_name, produced, results in outputs:
-            stats.produced += produced
-            stats.per_worker[worker_name] = (
-                stats.per_worker.get(worker_name, 0) + produced
-            )
-            merged.extend(results)
-        merged.sort(key=lambda item: item[0])
-        return merged
 
-    @staticmethod
-    def _fork_context():
-        try:
-            return multiprocessing.get_context("fork")
-        except ValueError:
-            return None
+def _add_if_new(visited) -> Callable[[Any], bool]:
+    """``add(key) -> was it new?`` in one probe: FingerprintSet.add
+    reports newness; for a plain set one C-level insert plus a length
+    comparison does the same."""
+    if not isinstance(visited, set):
+        return visited.add
 
-    def _make_pool(self, shared_visited: Optional[FingerprintSet] = None):
-        if self.workers <= 1:
-            _init_worker(self.explorer)
-            return None
-        context = self._fork_context()
-        if context is None:
-            warnings.warn(
-                "the 'fork' start method is unavailable on this platform; "
-                "running the parallel engine in-process (results are "
-                "identical, the speedup is lost)",
-                stacklevel=2,
-            )
-            _init_worker(self.explorer)
-            return None
-        return context.Pool(
-            processes=self.workers,
-            initializer=_init_worker,
-            initargs=(self.explorer, shared_visited),
+    def add_if_new(key, _add=visited.add, _visited=visited):
+        before = len(_visited)
+        _add(key)
+        return len(_visited) != before
+
+    return add_if_new
+
+
+def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
+    """The search loop (see the module docstring).
+
+    With the inline executor and the FIFO frontier this is plain
+    sequential breadth-first search; every other combination of
+    strategy, workers, checkpointing and spilling is the same code over
+    different parts.
+    """
+    explorer = options.explorer
+    checkpoint = options.checkpoint
+    metrics = options.metrics
+    start = _time.monotonic()
+    stats = EngineStats(workers=options.workers)
+    violations: List[Violation] = []
+    level = transitions = max_depth = 0
+    exhausted = True
+    base_elapsed = 0.0
+
+    def elapsed() -> float:
+        return base_elapsed + (_time.monotonic() - start)
+
+    def counters(**overrides) -> dict:
+        values = dict(
+            transitions=transitions,
+            max_depth=max_depth,
+            exhausted=exhausted,
+            violations=list(violations),
+            elapsed_seconds=elapsed(),
+        )
+        values.update(overrides)
+        return values
+
+    def result(**overrides) -> ExplorationResult:
+        stats.produced = transitions - base_transitions
+        return ExplorationResult(
+            states_visited=len(visited),
+            budget=explorer.budget,
+            stats=stats,
+            **counters(**overrides),
         )
 
-    def _make_shared_visited(self, current):
-        """Move the visited table into a SharedMemory segment so pool
-        workers can probe it directly (pre-filtering duplicates without
-        shipping states back to the master).
+    def save() -> None:
+        write_checkpoint(
+            checkpoint, frontier, visited,
+            fingerprint=explorer.config_fingerprint(), level=level,
+            **counters(),
+        )
+        stats.checkpoints_written += 1
 
-        Returns ``(shm, visited)``: the segment to clean up (``None``
-        when shared memory is not used) and the table to use as the
-        authoritative visited set.  Only applies when a real fork pool
-        will exist and the table fits the size cap; everything else
-        keeps the master-private table and just loses the pre-filter.
+    # Under the "subnodes" wipe policy a cache flush evicts trees
+    # unreachable from the engine's working set: the window being
+    # expanded and the frontier's in-RAM entries.
+    window: Sequence[Entry] = ()
 
-        A *spilled* visited table needs no segment at all: its
-        ``MAP_SHARED`` file mapping is inherited through ``fork``, so
-        workers probe the master's table directly -- the caller passes
-        it to the pool as-is.
-        """
-        if (
-            self.workers <= 1
-            or not self.explorer.fingerprints
-            or self._fork_context() is None
-            or getattr(current, "spill_path", None) is not None
-        ):
-            return None, current
-        nbytes = FingerprintSet.buffer_bytes(self.explorer.max_states)
-        if nbytes > _SHARED_VISITED_MAX_BYTES:
-            return None, current
-        try:
-            from multiprocessing import shared_memory
+    def pinned_tree_fps():
+        fps = [entry[0].tree.fingerprint() for entry in window]
+        fps.extend(state.tree.fingerprint() for state in frontier.ram_states())
+        return fps
 
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        except (ImportError, OSError):
-            return None, current
-        shared = FingerprintSet.attach(shm.buf, clear=True)
-        for fp in current:
-            shared.add(fp)
-        return shm, shared
-
-    # ------------------------------------------------------------------
-
-    def run(self, resume: bool = True) -> ExplorationResult:
-        """Explore to completion, a violation, or a slice limit.
-
-        Semantics are identical to ``Explorer.run()`` with
-        ``strategy="bfs"``: same visited states, same transition count,
-        same verdict, same first violation -- for any worker count.
-        """
-        explorer = self.explorer
-        start = _time.monotonic()
-        stats = EngineStats(workers=self.workers)
-        base_elapsed = 0.0
-        level = 0
-        transitions = 0
-        max_depth = 0
-        exhausted = True
-        violations: List[Violation] = []
-
-        # Bounded-memory mode: the frontier lives in SpillDeques (only
-        # the active window in RAM; levels processed window-by-window)
-        # and the visited set in an mmap'd file.  Requires fingerprint
-        # dedup -- legacy full-state keys have no packed form.
-        spill = explorer.spill_dir is not None and explorer.fingerprints
-        spill_dir = explorer.spill_dir
-        spill_deques: List[Any] = []
-
-        def _new_level_deque(tag: int):
-            from .spill import SpillDeque
-
-            deque_ = SpillDeque(
-                os.path.join(spill_dir, f"frontier-{tag}.spill"),
-                explorer.spill_window,
-            )
-            spill_deques.append(deque_)
-            return deque_
-
-        if spill:
-            os.makedirs(spill_dir, exist_ok=True)
-
+    frontier = explorer.new_frontier()
+    visited = executor = None
+    previous_provider = set_tree_pin_provider(pinned_tree_fps)
+    try:
         loaded = None
-        if self.checkpoint and resume:
-            loaded = load_checkpoint(
-                self.checkpoint, explorer.config_fingerprint()
-            )
-        if loaded is not None:
-            if spill:
-                frontier = _new_level_deque(loaded.level % 2)
-                for entry in loaded.restore_frontier(self.checkpoint):
-                    frontier.append(entry)
-                visited = loaded.restore_visited(
-                    self.checkpoint,
-                    spill_to=os.path.join(spill_dir, "visited.fps"),
-                )
-                if getattr(visited, "spill_path", None) is None:
-                    # v2 / unspilled-v3 checkpoint resumed in spill
-                    # mode: migrate its embedded visited set to disk.
-                    ram = visited
-                    visited = FingerprintSet.spilled(
-                        os.path.join(spill_dir, "visited.fps"),
-                        expected=max(explorer.max_states, len(ram)),
-                    )
-                    for fp in ram:
-                        visited.add(fp)
-            else:
-                frontier = list(loaded.restore_frontier(self.checkpoint))
-                visited = loaded.restore_visited(self.checkpoint)
+        if checkpoint and resume:
+            loaded = load_checkpoint(checkpoint, explorer.config_fingerprint())
+        if loaded is None:
+            init = explorer.initial()
+            visited = explorer.new_visited_set()
+            visited.add(explorer.state_key(init))
+            frontier.put((init, explorer.budget, ()))
+            report = explorer.check(init)
+            if not report.ok:
+                violations.append(Violation(init, (), report))
+        else:
+            frontier.restore(loaded.restore_frontier(checkpoint))
+            visited = _restore_visited(explorer, loaded, checkpoint)
             level = loaded.level
             transitions = loaded.transitions
             max_depth = loaded.max_depth
             exhausted = loaded.exhausted
             violations = list(loaded.violations)
             base_elapsed = loaded.elapsed_seconds
-        else:
-            init = explorer.initial()
-            visited = explorer.new_visited_set()
-            visited.add(explorer.state_key(init))
-            if spill:
-                frontier = _new_level_deque(0)
-                frontier.append((init, explorer.budget, ()))
-            else:
-                frontier = [(init, explorer.budget, ())]
-            report = explorer.check(init)
-            if not report.ok:
-                violations.append(Violation(init, (), report))
-
-        def elapsed() -> float:
-            return base_elapsed + (_time.monotonic() - start)
-
-        def result(**overrides) -> ExplorationResult:
-            values = dict(
-                states_visited=len(visited),
-                transitions=transitions,
-                max_depth=max_depth,
-                exhausted=exhausted,
-                violations=violations,
-                elapsed_seconds=elapsed(),
-                budget=explorer.budget,
-                interrupted=False,
-                stats=stats,
-            )
-            values.update(overrides)
-            return ExplorationResult(**values)
-
-        def write_checkpoint() -> None:
-            if spill:
-                # v3 sidecars: snapshot the frontier and the visited
-                # table to files next to the checkpoint (the *working*
-                # spill files keep mutating after this point, so the
-                # checkpoint must reference copies, not the live files)
-                # and record their content fingerprints.
-                import shutil
-
-                from .spill import file_sha256
-
-                frontier_file = self.checkpoint + ".frontier"
-                sha_frontier = frontier.snapshot_to(frontier_file)
-                visited.sync()
-                visited_file = self.checkpoint + ".visited"
-                tmp = visited_file + ".tmp"
-                shutil.copyfile(visited.spill_path, tmp)
-                os.replace(tmp, visited_file)
-                checkpoint = Checkpoint(
-                    fingerprint=explorer.config_fingerprint(),
-                    level=level,
-                    frontier=[],
-                    visited_keys=set(),
-                    transitions=transitions,
-                    max_depth=max_depth,
-                    exhausted=exhausted,
-                    violations=list(violations),
-                    elapsed_seconds=elapsed(),
-                    visited_fps=None,
-                    frontier_ref={
-                        "file": os.path.basename(frontier_file),
-                        "sha256": sha_frontier,
-                        "count": len(frontier),
-                    },
-                    visited_ref={
-                        "file": os.path.basename(visited_file),
-                        "sha256": file_sha256(visited_file),
-                        "count": len(visited),
-                    },
-                )
-            else:
-                if isinstance(visited, FingerprintSet):
-                    visited_keys: set = set()
-                    visited_fps = visited.to_bytes()
-                else:
-                    visited_keys = set(visited)
-                    visited_fps = None
-                checkpoint = Checkpoint(
-                    fingerprint=explorer.config_fingerprint(),
-                    level=level,
-                    frontier=list(frontier),
-                    visited_keys=visited_keys,
-                    transitions=transitions,
-                    max_depth=max_depth,
-                    exhausted=exhausted,
-                    violations=list(violations),
-                    elapsed_seconds=elapsed(),
-                    visited_fps=visited_fps,
-                )
-            save_checkpoint(self.checkpoint, checkpoint)
-            stats.checkpoints_written += 1
-
-        shm, visited = self._make_shared_visited(visited)
-        # A spilled visited table fork-shares for free: its MAP_SHARED
-        # mapping is inherited by pool workers, and the level barrier
-        # means the master only writes while no worker runs.  (A master
-        # growth swaps in a *new* file; workers then keep their stale,
-        # smaller mapping -- a subset of visited, which is sound for a
-        # pre-filter: it can only miss, never wrongly hit.)
-        share_visited = shm is not None or (
-            getattr(visited, "spill_path", None) is not None
-            and self.workers > 1
-            and self._fork_context() is not None
-        )
-        pool = self._make_pool(visited if share_visited else None)
-
-        # Under the "subnodes" wipe policy a master-side cache flush
-        # must keep the trees of the states still pending in this
-        # window and the RAM head of the next frontier; spilled tails
-        # are deliberately *not* pinned (walking them would re-intern
-        # the very trees a flush is shedding).
-        from ..core.tree import set_tree_pin_provider
-
-        current_window: List[Sequence[FrontierEntry]] = [()]
-        next_frontier_ref: List[Any] = [None]
-
-        def _pinned_tree_fps():
-            fps = [
-                entry[0].tree.fingerprint() for entry in current_window[0]
-            ]
-            pending = next_frontier_ref[0]
-            if pending is not None:
-                ram_entries = pending._head if spill else pending
-                fps.extend(
-                    entry[0].tree.fingerprint() for entry in ram_entries
-                )
-            return fps
-
-        previous_provider = set_tree_pin_provider(_pinned_tree_fps)
-        # Single-probe dedup: FingerprintSet.add reports newness; for
-        # plain sets one insert plus a length check does the same.
-        if isinstance(visited, set):
-            def add_if_new(key, _add=visited.add, _visited=visited):
-                before = len(_visited)
-                _add(key)
-                return len(_visited) != before
-        else:
-            add_if_new = visited.add
+        base_transitions = transitions
+        executor = _executor(options, visited, stats)
+        visited = executor.visited
+        add_if_new = _add_if_new(visited)
+        report_for = executor.report
+        put = frontier.put
         last_checkpoint = _time.monotonic()
-        levels_this_slice = 0
-        try:
-            while frontier:
-                max_depth = max(max_depth, level)
-                level_started = _time.monotonic()
-                if spill:
-                    next_frontier: Any = _new_level_deque((level + 1) % 2)
-                else:
-                    next_frontier = []
-                next_frontier_ref[0] = next_frontier
-                queue_next = next_frontier.append
-                level_entries = 0
-                # In spill mode a level is processed one RAM window at
-                # a time; the barrier/merge discipline is per-window,
-                # which preserves sequential BFS order because windows
-                # are contiguous frontier slices processed in order.
-                while True:
-                    if spill:
-                        window = frontier.pop_window(explorer.spill_window)
-                        if not window:
-                            break
-                    else:
-                        window = frontier
-                    current_window[0] = window
-                    expanded = self._run_level(pool, window, stats)
-                    level_entries += len(window)
-                    for index, succs in expanded:
-                        trace = window[index][2]
-                        for entry in succs:
-                            transitions += 1
-                            if entry is None:  # batch-local duplicate
+        rounds = 0
+
+        while frontier:
+            round_started = _time.monotonic()
+            round_entries = remaining = len(frontier)
+            while remaining:
+                window = frontier.take(min(remaining, executor.window))
+                remaining -= len(window)
+                for entry, successors in executor.expand(window):
+                    trace = entry[2]
+                    if len(trace) > max_depth:
+                        max_depth = len(trace)
+                    for successor in successors:
+                        transitions += 1
+                        if successor is None:
+                            stats.dedup_hits += 1
+                            continue
+                        key = successor[3]
+                        if len(visited) >= explorer.max_states:
+                            if key in visited:
                                 stats.dedup_hits += 1
-                                continue
-                            op_desc, next_state, next_budget, key, report = entry
-                            if len(visited) >= explorer.max_states:
-                                if key in visited:
-                                    stats.dedup_hits += 1
-                                else:
-                                    exhausted = False
-                                continue
-                            if not add_if_new(key):
-                                stats.dedup_hits += 1
-                                continue
-                            next_trace = trace + (op_desc,)
-                            if report is not None and not report.ok:
-                                violations.append(
-                                    Violation(next_state, next_trace, report)
-                                )
-                                if explorer.stop_at_first_violation:
-                                    self._discard_checkpoint()
-                                    return result(
-                                        max_depth=len(next_trace),
-                                        exhausted=False,
-                                    )
-                                continue
-                            queue_next(
-                                (next_state, next_budget, next_trace)
+                            else:
+                                exhausted = False
+                            continue
+                        if not add_if_new(key):
+                            stats.dedup_hits += 1
+                            continue
+                        next_trace = trace + (successor[0],)
+                        report = report_for(successor)
+                        if report is not None:
+                            violations.append(
+                                Violation(successor[1], next_trace, report)
                             )
-                    if not spill:
-                        break
-                current_window[0] = ()
-                if spill:
-                    frontier.close(unlink=True)
-                    spill_deques.remove(frontier)
-                frontier = next_frontier
-                next_frontier_ref[0] = None
-                level += 1
-                levels_this_slice += 1
-                stats.levels = levels_this_slice
-                if self.metrics.enabled:
-                    self.metrics.counter("mc.levels").inc()
-                    self.metrics.gauge("mc.frontier").set(len(frontier))
-                    self.metrics.gauge("mc.states").set(len(visited))
-                    self.metrics.gauge("mc.transitions").set(transitions)
-                    self.metrics.gauge("mc.dedup_hit_rate").set(
-                        stats.dedup_hit_rate
+                            if explorer.stop_at_first_violation:
+                                if checkpoint:
+                                    discard_checkpoint(checkpoint)
+                                return result(
+                                    max_depth=len(next_trace), exhausted=False
+                                )
+                            continue
+                        put((successor[1], successor[2], next_trace))
+            window = ()
+            level += 1
+            rounds += 1
+            stats.levels = rounds
+            stats.produced = transitions - base_transitions
+            if metrics.enabled:
+                metrics.counter("mc.levels").inc()
+                metrics.gauge("mc.frontier").set(len(frontier))
+                metrics.gauge("mc.states").set(len(visited))
+                metrics.gauge("mc.transitions").set(transitions)
+                metrics.gauge("mc.dedup_hit_rate").set(stats.dedup_hit_rate)
+                round_seconds = _time.monotonic() - round_started
+                if round_seconds > 0:
+                    metrics.histogram("mc.level_states_per_second").observe(
+                        round_entries / round_seconds
                     )
-                    level_seconds = _time.monotonic() - level_started
-                    if level_seconds > 0:
-                        self.metrics.histogram(
-                            "mc.level_states_per_second"
-                        ).observe(level_entries / level_seconds)
-                if self.progress is not None:
-                    now_elapsed = elapsed()
-                    self.progress(ProgressSnapshot(
-                        level=level,
-                        frontier=level_entries,
-                        next_frontier=len(frontier),
-                        states_visited=len(visited),
-                        transitions=transitions,
-                        dedup_hits=stats.dedup_hits,
-                        elapsed_seconds=now_elapsed,
-                        states_per_second=(
-                            len(visited) / now_elapsed if now_elapsed > 0
-                            else 0.0
-                        ),
-                        per_worker=tuple(sorted(stats.per_worker.items())),
-                    ))
-                out_of_time = (
-                    self.max_seconds is not None
-                    and _time.monotonic() - start >= self.max_seconds
-                )
-                out_of_levels = (
-                    self.max_levels is not None
-                    and levels_this_slice >= self.max_levels
-                )
-                if frontier and (out_of_time or out_of_levels):
-                    if self.checkpoint:
-                        write_checkpoint()
-                    return result(interrupted=True, exhausted=False)
-                if self.checkpoint and frontier and (
-                    self.checkpoint_interval <= 0
-                    or _time.monotonic() - last_checkpoint
-                    >= self.checkpoint_interval
-                ):
-                    write_checkpoint()
-                    last_checkpoint = _time.monotonic()
-        except KeyboardInterrupt:
-            # A mid-level interrupt has no consistent frontier to
-            # checkpoint (the merge may be half-applied), so keep the
-            # last interval checkpoint and stop the workers immediately
-            # -- close()+join() would block on the abandoned map call.
-            if pool is not None:
-                pool.terminate()
-                pool.join()
-                pool = None
-            raise
-        finally:
-            set_tree_pin_provider(previous_provider)
-            if pool is not None:
-                pool.close()
-                pool.join()
-            if shm is not None:
-                # The pool is gone, so no process maps the segment but
-                # this one; release our view, then free the segment.
-                visited.release()
-                shm.close()
-                shm.unlink()
-            # Working spill files are scratch: checkpointed state lives
-            # in sidecar *snapshots*, so these are always safe to drop.
-            for deque_ in spill_deques:
-                deque_.close(unlink=True)
-            visited_path = getattr(visited, "spill_path", None)
-            if visited_path is not None:
-                visited.close()
-                try:
-                    os.unlink(visited_path)
-                except OSError:
-                    pass
+            if options.progress is not None:
+                now_elapsed = elapsed()
+                options.progress(ProgressSnapshot(
+                    level=level,
+                    frontier=round_entries,
+                    next_frontier=len(frontier),
+                    states_visited=len(visited),
+                    transitions=transitions,
+                    dedup_hits=stats.dedup_hits,
+                    elapsed_seconds=now_elapsed,
+                    states_per_second=(
+                        len(visited) / now_elapsed if now_elapsed > 0 else 0.0
+                    ),
+                    per_worker=tuple(sorted(stats.per_worker.items())),
+                ))
+            if not frontier:
+                break
+            now = _time.monotonic()
+            if (
+                options.max_seconds is not None
+                and now - start >= options.max_seconds
+            ) or (
+                options.max_levels is not None
+                and rounds >= options.max_levels
+            ):
+                if checkpoint:
+                    save()
+                return result(interrupted=True, exhausted=False)
+            if checkpoint and (
+                options.checkpoint_interval <= 0
+                or now - last_checkpoint >= options.checkpoint_interval
+            ):
+                save()
+                last_checkpoint = _time.monotonic()
 
-        self._discard_checkpoint()
-        return result()
-
-    def _discard_checkpoint(self) -> None:
-        """Remove the checkpoint of a run that reached a final verdict,
-        along with any v3 sidecar snapshots it referenced."""
-        if not self.checkpoint:
-            return
-        for path in (
-            self.checkpoint,
-            self.checkpoint + ".frontier",
-            self.checkpoint + ".visited",
-        ):
-            if os.path.exists(path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-
-
-# ----------------------------------------------------------------------
+        if checkpoint:
+            discard_checkpoint(checkpoint)
+        return result(exhausted=exhausted and frontier.exhaustive)
+    finally:
+        set_tree_pin_provider(previous_provider)
+        if executor is not None:
+            executor.close()
+        # Working spill files are scratch: checkpointed state lives in
+        # sidecar *snapshots*, so these are always safe to drop.
+        frontier.close()
+        visited_path = getattr(visited, "spill_path", None)
+        if visited_path is not None:
+            visited.close()
+            try:
+                os.unlink(visited_path)
+            except OSError:
+                pass
 
 
 def explore(
@@ -773,16 +683,13 @@ def explore(
     checkpoint: Optional[str] = None,
     **engine_options: Any,
 ) -> ExplorationResult:
-    """Run ``explorer`` with the engine the options call for.
+    """Run ``explorer`` through :func:`search` with these engine options
+    (see :class:`ParallelExplorer`); with none it is ``explorer.run()``.
 
-    ``workers=1`` with no checkpoint and no engine options is exactly
-    ``explorer.run()`` (any strategy); anything else routes through
-    :class:`ParallelExplorer` (``bfs`` only).  This is the single entry
-    point :func:`~repro.mc.ablations.verify_intact`, the ablations, the
-    examples and the benchmarks all share.
+    This is the single entry point
+    :func:`~repro.mc.ablations.verify_intact`, the ablations, the
+    differential harness, the examples and the benchmarks all share.
     """
-    if workers == 1 and checkpoint is None and not engine_options:
-        return explorer.run()
     return ParallelExplorer(
         explorer, workers=workers, checkpoint=checkpoint, **engine_options
     ).run()

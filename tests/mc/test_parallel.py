@@ -214,12 +214,6 @@ class TestCheckpointResume:
 # ----------------------------------------------------------------------
 
 class TestEngineOptions:
-    def test_guided_strategy_rejected(self):
-        guided = _hunt_explorer()
-        assert guided.strategy == "guided"
-        with pytest.raises(ValueError):
-            ParallelExplorer(guided, workers=2)
-
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             ParallelExplorer(
@@ -231,10 +225,6 @@ class TestEngineOptions:
             verify_intact_explorer(SMALL_BUDGET), workers=0
         )
         assert engine.workers == (os.cpu_count() or 1)
-
-    def test_explore_dispatches_sequentially_by_default(self):
-        result = explore(verify_intact_explorer(SMALL_BUDGET))
-        assert result.stats is None  # sequential path: no engine stats
 
     def test_explore_with_workers_reports_stats(self):
         result = explore(verify_intact_explorer(SMALL_BUDGET), workers=2)
