@@ -24,21 +24,21 @@ from __future__ import annotations
 import asyncio
 import logging
 import socket
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.safety import IncrementalTreeChecker
-from ..net.node import read_frame
 from ..net.wire import (
     MonitorHello,
     MonitorStatusRequest,
     MonitorStatusResponse,
     ProtocolError,
     TraceBatch,
-    _unpack_entry,
     decode_message,
     encode_frame,
+    read_frame,
+    recv_frame,
+    unpack_entry,
 )
 from .bundle import write_monitor_bundle
 
@@ -204,8 +204,10 @@ class Monitor:
                 else:
                     log.warning("unexpected %s frame", type(msg).__name__)
                     return
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
+        except (
+            asyncio.IncompleteReadError, ConnectionError, ProtocolError, OSError
+        ):
+            pass  # a bad length prefix drops the connection like a bad body
         finally:
             if nid is not None:
                 log.info("S%d disconnected", nid)
@@ -220,9 +222,9 @@ def _observe(engine: IncrementalTreeChecker, nid: int, event: Dict):
     violation -- count them as gaps rather than crash the monitor.
     """
     try:
-        entries = [_unpack_entry(raw) for raw in event.get("entries", [])]
+        entries = [unpack_entry(raw) for raw in event.get("entries", [])]
         anchor_raw = event.get("anchor")
-        anchor = _unpack_entry(anchor_raw) if anchor_raw is not None else None
+        anchor = unpack_entry(anchor_raw) if anchor_raw is not None else None
         base = event["base"]
         commit_len = event["commit"]
     except (ProtocolError, KeyError, TypeError):
@@ -246,22 +248,10 @@ def monitor_status(
         with socket.create_connection((host, port), timeout=timeout_s) as sock:
             sock.settimeout(timeout_s)
             sock.sendall(encode_frame(MonitorStatusRequest()))
-            header = _recv_exact(sock, 4)
-            length = struct.unpack(">I", header)[0]
-            reply = decode_message(_recv_exact(sock, length))
+            reply = decode_message(recv_frame(sock))
     except (OSError, ProtocolError):
         return None
     return reply if isinstance(reply, MonitorStatusResponse) else None
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("monitor closed the connection")
-        buf += chunk
-    return buf
 
 
 async def _run(monitor: Monitor) -> None:

@@ -34,7 +34,6 @@ from .wire import (
     ClientResponse,
     LogRequest,
     LogResponse,
-    MAX_FRAME_BYTES,
     PartitionRequest,
     PartitionResponse,
     ProtocolError,
@@ -46,6 +45,7 @@ from .wire import (
     StatusResponse,
     decode_message,
     encode_frame,
+    recv_frame,
 )
 
 
@@ -85,26 +85,6 @@ class WrongShard(ClientError):
     def __init__(self, message: str, table_version: Optional[int] = None):
         super().__init__(message)
         self.table_version = table_version
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_frame(sock: socket.socket):
-    header = _recv_exact(sock, 4)
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"declared frame length {length}")
-    return decode_message(_recv_exact(sock, length))
 
 
 class NetClient:
@@ -194,7 +174,7 @@ class NetClient:
                 timeout_s if timeout_s is not None else self.request_timeout_s
             )
             sock.sendall(encode_frame(message))
-            return _recv_frame(sock)
+            return decode_message(recv_frame(sock))
         except (OSError, ProtocolError, ConnectionError):
             self._drop(nid)
             raise

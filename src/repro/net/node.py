@@ -44,7 +44,6 @@ node (every decode failure is a :class:`repro.net.wire.ProtocolError`).
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import logging
 import random
 import socket
@@ -74,7 +73,6 @@ from .wire import (
     DeltaEncoder,
     LogRequest,
     LogResponse,
-    MAX_FRAME_BYTES,
     MonitorHello,
     PartitionRequest,
     PartitionResponse,
@@ -89,8 +87,10 @@ from .wire import (
     StatusRequest,
     StatusResponse,
     TraceBatch,
-    _pack_entry,
     encode_frame,
+    hash_key,
+    pack_entry,
+    read_frame,
 )
 
 log = logging.getLogger("repro.net.node")
@@ -108,13 +108,12 @@ _COMMAND_ARITY = {
 _KEYED_COMMANDS = frozenset(("put", "add", "delete", "get"))
 
 
-def _key_position(key: str) -> int:
-    """The key's 64-bit hash-ring position.  Mirrors
-    :func:`repro.shard.ring.hash_key` -- kept dependency-free here so
-    the layering stays one-way (``repro.shard`` imports ``repro.net``,
-    never the reverse); a unit test pins the two to agree."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _reply(request: ClientRequest, ok: bool, **fields) -> ClientResponse:
+    """The response to ``request``: its ``(client_id, seq)`` echoed,
+    ``fields`` as the outcome."""
+    return ClientResponse(
+        client_id=request.client_id, seq=request.seq, ok=ok, **fields
+    )
 
 
 def _server_class(spec: str):
@@ -160,17 +159,6 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # pragma: no cover - non-TCP transports
             pass
-
-
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one length-prefixed frame body; raises
-    :class:`ProtocolError` on a bad prefix, ``IncompleteReadError`` /
-    ``ConnectionError`` when the peer goes away."""
-    header = await reader.readexactly(4)
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"declared frame length {length}")
-    return await reader.readexactly(length)
 
 
 @dataclass
@@ -787,7 +775,7 @@ class NetNode:
         items = tuple(sorted(
             (key, value)
             for key, value in self._app_store.items()
-            if msg.lo <= _key_position(key) < msg.hi
+            if msg.lo <= hash_key(key) < msg.hi
         ))
         return ShardDumpResponse(
             nid=self.config.nid,
@@ -829,7 +817,7 @@ class NetNode:
             self._shard_version is not None
             and stamp <= self._shard_version
             and any(
-                lo <= _key_position(command[1]) < hi
+                lo <= hash_key(command[1]) < hi
                 for lo, hi in self._shard_ranges
             )
         ):
@@ -896,13 +884,13 @@ class NetNode:
             return
         data = {
             "base": j,
-            "entries": [_pack_entry(e) for e in entries],
+            "entries": [pack_entry(e) for e in entries],
             "commit": commit_len,
             "term": server.time,
         }
         if gap:
             data["gap"] = True
-            data["anchor"] = _pack_entry(log_.snap.last_entry)
+            data["anchor"] = pack_entry(log_.snap.last_entry)
         if j > len(shadow):
             shadow.extend([None] * (j - len(shadow)))
         del shadow[j:]
@@ -994,17 +982,10 @@ class NetNode:
                     # still commit under the next leader, so the bounce
                     # is flagged as an ambiguous (admitted) refusal --
                     # the client must not treat it as not-applied.
-                    self._respond(
-                        pending,
-                        ClientResponse(
-                            client_id=pending.request.client_id,
-                            seq=pending.request.seq,
-                            ok=False,
-                            error="not-leader",
-                            leader_hint=self._hint(),
-                            admitted=True,
-                        ),
-                    )
+                    self._respond(pending, _reply(
+                        pending.request, False, error="not-leader",
+                        leader_hint=self._hint(), admitted=True,
+                    ))
                 self._pending = []
             if self._read_batches:
                 self._bounce_reads(error="not-leader")
@@ -1109,12 +1090,7 @@ class NetNode:
                 )
                 result = store.get(command[1])
         self._h_commit.observe(now_ms() - pending.invoked_ms)
-        return ClientResponse(
-            client_id=request.client_id,
-            seq=request.seq,
-            ok=True,
-            result=result,
-        )
+        return _reply(request, True, result=result)
 
     def _respond(
         self, pending: _PendingRequest, response: ClientResponse
@@ -1200,14 +1176,7 @@ class NetNode:
             self._h_commit.observe(now_ms() - invoked_ms)
             try:
                 writer.write(
-                    encode_frame(
-                        ClientResponse(
-                            client_id=request.client_id,
-                            seq=request.seq,
-                            ok=True,
-                            result=result,
-                        )
-                    )
+                    encode_frame(_reply(request, True, result=result))
                 )
             except (OSError, RuntimeError):
                 pass
@@ -1242,17 +1211,9 @@ class NetNode:
         hint = self._hint() if error == "not-leader" else None
         for request, writer, _ in batch.reads:
             try:
-                writer.write(
-                    encode_frame(
-                        ClientResponse(
-                            client_id=request.client_id,
-                            seq=request.seq,
-                            ok=False,
-                            error=error,
-                            leader_hint=hint,
-                        )
-                    )
-                )
+                writer.write(encode_frame(
+                    _reply(request, False, error=error, leader_hint=hint)
+                ))
             except (OSError, RuntimeError):
                 pass
 
@@ -1323,29 +1284,22 @@ class NetNode:
         command = request.command
         refuse = None
         if server.role != LEADER:
-            refuse = ClientResponse(
-                client_id=request.client_id, seq=request.seq, ok=False,
-                error="not-leader", leader_hint=self._hint(),
+            refuse = _reply(
+                request, False, error="not-leader", leader_hint=self._hint()
             )
         elif not command:
-            refuse = ClientResponse(
-                client_id=request.client_id, seq=request.seq, ok=False,
-                error="empty-command",
-            )
+            refuse = _reply(request, False, error="empty-command")
         elif _COMMAND_ARITY.get(command[0]) != len(command):
             # Admission-time vocabulary check: nothing the apply path
             # cannot fold ever enters the log.
-            refuse = ClientResponse(
-                client_id=request.client_id, seq=request.seq, ok=False,
-                error="bad-command",
-            )
+            refuse = _reply(request, False, error="bad-command")
         elif self._shard_refuses(request):
             # Before the ReadIndex fast path on purpose: a frozen or
             # handed-off range must refuse reads too, or a stale-routed
             # get could observe state the new owner has moved past.
-            refuse = ClientResponse(
-                client_id=request.client_id, seq=request.seq, ok=False,
-                error="wrong-shard", table_version=self._shard_version,
+            refuse = _reply(
+                request, False, error="wrong-shard",
+                table_version=self._shard_version,
             )
         if refuse is not None:
             writer.write(encode_frame(refuse))
@@ -1404,10 +1358,7 @@ class NetNode:
         try:
             members = frozenset(request.command[1])
         except (IndexError, TypeError):
-            return ClientResponse(
-                client_id=request.client_id, seq=request.seq, ok=False,
-                error="bad-reconfig",
-            )
+            return _reply(request, False, error="bad-reconfig")
         ok, reason = server.reconfig(members, self.scheme,
                                      request_id=request_id)
         if ok:
@@ -1424,9 +1375,8 @@ class NetNode:
             if not server.has_entry_at_current_time():
                 server.invoke(("noop",))
                 self._schedule_flush()
-        return ClientResponse(
-            client_id=request.client_id, seq=request.seq, ok=False,
-            error=reason if reason != "r3-denied" else "retry",
+        return _reply(
+            request, False, error=reason if reason != "r3-denied" else "retry"
         )
 
 

@@ -11,13 +11,37 @@ The body is JSON with a small *tagged value* extension so the spec's
 payload vocabulary -- tuples, frozensets, the ``(client, seq)``
 request ids -- round-trips exactly: ``decode_message(encode_message(m))
 == m`` for every message type (property-tested with Hypothesis in
-``tests/net/test_wire.py``).
+``tests/net/test_wire.py``; the bytes themselves are pinned by
+``tests/net/test_wire_golden.py``).
+
+**Schema = dataclass, codec = derived.**  A frame is stated once, as a
+frozen dataclass.  Its body is its fields, in declaration order, each
+encoded by its annotation (:func:`_codec`: ``int``/``str``/``bool``
+and ``Optional`` ones, ``Any`` = tagged value, ``Log``,
+``Tuple[X, ...]``, ``Tuple[X, Y]``, ``Mapping``), plus ``"kind"``; the per-kind field plan
+is derived once at import and one generic pack/unpack pair runs it.
+Decoding checks every field's exact type (a JSON ``true`` is not an
+int).  **A field with a dataclass default may be absent from the body
+and then takes that default** -- that is how a field is added without
+bumping :data:`PROTOCOL_VERSION`: old peers' frames still decode; a
+field without a default is required.  To add a frame:
+
+1. write the frozen dataclass (annotations from the vocabulary above;
+   anything else fails at import);
+2. add its ``kind`` row to :data:`FRAME_TYPES`;
+3. if a constraint is not a type (a range, an ordering), add a
+   validator to ``_VALIDATORS`` -- it runs on the decoded frame.
+
+Then give it a sample in ``tests/net/test_wire_golden.py`` and a
+strategy in ``tests/net/test_wire.py`` (a completeness test insists).
 
 Malformed input **never** crashes a node: every decoding failure is a
 subclass of :class:`ProtocolError` (truncated, oversized, garbage
 bytes, unknown kinds, version skew), which connection handlers catch
 and turn into a dropped connection.  Anything else escaping the
-decoder is a bug.
+decoder is a bug.  The length prefix is read off a socket in exactly
+two places, both here -- :func:`read_frame` (asyncio) and
+:func:`recv_frame` (blocking) -- and both bound it *before* buffering.
 
 **Log-delta layer.**  The specification ships *full logs* in every
 ``ElectReq``/``CommitReq`` (being a spec, messages carry values, not
@@ -50,10 +74,16 @@ representation change the spec handlers never observe.
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import hashlib
 import json
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+    Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 from ..raft.messages import (
     CommitAck,
@@ -64,6 +94,10 @@ from ..raft.messages import (
     LogEntry,
 )
 from .snapshot import CompactLog, Snapshot
+
+if TYPE_CHECKING:  # the two frame readers' parameter types, nothing more
+    import asyncio
+    import socket
 
 #: Bumped on any incompatible frame/body change.
 PROTOCOL_VERSION = 1
@@ -265,7 +299,7 @@ class TraceBatch:
     from node ``nid`` to the monitor.
 
     Events travel as their ``to_dict()`` JSON form (log entries inside
-    ``log_advance`` events are already ``_pack_entry``-encoded by the
+    ``log_advance`` events are already :func:`pack_entry`-encoded by the
     node), so the batch body is plain JSON with no re-tagging.  The
     monitor orders events by arrival and per-node ``lamport`` only --
     ``t_ms`` is each node's *private* monotonic clock and is never
@@ -317,12 +351,23 @@ class PartitionResponse:
     blocked: Tuple[int, ...]
 
 
+def hash_key(key: str) -> int:
+    """Deterministic 64-bit position of ``key`` in the hash space the
+    shard frames' ranges partition.  BLAKE2b, so it is stable across
+    processes and Python versions (the built-in ``hash`` is salted per
+    process); defined here, once, because routers
+    (:mod:`repro.shard.ring` re-exports it) and nodes must agree on it
+    exactly as they agree on the frames."""
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 @dataclass(frozen=True)
 class ShardOwnershipRequest:
     """Admin (shard manager): replace this node's owned key ranges.
 
     ``ranges`` are half-open ``[lo, hi)`` intervals over the 64-bit key
-    hash space (:mod:`repro.shard.ring`); ``version`` is the routing
+    hash space (:func:`hash_key`); ``version`` is the routing
     table version the ownership belongs to.  A node only moves forward:
     a request older than its current ownership version is ignored (the
     ack carries the version actually in force).  Every node of a group
@@ -436,7 +481,9 @@ def _unpack(value) -> Any:
 # ----------------------------------------------------------------------
 
 
-def _pack_entry(entry: LogEntry) -> List:
+def pack_entry(entry: LogEntry) -> List:
+    """One log entry as its JSON list (also how ``log_advance`` trace
+    events carry entries to the monitor)."""
     return [
         entry.time,
         entry.vrsn,
@@ -446,14 +493,15 @@ def _pack_entry(entry: LogEntry) -> List:
     ]
 
 
-def _unpack_entry(raw) -> LogEntry:
+def unpack_entry(raw) -> LogEntry:
+    """Inverse of :func:`pack_entry`, with full shape validation."""
     try:
         time, vrsn, payload, is_config, request_id = raw
     except (TypeError, ValueError) as exc:
         raise MalformedFrame(f"bad log entry {raw!r}") from exc
-    if not isinstance(time, int) or not isinstance(vrsn, int):
+    if type(time) is not int or type(vrsn) is not int:
         raise MalformedFrame(f"bad entry coordinates {raw!r}")
-    if not isinstance(is_config, bool):
+    if type(is_config) is not bool:
         raise MalformedFrame(f"bad is_config flag {raw!r}")
     return LogEntry(
         time=time,
@@ -464,365 +512,235 @@ def _unpack_entry(raw) -> LogEntry:
     )
 
 
-def _pack_log(log: Log) -> List:
-    return [_pack_entry(e) for e in log]
-
-
-def _unpack_log(raw) -> Log:
-    if not isinstance(raw, list):
-        raise MalformedFrame(f"log must be a list, got {raw!r}")
-    return tuple(_unpack_entry(e) for e in raw)
-
-
 # ----------------------------------------------------------------------
-# Message bodies
+# The derived codec: a frame's dataclass is its schema
 # ----------------------------------------------------------------------
 
-def _body_elect_req(m: ElectReq) -> Dict:
-    return {"frm": m.frm, "to": m.to, "time": m.time, "log": _pack_log(m.log)}
-
-
-def _body_commit_req(m: CommitReq) -> Dict:
-    return {
-        "frm": m.frm, "to": m.to, "time": m.time,
-        "log": _pack_log(m.log), "commit_len": m.commit_len,
-    }
-
-
-_ENCODERS = {
-    ElectReq: ("elect_req", _body_elect_req),
-    ElectAck: ("elect_ack", lambda m: {
-        "frm": m.frm, "to": m.to, "time": m.time, "granted": m.granted,
-    }),
-    CommitReq: ("commit_req", _body_commit_req),
-    CommitAck: ("commit_ack", lambda m: {
-        "frm": m.frm, "to": m.to, "time": m.time, "acked_len": m.acked_len,
-    }),
-    PeerHello: ("peer_hello", lambda m: {"nid": m.nid}),
-    ClientRequest: ("client_request", lambda m: {
-        "client_id": m.client_id, "seq": m.seq, "command": _pack(m.command),
-        "table_version": m.table_version,
-    }),
-    ClientResponse: ("client_response", lambda m: {
-        "client_id": m.client_id, "seq": m.seq, "ok": m.ok,
-        "result": _pack(m.result), "error": m.error,
-        "leader_hint": m.leader_hint, "table_version": m.table_version,
-        "admitted": m.admitted,
-    }),
-    StatusRequest: ("status_request", lambda m: {}),
-    StatusResponse: ("status_response", lambda m: {
-        "nid": m.nid, "role": m.role, "term": m.term,
-        "commit_len": m.commit_len, "log_len": m.log_len,
-        "members": list(m.members), "leader_hint": m.leader_hint,
-        "base_len": m.base_len, "bytes_sent": m.bytes_sent,
-        "snapshots_installed": m.snapshots_installed,
-        "reads_fast": m.reads_fast,
-    }),
-    LogRequest: ("log_request", lambda m: {}),
-    LogResponse: ("log_response", lambda m: {
-        "entries": _pack_log(m.entries), "base_len": m.base_len,
-    }),
-    SnapshotChunk: ("snap_chunk", lambda m: {
-        "sid": m.sid, "seq": m.seq, "n": m.n, "data": m.data,
-    }),
-    ReadProbe: ("read_probe", lambda m: {
-        "frm": m.frm, "to": m.to, "probe": m.probe, "time": m.time,
-    }),
-    ReadProbeAck: ("read_probe_ack", lambda m: {
-        "frm": m.frm, "to": m.to, "probe": m.probe, "time": m.time,
-    }),
-    MonitorHello: ("monitor_hello", lambda m: {"nid": m.nid}),
-    TraceBatch: ("trace_batch", lambda m: {
-        "nid": m.nid, "events": [dict(e) for e in m.events],
-    }),
-    MonitorStatusRequest: ("monitor_status_request", lambda m: {}),
-    MonitorStatusResponse: ("monitor_status_response", lambda m: {
-        "ok": m.ok, "events": m.events, "entries": m.entries,
-        "caches": m.caches, "commits": m.commits, "gaps": m.gaps,
-        "nodes": list(m.nodes), "violations": list(m.violations),
-        "bundle": m.bundle,
-    }),
-    PartitionRequest: ("partition_request", lambda m: {
-        "blocked": list(m.blocked),
-    }),
-    PartitionResponse: ("partition_response", lambda m: {
-        "nid": m.nid, "blocked": list(m.blocked),
-    }),
-    ShardOwnershipRequest: ("shard_ownership_request", lambda m: {
-        "version": m.version,
-        "ranges": [[lo, hi] for lo, hi in m.ranges],
-    }),
-    ShardOwnershipResponse: ("shard_ownership_response", lambda m: {
-        "nid": m.nid, "version": m.version,
-    }),
-    ShardDumpRequest: ("shard_dump_request", lambda m: {
-        "lo": m.lo, "hi": m.hi,
-    }),
-    ShardDumpResponse: ("shard_dump_response", lambda m: {
-        "nid": m.nid, "role": m.role, "commit_len": m.commit_len,
-        "log_len": m.log_len,
-        "items": [[k, _pack(v)] for k, v in m.items],
-        "version": m.version, "term": m.term,
-        "commit_in_term": m.commit_in_term,
-    }),
+#: kind -> frame type: the one registry.  A frame's body is its
+#: dataclass fields, in declaration order, each encoded by its
+#: annotation (see :func:`_codec`), plus ``"kind"``.
+FRAME_TYPES: Dict[str, type] = {
+    "elect_req": ElectReq,
+    "elect_ack": ElectAck,
+    "commit_req": CommitReq,
+    "commit_ack": CommitAck,
+    "peer_hello": PeerHello,
+    "client_request": ClientRequest,
+    "client_response": ClientResponse,
+    "status_request": StatusRequest,
+    "status_response": StatusResponse,
+    "log_request": LogRequest,
+    "log_response": LogResponse,
+    "snap_chunk": SnapshotChunk,
+    "read_probe": ReadProbe,
+    "read_probe_ack": ReadProbeAck,
+    "monitor_hello": MonitorHello,
+    "trace_batch": TraceBatch,
+    "monitor_status_request": MonitorStatusRequest,
+    "monitor_status_response": MonitorStatusResponse,
+    "partition_request": PartitionRequest,
+    "partition_response": PartitionResponse,
+    "shard_ownership_request": ShardOwnershipRequest,
+    "shard_ownership_response": ShardOwnershipResponse,
+    "shard_dump_request": ShardDumpRequest,
+    "shard_dump_response": ShardDumpResponse,
 }
 
 
-def _require(body: Dict, key: str, types) -> Any:
-    try:
-        value = body[key]
-    except (KeyError, TypeError) as exc:
-        raise MalformedFrame(f"missing field {key!r}") from exc
-    if types is not None and not isinstance(value, types):
-        raise MalformedFrame(f"field {key!r} has wrong type: {value!r}")
+def _as_is(value):
+    """The pack of a value JSON already carries exactly."""
     return value
 
 
-def _opt_int(body: Dict, key: str) -> Optional[int]:
-    value = body.get(key)
-    if value is not None and not isinstance(value, int):
-        raise MalformedFrame(f"field {key!r} must be int or null")
-    return value
+def _exactly(*types):
+    """Unpack a value shipped as is, checking its type.  ``type(v) in
+    types``, not ``isinstance``: a JSON ``true`` is not an int."""
+    def unpack(value):
+        if type(value) not in types:
+            raise MalformedFrame(f"wrong type: {value!r}")
+        return value
+    return unpack
 
 
-def _int_or_zero(body: Dict, key: str) -> int:
-    """A backward-compatible int field: absent means 0 (frames from a
-    peer predating the field still decode)."""
-    value = body.get(key, 0)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedFrame(f"field {key!r} must be an int")
-    return value
+def _tagged(tp: type):
+    """Unpack a tagged value that must come out as a ``tp``."""
+    def unpack(value):
+        unpacked = _unpack(value)
+        if type(unpacked) is not tp:
+            raise MalformedFrame(f"must be a {tp.__name__}, got {unpacked!r}")
+        return unpacked
+    return unpack
 
 
-def _bool_or_false(body: Dict, key: str) -> bool:
-    """A backward-compatible bool field: absent means ``False``."""
-    value = body.get(key, False)
-    if not isinstance(value, bool):
-        raise MalformedFrame(f"field {key!r} must be a bool")
-    return value
+def _codec(tp) -> Tuple[Callable, Callable]:
+    """``(pack, unpack)`` for one field annotation.
+
+    ``int``/``str``/``bool`` ship as is, and ``Optional`` ones may be
+    ``null``; ``Any`` is a tagged value, a bare ``Tuple`` or
+    ``frozenset`` a tagged value that must be one; ``Mapping`` is a
+    plain JSON object;
+    ``Tuple[X, ...]`` is a list of ``X`` and ``Tuple[X, Y]`` a list of
+    exactly those (so :data:`Log` is a list of packed entries).  An
+    annotation outside this vocabulary fails here, at import."""
+    if tp in (int, str, bool):
+        return _as_is, _exactly(tp)
+    if tp is Any:
+        return _pack, _unpack
+    if tp is LogEntry:
+        return pack_entry, unpack_entry
+    if tp is frozenset:
+        return _pack, _tagged(frozenset)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is collections.abc.Mapping:
+        return dict, _exactly(dict)
+    if origin is Union and args[0] in (int, str, bool) and args[1:] == (type(None),):
+        return _as_is, _exactly(args[0], type(None))
+    if origin is tuple and not args:
+        return _pack, _tagged(tuple)
+    if origin is tuple and args[-1] is Ellipsis:
+        pack, unpack = _codec(args[0])
+
+        def unpack_all(raw):
+            if type(raw) is not list:
+                raise MalformedFrame(f"must be a list, got {raw!r}")
+            return tuple([unpack(item) for item in raw])
+
+        return (
+            list if pack is _as_is
+            else lambda values: [pack(item) for item in values]
+        ), unpack_all
+    if origin is tuple:
+        packs, unpacks = zip(*(_codec(arg) for arg in args))
+
+        def unpack_each(raw):
+            if type(raw) is not list or len(raw) != len(unpacks):
+                raise MalformedFrame(f"must be a {len(unpacks)}-list, got {raw!r}")
+            return tuple([unpack(item) for unpack, item in zip(unpacks, raw)])
+
+        return (
+            lambda values: [pack(item) for pack, item in zip(packs, values)]
+        ), unpack_each
+    raise TypeError(f"no wire encoding for annotation {tp!r}")
 
 
-def _decode_snapshot_chunk(body: Dict) -> SnapshotChunk:
-    chunk = SnapshotChunk(
-        sid=_require(body, "sid", str),
-        seq=_require(body, "seq", int),
-        n=_require(body, "n", int),
-        data=_require(body, "data", str),
-    )
+# Range checks a type annotation cannot express, run on the decoded
+# frame (outgoing frames are built by this repo and not re-checked).
+
+def _check_chunk(chunk: SnapshotChunk) -> None:
     if not 1 <= chunk.n <= MAX_SNAPSHOT_CHUNKS:
         raise MalformedFrame(f"snapshot chunk count {chunk.n} out of range")
     if not 0 <= chunk.seq < chunk.n:
         raise MalformedFrame(f"snapshot chunk seq {chunk.seq}/{chunk.n}")
-    return chunk
 
 
-def _decode_elect_req(body: Dict) -> ElectReq:
-    return ElectReq(
-        frm=_require(body, "frm", int),
-        to=_require(body, "to", int),
-        time=_require(body, "time", int),
-        log=_unpack_log(_require(body, "log", list)),
-    )
+def _check_ownership(msg: ShardOwnershipRequest) -> None:
+    if msg.version < 0:
+        raise MalformedFrame(f"ownership version {msg.version} must be >= 0")
+    for lo, hi in msg.ranges:
+        if not 0 <= lo < hi:
+            raise MalformedFrame(f"bad ownership range [{lo}, {hi})")
 
 
-def _decode_commit_req(body: Dict) -> CommitReq:
-    return CommitReq(
-        frm=_require(body, "frm", int),
-        to=_require(body, "to", int),
-        time=_require(body, "time", int),
-        log=_unpack_log(_require(body, "log", list)),
-        commit_len=_require(body, "commit_len", int),
-    )
+def _check_dump_range(msg: ShardDumpRequest) -> None:
+    if not 0 <= msg.lo < msg.hi:
+        raise MalformedFrame(f"bad dump range [{msg.lo}, {msg.hi})")
 
 
-def _decode_nid_tuple(body: Dict, key: str) -> Tuple[int, ...]:
-    raw = body.get(key, [])
-    if not isinstance(raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    ):
-        raise MalformedFrame(f"field {key!r} must be a list of ints")
-    return tuple(raw)
-
-
-def _decode_str_tuple(body: Dict, key: str) -> Tuple[str, ...]:
-    raw = body.get(key, [])
-    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise MalformedFrame(f"field {key!r} must be a list of strings")
-    return tuple(raw)
-
-
-def _decode_trace_batch(body: Dict) -> TraceBatch:
-    events = _require(body, "events", list)
-    if not all(isinstance(e, dict) for e in events):
-        raise MalformedFrame("trace batch events must be objects")
-    return TraceBatch(
-        nid=_require(body, "nid", int),
-        events=tuple(events),
-    )
-
-
-def _decode_client_request(body: Dict) -> ClientRequest:
-    command = _unpack(_require(body, "command", None))
-    if not isinstance(command, tuple):
-        raise MalformedFrame(f"command must be a tuple, got {command!r}")
-    return ClientRequest(
-        client_id=_require(body, "client_id", str),
-        seq=_require(body, "seq", int),
-        command=command,
-        table_version=_opt_int(body, "table_version"),
-    )
-
-
-def _decode_shard_ownership(body: Dict) -> ShardOwnershipRequest:
-    raw = _require(body, "ranges", list)
-    ranges = []
-    for item in raw:
-        if not (
-            isinstance(item, list) and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool)
-                    for v in item)
-            and 0 <= item[0] < item[1]
-        ):
-            raise MalformedFrame(f"bad ownership range {item!r}")
-        ranges.append((item[0], item[1]))
-    version = _require(body, "version", int)
-    if version < 0:
-        raise MalformedFrame(f"ownership version {version} must be >= 0")
-    return ShardOwnershipRequest(version=version, ranges=tuple(ranges))
-
-
-def _decode_shard_dump_request(body: Dict) -> ShardDumpRequest:
-    lo = _require(body, "lo", int)
-    hi = _require(body, "hi", int)
-    if not 0 <= lo < hi:
-        raise MalformedFrame(f"bad dump range [{lo}, {hi})")
-    return ShardDumpRequest(lo=lo, hi=hi)
-
-
-def _decode_shard_dump_response(body: Dict) -> ShardDumpResponse:
-    raw = _require(body, "items", list)
-    items = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], str)):
-            raise MalformedFrame(f"bad dump item {item!r}")
-        items.append((item[0], _unpack(item[1])))
-    return ShardDumpResponse(
-        nid=_require(body, "nid", int),
-        role=_require(body, "role", str),
-        commit_len=_require(body, "commit_len", int),
-        log_len=_require(body, "log_len", int),
-        items=tuple(items),
-        version=_opt_int(body, "version"),
-        term=_int_or_zero(body, "term"),
-        commit_in_term=_bool_or_false(body, "commit_in_term"),
-    )
-
-
-_DECODERS = {
-    "elect_req": _decode_elect_req,
-    "elect_ack": lambda b: ElectAck(
-        frm=_require(b, "frm", int), to=_require(b, "to", int),
-        time=_require(b, "time", int), granted=_require(b, "granted", bool),
-    ),
-    "commit_req": _decode_commit_req,
-    "commit_ack": lambda b: CommitAck(
-        frm=_require(b, "frm", int), to=_require(b, "to", int),
-        time=_require(b, "time", int), acked_len=_require(b, "acked_len", int),
-    ),
-    "peer_hello": lambda b: PeerHello(nid=_require(b, "nid", int)),
-    "client_request": _decode_client_request,
-    "client_response": lambda b: ClientResponse(
-        client_id=_require(b, "client_id", str),
-        seq=_require(b, "seq", int),
-        ok=_require(b, "ok", bool),
-        result=_unpack(b.get("result")),
-        error=_require(b, "error", (str, type(None))),
-        leader_hint=_opt_int(b, "leader_hint"),
-        table_version=_opt_int(b, "table_version"),
-        admitted=_bool_or_false(b, "admitted"),
-    ),
-    "status_request": lambda b: StatusRequest(),
-    "status_response": lambda b: StatusResponse(
-        nid=_require(b, "nid", int),
-        role=_require(b, "role", str),
-        term=_require(b, "term", int),
-        commit_len=_require(b, "commit_len", int),
-        log_len=_require(b, "log_len", int),
-        members=tuple(_require(b, "members", list)),
-        leader_hint=_opt_int(b, "leader_hint"),
-        base_len=_int_or_zero(b, "base_len"),
-        bytes_sent=_int_or_zero(b, "bytes_sent"),
-        snapshots_installed=_int_or_zero(b, "snapshots_installed"),
-        reads_fast=_int_or_zero(b, "reads_fast"),
-    ),
-    "log_request": lambda b: LogRequest(),
-    "log_response": lambda b: LogResponse(
-        entries=_unpack_log(_require(b, "entries", list)),
-        base_len=_int_or_zero(b, "base_len"),
-    ),
-    "snap_chunk": _decode_snapshot_chunk,
-    "read_probe": lambda b: ReadProbe(
-        frm=_require(b, "frm", int), to=_require(b, "to", int),
-        probe=_require(b, "probe", int), time=_require(b, "time", int),
-    ),
-    "read_probe_ack": lambda b: ReadProbeAck(
-        frm=_require(b, "frm", int), to=_require(b, "to", int),
-        probe=_require(b, "probe", int), time=_require(b, "time", int),
-    ),
-    "monitor_hello": lambda b: MonitorHello(nid=_require(b, "nid", int)),
-    "trace_batch": _decode_trace_batch,
-    "monitor_status_request": lambda b: MonitorStatusRequest(),
-    "monitor_status_response": lambda b: MonitorStatusResponse(
-        ok=_require(b, "ok", bool),
-        events=_int_or_zero(b, "events"),
-        entries=_int_or_zero(b, "entries"),
-        caches=_int_or_zero(b, "caches"),
-        commits=_int_or_zero(b, "commits"),
-        gaps=_int_or_zero(b, "gaps"),
-        nodes=_decode_nid_tuple(b, "nodes"),
-        violations=_decode_str_tuple(b, "violations"),
-        bundle=_require(b, "bundle", (str, type(None))),
-    ),
-    "partition_request": lambda b: PartitionRequest(
-        blocked=_decode_nid_tuple(b, "blocked"),
-    ),
-    "partition_response": lambda b: PartitionResponse(
-        nid=_require(b, "nid", int),
-        blocked=_decode_nid_tuple(b, "blocked"),
-    ),
-    "shard_ownership_request": _decode_shard_ownership,
-    "shard_ownership_response": lambda b: ShardOwnershipResponse(
-        nid=_require(b, "nid", int),
-        version=_require(b, "version", int),
-    ),
-    "shard_dump_request": _decode_shard_dump_request,
-    "shard_dump_response": _decode_shard_dump_response,
+_VALIDATORS = {
+    SnapshotChunk: _check_chunk,
+    ShardOwnershipRequest: _check_ownership,
+    ShardDumpRequest: _check_dump_range,
 }
 
+_REQUIRED = dataclasses.MISSING
+
+
+class _Plan(NamedTuple):
+    """One frame type's codec, derived once at import."""
+
+    kind: str
+    cls: type
+    #: ``(name, unpack, default)`` per field, in declaration order;
+    #: ``default`` is :data:`_REQUIRED` or what an absent field means.
+    fields: Tuple[Tuple[str, Callable, Any], ...]
+    #: ``(name, pack)`` for the fields not shipped as is.
+    packed: Tuple[Tuple[str, Callable], ...]
+    validate: Optional[Callable]
+
+
+def _plan(kind: str, cls: type) -> _Plan:
+    hints = get_type_hints(cls)
+    codecs = [(f, *_codec(hints[f.name])) for f in dataclasses.fields(cls)]
+    return _Plan(
+        kind, cls,
+        tuple((f.name, unpack, f.default) for f, _, unpack in codecs),
+        tuple((f.name, pack) for f, pack, _ in codecs if pack is not _as_is),
+        _VALIDATORS.get(cls),
+    )
+
+
+_PLAN_OF_KIND = {kind: _plan(kind, cls) for kind, cls in FRAME_TYPES.items()}
+_PLAN_OF_TYPE = {plan.cls: plan for plan in _PLAN_OF_KIND.values()}
+_NO_FIELDS: Mapping = {}
+
+
+def _to_body(msg: WireMessage) -> Dict:
+    plan = _PLAN_OF_TYPE.get(type(msg))
+    if plan is None:
+        raise UnencodableValue(f"not a wire message: {msg!r}")
+    # A dataclass instance's __dict__ *is* its fields in declaration
+    # order, which is the wire order.
+    body = dict(vars(msg))
+    for name, pack in plan.packed:
+        body[name] = pack(body[name])
+    body["kind"] = plan.kind
+    return body
+
+
+def _from_body(plan: _Plan, body: Dict, given: Mapping = _NO_FIELDS) -> WireMessage:
+    """Build ``plan.cls`` from a parsed body.  An absent field takes
+    the dataclass default (so a frame from a peer predating the field
+    still decodes) or, having none, is an error; ``given`` fields are
+    taken already decoded (the delta layer's reconstructed log)."""
+    values = []
+    name = None
+    try:
+        for name, unpack, default in plan.fields:
+            if name in given:
+                values.append(given[name])
+            elif name in body:
+                values.append(unpack(body[name]))
+            elif default is _REQUIRED:
+                raise MalformedFrame("missing")
+            else:
+                values.append(default)
+    except Exception as exc:  # not only ours: never leak a bare error
+        raise MalformedFrame(f"bad {plan.kind} field {name!r}: {exc}") from exc
+    msg = plan.cls(*values)
+    if plan.validate is not None:
+        plan.validate(msg)
+    return msg
+
 
 # ----------------------------------------------------------------------
-# Stateless encode/decode
+# Frames: body <-> bytes, the length prefix, and the two readers
 # ----------------------------------------------------------------------
 
+_VERSION = bytes([PROTOCOL_VERSION])
+_to_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
-def encode_message(msg: WireMessage) -> bytes:
-    """Serialize one message to a frame *body* (version byte + JSON)."""
+
+def _dump_body(body: Dict) -> bytes:
+    """A frame body's bytes: version byte + compact JSON."""
     try:
-        kind, encoder = _ENCODERS[type(msg)]
-    except KeyError:
-        raise UnencodableValue(f"not a wire message: {msg!r}") from None
-    body = encoder(msg)
-    body["kind"] = kind
-    try:
-        text = json.dumps(body, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
+        return _VERSION + _to_json(body).encode("utf-8")
+    except (ValueError, TypeError) as exc:
         raise UnencodableValue(str(exc)) from exc
-    return bytes([PROTOCOL_VERSION]) + text.encode("utf-8")
 
 
-def decode_message(payload: bytes) -> WireMessage:
-    """Inverse of :func:`encode_message`; raises :class:`ProtocolError`."""
+def _load_body(payload: bytes) -> Dict:
+    """Inverse of :func:`_dump_body` -- the one place a received frame
+    is parsed: version byte, UTF-8, JSON, an object with a str kind."""
     if not payload:
         raise TruncatedFrame("empty frame body")
     if payload[0] != PROTOCOL_VERSION:
@@ -835,24 +753,44 @@ def decode_message(payload: bytes) -> WireMessage:
         raise MalformedFrame(f"undecodable body: {exc}") from exc
     if not isinstance(body, dict):
         raise MalformedFrame(f"body must be an object, got {body!r}")
-    kind = body.get("kind")
-    decoder = _DECODERS.get(kind)
-    if decoder is None:
-        raise UnknownMessageType(f"unknown kind {kind!r}")
-    try:
-        return decoder(body)
-    except ProtocolError:
-        raise
-    except Exception as exc:  # belt and braces: never leak a bare error
-        raise MalformedFrame(f"bad {kind} body: {exc}") from exc
+    if not isinstance(body.get("kind"), str):
+        raise UnknownMessageType(f"unknown kind {body.get('kind')!r}")
+    return body
+
+
+def _decode_body(body: Dict) -> WireMessage:
+    plan = _PLAN_OF_KIND.get(body["kind"])
+    if plan is None:
+        raise UnknownMessageType(f"unknown kind {body['kind']!r}")
+    return _from_body(plan, body)
+
+
+def encode_message(msg: WireMessage) -> bytes:
+    """Serialize one message to a frame *body* (version byte + JSON)."""
+    return _dump_body(_to_body(msg))
+
+
+def decode_message(payload: bytes) -> WireMessage:
+    """Inverse of :func:`encode_message`; raises :class:`ProtocolError`."""
+    return _decode_body(_load_body(payload))
+
+
+def _checked_length(length: int) -> int:
+    """The one bound on a frame length, declared or about to be."""
+    if not 0 < length <= MAX_FRAME_BYTES:
+        raise FrameTooLarge(
+            f"frame length {length} outside 1..{MAX_FRAME_BYTES}"
+        )
+    return length
+
+
+def _frame(payload: bytes) -> bytes:
+    return _LENGTH.pack(_checked_length(len(payload))) + payload
 
 
 def encode_frame(msg: WireMessage) -> bytes:
     """A complete frame: length prefix + versioned body."""
-    payload = encode_message(msg)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"{len(payload)} bytes > {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(payload)) + payload
+    return _frame(encode_message(msg))
 
 
 def decode_frame(data: bytes, offset: int = 0) -> Tuple[WireMessage, int]:
@@ -862,9 +800,7 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[WireMessage, int]:
     header_end = offset + _LENGTH.size
     if len(data) < header_end:
         raise TruncatedFrame("incomplete length prefix")
-    (length,) = _LENGTH.unpack_from(data, offset)
-    if length == 0 or length > MAX_FRAME_BYTES:
-        raise FrameTooLarge(f"declared length {length}")
+    length = _checked_length(_LENGTH.unpack_from(data, offset)[0])
     if len(data) < header_end + length:
         raise TruncatedFrame(
             f"frame declares {length} bytes, {len(data) - header_end} present"
@@ -873,25 +809,52 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[WireMessage, int]:
     return decode_message(payload), header_end + length
 
 
+async def read_frame(reader: asyncio.StreamReader) -> bytes:
+    """Read one frame body from a stream; raises :class:`FrameTooLarge`
+    on a bad prefix (before buffering anything), ``IncompleteReadError``
+    / ``ConnectionError`` when the peer goes away."""
+    header = await reader.readexactly(_LENGTH.size)
+    return await reader.readexactly(_checked_length(_LENGTH.unpack(header)[0]))
+
+
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    chunks = []
+    while n:
+        chunk = sock.recv(n)
+        if not chunk:
+            raise ConnectionError("peer closed mid-frame")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> bytes:
+    """:func:`read_frame` for a blocking socket."""
+    header = _recv_exactly(sock, _LENGTH.size)
+    return _recv_exactly(sock, _checked_length(_LENGTH.unpack(header)[0]))
+
+
 # ----------------------------------------------------------------------
 # Snapshot serialization (InstallSnapshot payload)
 # ----------------------------------------------------------------------
+
+
+_unpack_int = _exactly(int)
+_pack_history, _unpack_history = _codec(Tuple[Tuple[int, frozenset], ...])
 
 
 def pack_snapshot(snap: Snapshot) -> str:
     """Serialize a snapshot to the JSON text shipped in chunks."""
     obj = {
         "base_len": snap.base_len,
-        "last_entry": _pack_entry(snap.last_entry),
+        "last_entry": pack_entry(snap.last_entry),
         "config": _pack(snap.config),
         "store": _pack(dict(snap.store)),
         "sessions": dict(snap.sessions),
-        "config_history": [
-            [index, _pack(config)] for index, config in snap.config_history
-        ],
+        "config_history": _pack_history(snap.config_history),
     }
     try:
-        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+        return _to_json(obj)
     except (ValueError, TypeError) as exc:
         raise UnencodableValue(f"unencodable snapshot: {exc}") from exc
 
@@ -900,43 +863,25 @@ def unpack_snapshot(text: str) -> Snapshot:
     """Inverse of :func:`pack_snapshot`, with full shape validation."""
     try:
         obj = json.loads(text)
-    except (ValueError, TypeError) as exc:
-        raise MalformedFrame(f"undecodable snapshot: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedFrame(f"snapshot must be an object, got {obj!r}")
-    base_len = _require(obj, "base_len", int)
-    if base_len < 1:
-        raise MalformedFrame(f"snapshot base_len {base_len} must be >= 1")
-    config = _unpack(_require(obj, "config", None))
-    if not isinstance(config, frozenset):
-        raise MalformedFrame("snapshot config must be a frozenset")
-    store = _unpack(_require(obj, "store", None))
-    if not isinstance(store, dict):
-        raise MalformedFrame("snapshot store must be a dict")
-    sessions = _require(obj, "sessions", dict)
-    if not all(
-        isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
-        for k, v in sessions.items()
-    ):
-        raise MalformedFrame("snapshot sessions must map str -> int")
-    raw_history = _require(obj, "config_history", list)
-    history = []
-    for item in raw_history:
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], int)):
-            raise MalformedFrame(f"bad config_history item {item!r}")
-        members = _unpack(item[1])
-        if not isinstance(members, frozenset):
-            raise MalformedFrame(f"bad config_history members {item!r}")
-        history.append((item[0], members))
-    return Snapshot(
-        base_len=base_len,
-        last_entry=_unpack_entry(_require(obj, "last_entry", list)),
-        config=config,
-        store=store,
-        sessions=dict(sessions),
-        config_history=tuple(history),
-    )
+        sessions = _exactly(dict)(obj["sessions"])
+        if not all(
+            type(k) is str and type(v) is int for k, v in sessions.items()
+        ):
+            raise MalformedFrame("sessions must map str -> int")
+        snap = Snapshot(
+            base_len=_unpack_int(obj["base_len"]),
+            last_entry=unpack_entry(obj["last_entry"]),
+            config=_tagged(frozenset)(obj["config"]),
+            store=_tagged(dict)(obj["store"]),
+            sessions=sessions,
+            config_history=_unpack_history(obj["config_history"]),
+        )
+    except (ValueError, TypeError, KeyError, MalformedFrame) as exc:
+        # Not JSON, not an object, a field missing or of the wrong shape.
+        raise MalformedFrame(f"bad snapshot: {exc!r}") from exc
+    if snap.base_len < 1:
+        raise MalformedFrame(f"snapshot base_len {snap.base_len} must be >= 1")
+    return snap
 
 
 def snapshot_chunks(snap: Snapshot) -> List[SnapshotChunk]:
@@ -960,6 +905,15 @@ def snapshot_chunks(snap: Snapshot) -> List[SnapshotChunk]:
 # ----------------------------------------------------------------------
 # Per-connection log-delta layer
 # ----------------------------------------------------------------------
+
+
+_pack_log, _unpack_log = _codec(Log)
+_unpack_optional_str = _exactly(str, type(None))
+#: The two log-carrying frames' plans, under their delta kinds.
+_DELTA_PLANS = {
+    "delta_" + _PLAN_OF_TYPE[cls].kind: _PLAN_OF_TYPE[cls]
+    for cls in (ElectReq, CommitReq)
+}
 
 
 def _common_prefix_len(a: Log, b: Log) -> int:
@@ -993,13 +947,11 @@ class DeltaEncoder:
 
     def encode(self, msg: WireMessage) -> bytes:
         if not isinstance(msg, (ElectReq, CommitReq)):
-            frame = encode_frame(msg)
-            return frame
+            return encode_frame(msg)
         log = msg.log
         preamble = b""
         body = {
-            "kind": "delta_" + ("elect_req" if isinstance(msg, ElectReq)
-                                 else "commit_req"),
+            "kind": "delta_" + _PLAN_OF_TYPE[type(msg)].kind,
             "frm": msg.frm,
             "to": msg.to,
             "time": msg.time,
@@ -1032,14 +984,7 @@ class DeltaEncoder:
         body["s"] = _pack_log(log[prefix:])
         if isinstance(msg, CommitReq):
             body["commit_len"] = msg.commit_len
-        try:
-            text = json.dumps(body, separators=(",", ":"), allow_nan=False)
-        except ValueError as exc:
-            raise UnencodableValue(str(exc)) from exc
-        payload = bytes([PROTOCOL_VERSION]) + text.encode("utf-8")
-        if len(payload) > MAX_FRAME_BYTES:
-            raise FrameTooLarge(f"{len(payload)} bytes > {MAX_FRAME_BYTES}")
-        return preamble + _LENGTH.pack(len(payload)) + payload
+        return preamble + _frame(_dump_body(body))
 
 
 class DeltaDecoder:
@@ -1098,30 +1043,21 @@ class DeltaDecoder:
         self.snapshots_installed += 1
 
     def decode(self, payload: bytes) -> Optional[WireMessage]:
-        if not payload:
-            raise TruncatedFrame("empty frame body")
-        if payload[0] != PROTOCOL_VERSION:
-            raise VersionMismatch(
-                f"version {payload[0]}, expected {PROTOCOL_VERSION}"
-            )
+        body = _load_body(payload)
+        plan = _DELTA_PLANS.get(body["kind"])
+        if plan is None:
+            msg = _decode_body(body)
+            if type(msg) is SnapshotChunk:
+                self._absorb_chunk(msg)
+                return None
+            return msg
         try:
-            body = json.loads(payload[1:].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise MalformedFrame(f"undecodable body: {exc}") from exc
-        if not isinstance(body, dict):
-            raise MalformedFrame(f"body must be an object, got {body!r}")
-        kind = body.get("kind")
-        if kind == "snap_chunk":
-            self._absorb_chunk(decode_message(payload))
-            return None
-        if kind not in ("delta_elect_req", "delta_commit_req"):
-            return decode_message(payload)
-        prefix = _require(body, "p", int)
-        suffix = _unpack_log(_require(body, "s", list))
-        sid = body.get("b")
+            prefix = _unpack_int(body.get("p"))
+            suffix = _unpack_log(body.get("s"))
+            sid = _unpack_optional_str(body.get("b"))
+        except MalformedFrame as exc:
+            raise MalformedFrame(f"bad {body['kind']} p/s/b: {exc}") from exc
         if sid is not None:
-            if not isinstance(sid, str):
-                raise MalformedFrame(f"snapshot reference {sid!r} not a str")
             snap = self._snapshots.get(sid)
             if snap is None:
                 raise MalformedFrame(
@@ -1154,17 +1090,5 @@ class DeltaDecoder:
             else:
                 log = self._last[:prefix] + suffix
         self._last = log
-        if kind == "delta_elect_req":
-            return ElectReq(
-                frm=_require(body, "frm", int),
-                to=_require(body, "to", int),
-                time=_require(body, "time", int),
-                log=log,
-            )
-        return CommitReq(
-            frm=_require(body, "frm", int),
-            to=_require(body, "to", int),
-            time=_require(body, "time", int),
-            log=log,
-            commit_len=_require(body, "commit_len", int),
-        )
+        # The remaining fields are the stateless frame's own.
+        return _from_body(plan, body, {"log": log})

@@ -1,8 +1,8 @@
 """A deterministic hash ring with a versioned routing table.
 
-Keys hash to a 64-bit space via BLAKE2b (stable across processes and
-Python versions -- the built-in ``hash`` is salted per process, which
-would make every node disagree about ownership).  The space is
+Keys hash to a 64-bit space via BLAKE2b
+(:func:`repro.net.wire.hash_key`, re-exported here -- nodes check
+ownership with the very same function).  The space is
 partitioned into half-open ranges ``[lo, hi)``, each owned by exactly
 one group; a :class:`RoutingTable` is an immutable snapshot of that
 partition stamped with a **version**.
@@ -18,19 +18,14 @@ at a group that no longer owns it.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from ..net.wire import hash_key  # re-exported: the ring's public name
+
 #: The key hash space is [0, HASH_SPACE), 64 bits.
 HASH_SPACE = 1 << 64
-
-
-def hash_key(key: str) -> int:
-    """Deterministic 64-bit position of ``key`` on the ring."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 @dataclass(frozen=True)

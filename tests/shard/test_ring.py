@@ -10,7 +10,7 @@ original partition (at a higher version -- versions never rewind).
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.node import _key_position
+from repro.net import node, wire
 from repro.shard.ring import (
     HASH_SPACE,
     KeyRange,
@@ -31,11 +31,19 @@ def test_hash_key_in_space_and_deterministic(key):
     assert hash_key(key) == position
 
 
-@given(st.text(max_size=64))
-def test_node_side_hash_agrees_with_ring(key):
-    # node.py keeps its own copy to avoid a shard->net->shard import
-    # cycle; they must never diverge or routing and admission disagree.
-    assert _key_position(key) == hash_key(key)
+def test_hash_key_is_defined_once_and_pinned():
+    # Routers and nodes share one function object (no per-package copy
+    # to drift) ...
+    assert hash_key is wire.hash_key is node.hash_key
+    # ... and its values are part of the protocol: a change re-homes
+    # every stored key, so it cannot happen silently.
+    assert [hash_key(k) for k in ("", "k", "k0", "user:42", "ключ")] == [
+        16476032584258269876,
+        12417210735682507875,
+        11933555063119778711,
+        15647646390214308482,
+        5536099946253895712,
+    ]
 
 
 # ----------------------------------------------------------------------
