@@ -15,9 +15,10 @@ Measurement protocol (same as ``test_mc_throughput``):
 * Runs are interleaved (unbounded/bounded/unbounded/bounded) and each
   mode is scored by its best run.
 
-Acceptance: the bounded run, capped well below the unbounded peak RSS
-(256 MiB vs ~350 MiB observed), must sustain >= 0.8x the unbounded
-states/second, with exact parity on the verification answer.
+Acceptance: the bounded run, capped at three quarters of the unbounded
+peak RSS (192 MiB vs ~260 MiB observed in a pytest process), must
+sustain >= 0.8x the unbounded states/second, with exact parity on the
+verification answer.
 
 Results land in ``BENCH_bounded_mc.json`` via ``bench_json``.
 """
@@ -31,9 +32,11 @@ import time
 from repro.mc.ablations import verify_intact_explorer
 
 #: The fixed address-space cap for the bounded run.  The unbounded
-#: Fig. 4 intact run peaks around 350 MiB; 256 MiB forces the bounded
-#: engine to actually evict and spill (it peaks under ~200 MiB).
-LIMIT_MB = 256
+#: Fig. 4 intact run peaks around 260 MiB here (forked from pytest);
+#: 192 MiB is under 0.75x of that and forces the bounded engine to
+#: actually evict and spill (it peaks at ~176 MiB, and under a 184 MiB
+#: cap the forked child dies of MemoryError).
+LIMIT_MB = 192
 #: Intern-table cap and frontier RAM window sized for LIMIT_MB: small
 #: enough that eviction fires several times per run, large enough that
 #: recomputation and spill traffic stay off the critical path.

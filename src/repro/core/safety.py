@@ -14,7 +14,7 @@ corresponding Coq theorem name (``rado_inv_*``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, List, Optional, Tuple
 
@@ -39,24 +39,32 @@ from .tree import ROOT_CID, CacheTree, forget_tree, set_memo_trimmer
 # Memo trimming (cache-manager hook)
 # ----------------------------------------------------------------------
 
-#: Per-tree memo entries that are pure speed/space trades: large derived
-#: tables rebuilt on demand if the tree is ever revisited.  What the
-#: trimmer deliberately KEEPS is the cheap, high-leverage scratch --
-#: memoized safety-report verdicts (the whole point of letting a tree
-#: survive a flush) and the small ``rprefix`` prefix-count table the
-#: incremental ``rdist`` of future successors derives from.
-_HEAVY_MEMO_KEYS = ("branches", "descendants", "node_tables", "kinds")
+#: The per-tree *tables* of a memo: each one a dict (or three) the tree
+#: owns even where its contents are shared with the predecessor tree,
+#: rebuilt on demand if the tree is ever revisited.  Measured on the
+#: Fig. 4 intact run, bytes owned per tree that holds the table:
+#: ``node_tables`` 610, ``branches`` 460, ``children`` 450, ``rprefix``
+#: 350, ``kinds`` 260 (``descendants``, 340 on the guided hunt, is not
+#: derived from the predecessor: the tree owns every tuple in it).
+#: What the trimmer deliberately KEEPS is scalar-sized: the memoized
+#: safety-report verdicts (the whole point of letting a tree survive a
+#: flush -- and a clean one is the process-wide :data:`_CLEAN`, so
+#: keeping it costs one dict slot), the ``r2``/``r3`` booleans and
+#: ``known_nodes``.
+_HEAVY_MEMO_KEYS = (
+    "node_tables", "branches", "children", "rprefix", "kinds", "descendants",
+)
 
 
 def trim_tree_memo(tree: CacheTree) -> None:
-    """Drop heavy derived scratch from ``tree``'s memo, keep verdicts.
+    """Drop the derived tables from ``tree``'s memo, keep verdicts.
 
     Installed as :mod:`repro.core.tree`'s memo trimmer: the policy-driven
     epoch flush applies it to trees that survive a ``"recall"`` flush, so
     a bounded run's heuristic survivors cost one small dict each rather
-    than the full O(tree²) ancestry tables.  (``"subnodes"`` survivors
-    are the live frontier and keep their tables: the engine is about to
-    expand them, so trimming would force an immediate rebuild.)
+    than a dict per table.  (``"subnodes"`` survivors are the live
+    frontier and keep their tables: the engine is about to expand them,
+    and their successors extend those tables instead of rebuilding.)
     """
     memo = tree._memo
     if not memo:
@@ -72,6 +80,34 @@ set_memo_trimmer(trim_tree_memo)
 # rdist (Definition 4.2)
 # ----------------------------------------------------------------------
 
+def _build_rprefix(tree: CacheTree) -> dict:
+    table = {}
+    stack = [(ROOT_CID, 0)]
+    while stack:
+        cid, above = stack.pop()
+        count = above + (1 if is_rcache(tree.cache(cid)) else 0)
+        table[cid] = count
+        for child in tree.children(cid):
+            stack.append((child, count))
+    return table
+
+
+def _extend_rprefix(
+    tree: CacheTree, base: dict, op: str, new_cid: Cid, parent_cid: Cid
+) -> Optional[dict]:
+    # A new leaf adds one entry, and a non-RCache inserted into an
+    # edge (the semantics only ever insert CCaches) changes no existing
+    # path's RCache count either: both copy the predecessor's table and
+    # add the new node's entry.  An RCache inserted into an edge would
+    # shift the counts below it, so that case rebuilds.
+    new_is_r = is_rcache(tree.cache(new_cid))
+    if op != "leaf" and new_is_r:
+        return None
+    table = dict(base)
+    table[new_cid] = base[parent_cid] + (1 if new_is_r else 0)
+    return table
+
+
 def _rprefix(tree: CacheTree) -> dict:
     """Per-cid count of RCaches on the root-to-cid path (inclusive).
 
@@ -80,35 +116,7 @@ def _rprefix(tree: CacheTree) -> dict:
     from the root, so it covers exactly the caches reachable from it --
     the only ones ``rdist`` is ever asked about on well-formed trees.
     """
-    memo = tree.memo()
-    table = memo.get("rprefix")
-    if table is None:
-        # Incremental form: a tree derived by add_leaf extends the
-        # parent tree's table by one entry, and insert_btw only ever
-        # inserts a CCache (never an RCache), which changes no existing
-        # path's RCache count either.  Both therefore copy the parent
-        # table and add the new node's entry.
-        prov = memo.get("prov")
-        if prov is not None:
-            parent_tree, op, new_cid, parent_cid = prov
-            parent_memo = parent_tree._memo
-            base = parent_memo.get("rprefix") if parent_memo else None
-            new_is_r = is_rcache(tree.cache(new_cid))
-            if base is not None and (op == "leaf" or not new_is_r):
-                table = dict(base)
-                table[new_cid] = base[parent_cid] + (1 if new_is_r else 0)
-                memo["rprefix"] = table
-                return table
-        table = {}
-        stack = [(ROOT_CID, 0)]
-        while stack:
-            cid, above = stack.pop()
-            count = above + (1 if is_rcache(tree.cache(cid)) else 0)
-            table[cid] = count
-            for child in tree.children(cid):
-                stack.append((child, count))
-        memo["rprefix"] = table
-    return table
+    return tree.derive("rprefix", _extend_rprefix, _build_rprefix)
 
 
 def rdist(tree: CacheTree, a: Cid, b: Cid) -> int:
@@ -322,17 +330,24 @@ def check_version_reset(tree: CacheTree) -> List[str]:
     return problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class SafetyReport:
-    """The aggregated result of all invariant checks over one state."""
+    """The aggregated result of all invariant checks over one state.
 
-    safety: List[str] = field(default_factory=list)
-    well_formedness: List[str] = field(default_factory=list)
-    descendant_order: List[str] = field(default_factory=list)
-    leader_time_uniqueness: List[str] = field(default_factory=list)
-    election_commit_order: List[str] = field(default_factory=list)
-    ccache_in_rcache_fork: List[str] = field(default_factory=list)
-    version_reset: List[str] = field(default_factory=list)
+    Immutable (frozen, tuple fields): a report is memoized on its
+    hash-consed tree and handed to every caller that checks the tree,
+    and every clean verdict in the process is the one :data:`_CLEAN`
+    instance, so a report that could be appended to would let one
+    caller rewrite what all the others see.
+    """
+
+    safety: Tuple[str, ...] = ()
+    well_formedness: Tuple[str, ...] = ()
+    descendant_order: Tuple[str, ...] = ()
+    leader_time_uniqueness: Tuple[str, ...] = ()
+    election_commit_order: Tuple[str, ...] = ()
+    ccache_in_rcache_fork: Tuple[str, ...] = ()
+    version_reset: Tuple[str, ...] = ()
 
     #: Checker labels in reporting order; also the keys accepted by
     #: :meth:`filtered`.
@@ -359,7 +374,7 @@ class SafetyReport:
             or self.version_reset
         )
 
-    def _by_label(self) -> List[Tuple[str, List[str]]]:
+    def _by_label(self) -> List[Tuple[str, Tuple[str, ...]]]:
         return [
             ("safety", self.safety),
             ("well-formedness", self.well_formedness),
@@ -377,6 +392,10 @@ class SafetyReport:
             out.extend(f"[{label}] {item}" for item in items)
         return out
 
+    def violation_count(self) -> int:
+        """``len(self.all_violations())`` without formatting any."""
+        return sum(len(items) for _, items in self._by_label())
+
     def filtered(self, labels: "Iterable[str]") -> "SafetyReport":
         """A report keeping only the named checkers' findings.
 
@@ -389,7 +408,7 @@ class SafetyReport:
         if unknown:
             raise ValueError(f"unknown invariant labels: {sorted(unknown)}")
         kept = {
-            label.replace("-", "_"): (items if label in wanted else [])
+            label.replace("-", "_"): (items if label in wanted else ())
             for label, items in self._by_label()
         }
         return SafetyReport(**kept)
@@ -411,7 +430,13 @@ def validate_invariant_labels(labels: Iterable[str]) -> Tuple[str, ...]:
     return labels
 
 
-#: Validated ``(wanted, memo_key)`` per ``(lemma_rdist_bound, only)``.
+#: The verdict of every clean tree in the process: one shared object,
+#: not one per tree (immutable, see :class:`SafetyReport`).
+_CLEAN = SafetyReport()
+
+#: Validated ``(memo_key, extend, build)`` per ``(lemma_rdist_bound,
+#: only)``: the report's memo key on a tree and its derivation pair for
+#: :meth:`CacheTree.derive` (see :func:`_check_config`).
 _CHECK_CONFIGS: dict = {}
 
 
@@ -559,7 +584,6 @@ def check_state(
     tree.  States that differ only in their time maps share one report;
     the *set of checks run per distinct tree* is unchanged.
     """
-    tree = state.tree
     # The checker selection is validated and keyed once per distinct
     # (bound, only) pair -- the explorer asks with the same pair for
     # every state it visits.
@@ -569,63 +593,61 @@ def check_state(
         config = None
         only = tuple(only)
     if config is None:
-        wanted = set(SafetyReport.LABELS) if only is None else set(only)
-        unknown = wanted - set(SafetyReport.LABELS)
-        if unknown:
-            raise ValueError(f"unknown invariant labels: {sorted(unknown)}")
-        memo_key = ("safety_report", lemma_rdist_bound, tuple(sorted(wanted)))
-        config = _CHECK_CONFIGS[(lemma_rdist_bound, only)] = (wanted, memo_key)
-    wanted, memo_key = config
+        config = _CHECK_CONFIGS[(lemma_rdist_bound, only)] = _check_config(
+            lemma_rdist_bound, only
+        )
+    return state.tree.derive(*config)
 
-    memo = tree.memo()
-    cached = memo.get(memo_key)
-    if cached is not None:
-        return cached
 
-    # Incremental fast path: this tree extends a parent tree whose
-    # report (same bound + selection) is already known clean.  If the
-    # delta pairs are clean too, the report is clean; anything suspect
-    # falls through to the full recomputation, so violating states
-    # always get the full checkers' messages in their exact order.
-    prov = memo.get("prov")
-    if prov is not None:
-        parent_tree, op, new_cid, parent_cid = prov
-        parent_memo = parent_tree._memo
-        parent_report = parent_memo.get(memo_key) if parent_memo else None
+def _check_config(bound: Optional[int], only: Optional[Tuple[str, ...]]):
+    """The memo key and :meth:`CacheTree.derive` pair of one selection."""
+    wanted = set(SafetyReport.LABELS) if only is None else set(only)
+    unknown = wanted - set(SafetyReport.LABELS)
+    if unknown:
+        raise ValueError(f"unknown invariant labels: {sorted(unknown)}")
+
+    def extend(tree, base, op, new_cid, parent_cid):
+        # Incremental fast path: the predecessor's report (same bound +
+        # selection) is known clean.  If the delta pairs are clean too,
+        # the report is clean; anything suspect falls through to the
+        # full recomputation, so violating states always get the full
+        # checkers' messages in their exact order.
         if (
-            parent_report is not None
-            and parent_report.ok
+            base is _CLEAN
             and (op == "leaf" or not is_rcache(tree.cache(new_cid)))
-            and _delta_clean(tree, op, new_cid, parent_cid, wanted, lemma_rdist_bound)
+            and _delta_clean(tree, op, new_cid, parent_cid, wanted, bound)
         ):
-            report = memo[memo_key] = SafetyReport()
-            return report
+            return _CLEAN
+        return None
 
-    def run(label, thunk):
-        return thunk() if label in wanted else []
+    def run(label, checker, *args):
+        return tuple(checker(*args)) if label in wanted else ()
 
-    report = memo[memo_key] = SafetyReport(
-        safety=run("safety", lambda: check_replicated_state_safety(tree)),
-        well_formedness=run(
-            "well-formedness", tree.well_formedness_violations
-        ),
-        descendant_order=run(
-            "descendant-order", lambda: check_descendant_order(tree)
-        ),
-        leader_time_uniqueness=run(
-            "leader-time-uniqueness",
-            lambda: check_leader_time_uniqueness(tree, lemma_rdist_bound),
-        ),
-        election_commit_order=run(
-            "election-commit-order",
-            lambda: check_election_commit_order(tree, lemma_rdist_bound),
-        ),
-        ccache_in_rcache_fork=run(
-            "ccache-in-rcache-fork", lambda: check_ccache_in_rcache_fork(tree)
-        ),
-        version_reset=run("version-reset", lambda: check_version_reset(tree)),
-    )
-    return report
+    def build(tree):
+        report = SafetyReport(
+            safety=run("safety", check_replicated_state_safety, tree),
+            well_formedness=run(
+                "well-formedness", tree.well_formedness_violations
+            ),
+            descendant_order=run(
+                "descendant-order", check_descendant_order, tree
+            ),
+            leader_time_uniqueness=run(
+                "leader-time-uniqueness",
+                check_leader_time_uniqueness, tree, bound,
+            ),
+            election_commit_order=run(
+                "election-commit-order",
+                check_election_commit_order, tree, bound,
+            ),
+            ccache_in_rcache_fork=run(
+                "ccache-in-rcache-fork", check_ccache_in_rcache_fork, tree
+            ),
+            version_reset=run("version-reset", check_version_reset, tree),
+        )
+        return report if not report.ok else _CLEAN
+
+    return ("safety_report", bound, tuple(sorted(wanted))), extend, build
 
 
 def assert_safe(state: AdoreState, lemma_rdist_bound: Optional[int] = 1) -> None:
@@ -703,16 +725,22 @@ class IncrementalTreeChecker:
     takes the provenance fast path (:func:`_delta_clean`) because the
     previous tree's clean report is always in its memo, so the *check*
     of an observed entry looks only at the new node and its parent.
-    Growing the tree is not that cheap yet: every ``add_leaf`` /
-    ``insert_btw`` builds its successor through ``CacheTree.__init__``,
-    which makes two Python-level passes over every node (the order
-    check and the item tuple), so an observed entry costs O(tree) and
-    folding a log is quadratic in its length.  Commit markers and
-    reconfiguration entries pay one more pass each (the kind partition,
-    the child map, the branch table of the committed tip).  After each
-    step the superseded
-    tree is released from the hash-consing table (``trim=True``), so a
-    monitor that runs for days holds one tree, not its whole history.
+    The tables that check reads are extended from the previous tree's
+    where it holds them (:meth:`CacheTree.derive`), and the branch
+    table of a committed tip is one tuple, its root path, not one per
+    link of the chain.  A commit marker or configuration entry still
+    pays one kind-partition / child-map pass when the previous tree
+    never built those tables -- with ``trim=True`` it usually has not:
+    a plain entry's check asks for neither, and the chain of
+    predecessors that did is released.  Growing the tree is not cheap
+    yet either: every ``add_leaf`` / ``insert_btw`` builds its
+    successor through ``CacheTree.__init__``, which makes two
+    Python-level passes over every node (the order check and the item
+    tuple), so an observed entry still costs O(tree) and folding a log
+    is quadratic in its length.  After each step the superseded tree is
+    released from the hash-consing table and the new one forgets its
+    provenance (``trim=True``), so a monitor that runs for days holds
+    one tree, not its whole history.
     """
 
     def __init__(

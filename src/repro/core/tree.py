@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .cache import (
     Cache,
@@ -138,9 +138,10 @@ def _flush_interned_trees() -> None:
     -- has its ``"prov"`` memo entry dropped: provenance tuples hold a
     strong reference to the parent tree, so an untrimmed chain would
     pin every flushed ancestor of a live frontier tree in memory for
-    the rest of the run (provenance only exists to give the incremental
-    safety checker *one* valid derivation; new successors of live trees
-    re-establish it immediately).
+    the rest of the run (provenance only exists to give
+    :meth:`CacheTree.derive` *one* predecessor to extend tables from; a
+    tree without it builds them from scratch, and new successors of
+    live trees re-establish it immediately).
     """
     global _FLUSH_AT
     table = _INTERNED_TREES
@@ -280,18 +281,52 @@ class CacheTree:
         self._fp: Optional[int] = _fp
         self._memo: Optional[Dict] = None
 
+    def derive(
+        self,
+        key,
+        extend: Callable[["CacheTree", object, str, Cid, Cid], object],
+        build: Callable[["CacheTree"], object],
+    ):
+        """The memoized per-tree table ``key`` -- the one derivation path.
+
+        Returns the memoized value; else, when this tree still knows
+        the growth step that made it (``"prov"``) and its predecessor
+        holds the same table, ``extend(self, base, op, new_cid,
+        parent_cid)`` grows the predecessor's by the one new node; else
+        (no provenance left after an epoch flush or a trimming checker,
+        an unpickled or directly constructed tree, a predecessor that
+        never built the table, or ``extend`` answering ``None``)
+        ``build(self)`` computes it from the entries alone.
+
+        An extension *shares* with the predecessor whatever the new
+        node leaves unchanged, so every derived value is immutable, or
+        at least never mutated once stored: tuples rather than lists,
+        and a dict is copied before the first write.  ``extend`` reads
+        only what the predecessor already holds and never asks it to
+        derive anything, so the work stays O(new node) and the call
+        depth flat however long the provenance chain is.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        value = memo.get(key)
+        if value is None:
+            prov = memo.get("prov")
+            if prov is not None:
+                held = prov[0]._memo
+                base = held.get(key) if held else None
+                if base is not None:
+                    value = extend(self, base, prov[1], prov[2], prov[3])
+            if value is None:
+                value = build(self)
+            memo[key] = value
+        return value
+
     def _child_map(self) -> Dict[Cid, Tuple[Cid, ...]]:
-        children = self._children
-        if children is None:
-            children = {cid: () for cid in self._entries}
-            for cid, entry in self._entries.items():
-                # Tolerate dangling parents here so deliberately
-                # malformed trees can still be constructed and then
-                # *diagnosed* by well_formedness_violations().
-                if entry.parent is not None and entry.parent in children:
-                    children[entry.parent] = children[entry.parent] + (cid,)
-            self._children = children
-        return children
+        # Built on first use: push-free expansion paths never ask.  (The
+        # ``_children`` slot the constructor clears is no longer read:
+        # the map lives in the memo, where a successor can find it.)
+        return self.derive("children", _extend_child_map, _build_child_map)
 
     @classmethod
     def _shared(cls, entries: Dict[Cid, TreeEntry], fp: int) -> "CacheTree":
@@ -367,9 +402,10 @@ class CacheTree:
             entries = dict(self._entries)
             entries[cid] = TreeEntry(parent, cache)
             tree = CacheTree._shared(entries, fp)
-            # Record how this tree was derived: the incremental safety
-            # checker uses any one valid derivation (the report is a
-            # pure function of the tree, so which one is irrelevant).
+            # Record how this tree was derived: derive() extends the
+            # predecessor's tables by this one node, and any one valid
+            # derivation does (every table is a pure function of the
+            # tree, so which one is irrelevant).
             tree.memo().setdefault("prov", (self, "leaf", cid, parent))
         elif _TREE_RECALLS is not None:
             _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
@@ -471,17 +507,17 @@ class CacheTree:
         Every ancestry query (:meth:`ancestors`, :meth:`branch`,
         :meth:`is_ancestor`, :meth:`path_between`) reduces to this
         table; the safety checkers issue them by the million against the
-        same interned tree.  Parent chains are walked exactly as the
-        un-memoized code did (a dangling parent still raises
+        same interned tree.  Only the path asked for is memoized -- one
+        tuple, not one per link of the chain, which on a log-shaped
+        tree of depth d was d tuples and d²/2 ints per query.  The walk
+        stops at the nearest ancestor whose path the table holds
+        (paths the predecessor tree computed included, see
+        :func:`_inherit_branches`).  Parent chains are walked exactly as
+        the un-memoized code did (a dangling parent still raises
         ``KeyError``; the walk is bounded so a cyclic parent chain
         cannot hang it).
         """
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        table = memo.get("branches")
-        if table is None:
-            table = memo["branches"] = {}
+        table = self.derive("branches", _inherit_branches, _no_branches)
         got = table.get(cid)
         if got is None:
             chain: List[Cid] = []
@@ -492,10 +528,8 @@ class CacheTree:
                 current = self._entries[current].parent
                 bound -= 1
             base: Tuple[Cid, ...] = table.get(current, ()) if current is not None else ()
-            for link in reversed(chain):
-                base = base + (link,)
-                table[link] = base
-            got = table[cid]
+            chain.reverse()
+            got = table[cid] = base + tuple(chain)
         return got
 
     def ancestors(self, cid: Cid, include_self: bool = False) -> List[Cid]:
@@ -620,57 +654,26 @@ class CacheTree:
         :func:`~repro.core.aux.last_commit` -- the successor generator
         issues dozens of those queries per state against the same tree.
         Max keys include the cid, preserving :meth:`max_cache`'s
-        larger-cid tie-break exactly.
+        larger-cid tie-break exactly.  A table the tree's newest cache
+        does not beat anywhere is the predecessor tree's own dict, so
+        callers must not mutate what they get.
         """
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        tables = memo.get("node_tables")
-        if tables is None:
-            observed: Dict[NodeId, Tuple[Tuple, Cid]] = {}
-            active: Dict[NodeId, Tuple[Tuple, Cid]] = {}
-            committed: Dict[NodeId, Tuple[Tuple, Cid]] = {}
-            for cid, cache in self._items:
-                okey = (order_key(cache), cid)
-                for nid in cache.observers:
-                    cur = observed.get(nid)
-                    if cur is None or okey > cur:
-                        observed[nid] = okey
-                if cid != ROOT_CID:
-                    nid = cache.caller
-                    cur = active.get(nid)
-                    if cur is None or okey > cur:
-                        active[nid] = okey
-                if is_ccache(cache):
-                    for nid in cache.supporters:
-                        cur = committed.get(nid)
-                        if cur is None or okey > cur:
-                            committed[nid] = okey
-            tables = memo["node_tables"] = (observed, active, committed)
-        return tables
+        return self.derive("node_tables", _extend_node_tables, _build_node_tables)
 
-    def _kind_lists(self) -> Dict[str, List[Cid]]:
-        """Cids partitioned by cache kind, one pass, memoized per tree.
+    def _kind_lists(self) -> Dict[str, Tuple[Cid, ...]]:
+        """Cids partitioned by cache kind, memoized per tree.
 
         The safety checkers select by kind several times per tree; this
         replaces repeated full scans with a single partition.
         """
-        memo = self._memo
-        if memo is None:
-            memo = self._memo = {}
-        kinds = memo.get("kinds")
-        if kinds is None:
-            kinds = {}
-            for cid, cache in self._items:
-                kinds.setdefault(cache.kind, []).append(cid)
-            memo["kinds"] = kinds
-        return kinds
+        return self.derive("kinds", _extend_kind_lists, _build_kind_lists)
 
-    def kind_cids(self, kind: str) -> Sequence[Cid]:
+    def kind_cids(self, kind: str) -> Tuple[Cid, ...]:
         """The cids of ``kind`` (``"E"``/``"M"``/``"R"``/``"C"``) in cid
         order, without the defensive copy of :meth:`ccaches` and
-        friends.  Callers must not mutate the result; the safety
-        checkers iterate these once per distinct tree."""
+        friends.  A tuple, and the *same* tuple as the predecessor
+        tree's for every kind but the new node's; the safety checkers
+        iterate these once per distinct tree."""
         return self._kind_lists().get(kind, ())
 
     def ccaches(self) -> List[Cid]:
@@ -797,6 +800,153 @@ class CacheTree:
 
         walk(ROOT_CID, 0)
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Derived tables: from-scratch builders and one-node extensions
+# (the ``build`` / ``extend`` pairs of :meth:`CacheTree.derive`)
+# ----------------------------------------------------------------------
+
+def _build_child_map(tree: CacheTree) -> Dict[Cid, Tuple[Cid, ...]]:
+    entries = tree._entries
+    children: Dict[Cid, Tuple[Cid, ...]] = {cid: () for cid in entries}
+    for cid, entry in entries.items():
+        # Tolerate dangling parents here so deliberately malformed
+        # trees can still be constructed and then *diagnosed* by
+        # well_formedness_violations().
+        if entry.parent is not None and entry.parent in children:
+            children[entry.parent] = children[entry.parent] + (cid,)
+    return children
+
+
+def _extend_child_map(
+    tree: CacheTree,
+    base: Dict[Cid, Tuple[Cid, ...]],
+    op: str,
+    new_cid: Cid,
+    parent_cid: Cid,
+) -> Dict[Cid, Tuple[Cid, ...]]:
+    # One dict copy; every child tuple but the parent's is the
+    # predecessor's own.
+    children = dict(base)
+    if op == "leaf":
+        children[parent_cid] = base[parent_cid] + (new_cid,)
+        children[new_cid] = ()
+    else:  # "btw": the new cache adopts the parent's children
+        children[new_cid] = base[parent_cid]
+        children[parent_cid] = (new_cid,)
+    return children
+
+
+def _no_branches(tree: CacheTree) -> Dict[Cid, Tuple[Cid, ...]]:
+    return {}
+
+
+def _inherit_branches(
+    tree: CacheTree,
+    base: Dict[Cid, Tuple[Cid, ...]],
+    op: str,
+    new_cid: Cid,
+    parent_cid: Cid,
+) -> Dict[Cid, Tuple[Cid, ...]]:
+    """The predecessor's root paths that are still this tree's.
+
+    A new leaf changes no existing path; a cache inserted below
+    ``parent_cid`` lengthens exactly the paths that run *through*
+    ``parent_cid``, which are left for :meth:`CacheTree._branch_of` to
+    walk again if anyone asks.  The tuples are shared, not copied.
+    """
+    if op == "leaf":
+        return dict(base)
+    return {
+        cid: path
+        for cid, path in base.items()
+        if cid == parent_cid or parent_cid not in path
+    }
+
+
+_NodeTable = Dict[NodeId, Tuple[Tuple, Cid]]
+
+
+def _build_node_tables(tree: CacheTree) -> Tuple[_NodeTable, _NodeTable, _NodeTable]:
+    observed: _NodeTable = {}
+    active: _NodeTable = {}
+    committed: _NodeTable = {}
+    for cid, cache in tree._items:
+        okey = (order_key(cache), cid)
+        for nid in cache.observers:
+            cur = observed.get(nid)
+            if cur is None or okey > cur:
+                observed[nid] = okey
+        if cid != ROOT_CID:
+            nid = cache.caller
+            cur = active.get(nid)
+            if cur is None or okey > cur:
+                active[nid] = okey
+        if is_ccache(cache):
+            for nid in cache.supporters:
+                cur = committed.get(nid)
+                if cur is None or okey > cur:
+                    committed[nid] = okey
+    return observed, active, committed
+
+
+def _raised(table: _NodeTable, nids: Iterable[NodeId], okey: Tuple[Tuple, Cid]) -> _NodeTable:
+    """``table`` with each of ``nids`` raised to ``okey`` where that
+    beats what it holds -- ``table`` itself when none does."""
+    grown = table
+    for nid in nids:
+        cur = grown.get(nid)
+        if cur is None or okey > cur:
+            if grown is table:
+                grown = dict(table)
+            grown[nid] = okey
+    return grown
+
+
+def _extend_node_tables(
+    tree: CacheTree,
+    base: Tuple[_NodeTable, _NodeTable, _NodeTable],
+    op: str,
+    new_cid: Cid,
+    parent_cid: Cid,
+) -> Tuple[_NodeTable, _NodeTable, _NodeTable]:
+    # Neither growth operation touches an existing cache, and the new
+    # one has the greatest cid, so it is the last the from-scratch pass
+    # would have folded in: folding it into the finished tables gives
+    # the same maxima, tie-breaks and key order.
+    cache = tree._entries[new_cid].cache
+    okey = (order_key(cache), new_cid)
+    observed, active, committed = base
+    grown = (
+        _raised(observed, cache.observers, okey),
+        _raised(active, (cache.caller,), okey),
+        _raised(committed, cache.supporters, okey) if is_ccache(cache) else committed,
+    )
+    if grown[0] is observed and grown[1] is active and grown[2] is committed:
+        return base
+    return grown
+
+
+def _build_kind_lists(tree: CacheTree) -> Dict[str, Tuple[Cid, ...]]:
+    kinds: Dict[str, List[Cid]] = {}
+    for cid, cache in tree._items:
+        kinds.setdefault(cache.kind, []).append(cid)
+    return {kind: tuple(cids) for kind, cids in kinds.items()}
+
+
+def _extend_kind_lists(
+    tree: CacheTree,
+    base: Dict[str, Tuple[Cid, ...]],
+    op: str,
+    new_cid: Cid,
+    parent_cid: Cid,
+) -> Dict[str, Tuple[Cid, ...]]:
+    # The new cid is the greatest, so appending keeps cid order.
+    kind = tree._entries[new_cid].cache.kind
+    kinds = dict(base)
+    kinds[kind] = base.get(kind, ()) + (new_cid,)
+    return kinds
 
 
 def _restore_tree(

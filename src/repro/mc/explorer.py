@@ -579,7 +579,7 @@ class Explorer:
                 for d in state.tree.descendants(cid)
             )
         )
-        return 3 * len(full.all_violations()) + uncommitted_r
+        return 3 * full.violation_count() + uncommitted_r
 
     def guided_priority(self, entry) -> int:
         """The best-first rank of a frontier entry (lower expands first).

@@ -9,10 +9,26 @@ nearest common ancestors) satisfy their algebraic laws.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CacheTree, MCache, TreeEntry
-from repro.core.tree import ROOT_CID
+from repro.core import (
+    AdoreState,
+    CacheTree,
+    CCache,
+    ECache,
+    MCache,
+    RCache,
+    TimeMap,
+    TreeEntry,
+)
+from repro.core.safety import (
+    IncrementalTreeChecker,
+    SafetyReport,
+    check_state,
+    rdist,
+)
+from repro.core.tree import ROOT_CID, flush_interned_trees
 
-from ..helpers import root
+from ..helpers import NODES3, root
+from .test_incremental_checker import E as Entry
 
 
 def grow_random_tree(data, max_ops=12):
@@ -149,3 +165,176 @@ def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
     assert tree.fingerprint() == direct.fingerprint()
     assert tree == direct
     assert tree.fresh_cid() == direct.fresh_cid()
+
+
+# ----------------------------------------------------------------------
+# Every derived table of a grown tree (extended from its predecessor's
+# where the predecessor holds one) against the same tables built from
+# scratch on a directly constructed tree with the same entries.
+# ----------------------------------------------------------------------
+
+KINDS = ("E", "M", "R", "C")
+NO_TIMES = TimeMap()
+
+
+def mixed_cache(data, tree, parent, step):
+    """A cache of a random kind that usually *fits* below ``parent``
+    (so clean verdicts and the delta fast path occur) and sometimes
+    does not (so violating ones and the full checkers do)."""
+    below = tree.cache(parent)
+    kind = data.draw(st.sampled_from(KINDS), label=f"kind{step}")
+    caller = data.draw(st.integers(1, 3), label=f"caller{step}")
+    if data.draw(st.integers(0, 5), label=f"odd{step}") == 0:
+        time = data.draw(st.integers(0, 4), label=f"time{step}")
+        vrsn = data.draw(st.integers(0, 4), label=f"vrsn{step}")
+    elif kind == "E":
+        time, vrsn = below.time + data.draw(st.integers(1, 2), label=f"dt{step}"), 0
+    elif kind == "C":
+        time, vrsn = below.time, below.vrsn
+    else:
+        time, vrsn = below.time, below.vrsn + 1
+    voters = frozenset(
+        data.draw(st.sets(st.integers(1, 3), min_size=1), label=f"voters{step}")
+    )
+    if kind == "E":
+        return ECache(caller=caller, time=time, vrsn=vrsn, conf=NODES3, voters=voters)
+    if kind == "C":
+        return CCache(caller=caller, time=time, vrsn=vrsn, conf=NODES3, voters=voters)
+    if kind == "R":
+        conf = frozenset(
+            data.draw(st.sets(st.integers(1, 4), min_size=1), label=f"conf{step}")
+        )
+        return RCache(caller=caller, time=time, vrsn=vrsn, conf=conf)
+    return MCache(caller=caller, time=time, vrsn=vrsn, conf=NODES3, method=f"m{step}")
+
+
+#: One reader per derived table; a random subset runs after each growth
+#: step, so the next step's extension meets a predecessor that holds
+#: some of the tables and lacks the rest.
+TOUCHES = {
+    "children": lambda tree, cid: tree.children(ROOT_CID),
+    "branches": lambda tree, cid: tree.branch(cid),
+    "descendants": lambda tree, cid: tree.descendants(ROOT_CID),
+    "node_tables": lambda tree, cid: tree.node_tables(),
+    "kinds": lambda tree, cid: tree.kind_cids("C"),
+    "rprefix": lambda tree, cid: rdist(tree, ROOT_CID, cid),
+    "report": lambda tree, cid: check_state(AdoreState(tree, NO_TIMES)),
+    "scent": lambda tree, cid: check_state(
+        AdoreState(tree, NO_TIMES), only=("safety", "ccache-in-rcache-fork")
+    ),
+}
+
+
+def grow_mixed_tree(data, max_ops=10):
+    """Random growth over all four kinds with random table reads and
+    one epoch flush somewhere along the way."""
+    # Interned trees outlive a hypothesis example with their memos:
+    # start from an empty table so every run derives afresh.
+    flush_interned_trees()
+    tree = CacheTree.initial(root())
+    ops = data.draw(st.integers(0, max_ops), label="ops")
+    flush_at = data.draw(st.integers(0, max_ops), label="flush_at")
+    for step in range(ops):
+        parent = data.draw(st.sampled_from(sorted(tree.cids())), label=f"parent{step}")
+        cache = mixed_cache(data, tree, parent, step)
+        # Mostly the shapes the semantics produce (CCaches inserted,
+        # the rest added as leaves), sometimes the other way round.
+        usual = cache.kind == "C"
+        if data.draw(st.integers(0, 4), label=f"swap{step}") == 0:
+            usual = not usual
+        if usual:
+            tree, cid = tree.insert_btw(parent, cache)
+        else:
+            tree, cid = tree.add_leaf(parent, cache)
+        if step == flush_at:
+            flush_interned_trees()
+        touched = data.draw(
+            st.sets(st.sampled_from(sorted(TOUCHES))), label=f"touch{step}"
+        )
+        for name in sorted(touched):
+            TOUCHES[name](tree, cid)
+    return tree
+
+
+def rebuilt_from_shuffled_entries(data, tree):
+    entries = [
+        (cid, TreeEntry(tree.parent(cid), tree.cache(cid))) for cid in tree.cids()
+    ]
+    return CacheTree(dict(data.draw(st.permutations(entries), label="order")))
+
+
+def assert_same_derived_tables(tree, direct):
+    cids = list(direct.cids())
+    assert list(tree.cids()) == cids
+    assert tree.fingerprint() == direct.fingerprint()
+    for cid in cids:
+        assert tree.children(cid) == direct.children(cid)
+        assert tree.branch(cid) == direct.branch(cid)
+        assert tree.ancestors(cid) == direct.ancestors(cid)
+        assert tree.ancestors(cid, include_self=True) == direct.ancestors(
+            cid, include_self=True
+        )
+        assert tree.descendants(cid) == direct.descendants(cid)
+    for a in cids:
+        for b in cids:
+            assert tree.is_ancestor(a, b) == direct.is_ancestor(a, b)
+            assert tree.nearest_common_ancestor(a, b) == direct.nearest_common_ancestor(a, b)
+            assert rdist(tree, a, b) == rdist(direct, a, b)
+    assert tree.node_tables() == direct.node_tables()
+    # Insertion order too: the extension must fold the new cache in
+    # where the one-pass builder would have.
+    assert [list(t) for t in tree.node_tables()] == [
+        list(t) for t in direct.node_tables()
+    ]
+    for kind in KINDS:
+        assert tree.kind_cids(kind) == direct.kind_cids(kind)
+    for only in (None, ("safety",), ("ccache-in-rcache-fork", "election-commit-order")):
+        for bound in (1, None):
+            got = check_state(AdoreState(tree, NO_TIMES), bound, only=only)
+            want = check_state(AdoreState(direct, NO_TIMES), bound, only=only)
+            assert got.all_violations() == want.all_violations()
+            assert got.violation_count() == len(want.all_violations())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extended_tables_equal_the_tables_built_from_scratch(data):
+    tree = grow_mixed_tree(data)
+    assert_same_derived_tables(tree, rebuilt_from_shuffled_entries(data, tree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trimming_checker_tree_equals_the_tree_built_from_scratch(data):
+    # IncrementalTreeChecker(trim=True) drops each tree's provenance
+    # right after checking it, so every table is derived inside the one
+    # check_state call that still sees the predecessor, or from scratch.
+    flush_interned_trees()
+    engine = IncrementalTreeChecker(NODES3, trim=True, lemma_rdist_bound=None,
+                                    invariants=SafetyReport.LABELS)
+    logs = {nid: [] for nid in (1, 2, 3)}
+    for step in range(data.draw(st.integers(0, 8), label="observations")):
+        nid = data.draw(st.integers(1, 3), label=f"nid{step}")
+        log = logs[nid]
+        base = data.draw(st.integers(0, len(log)), label=f"base{step}")
+        suffix = [
+            Entry(
+                time=data.draw(st.integers(1, 3), label=f"time{step}.{i}"),
+                vrsn=base + i + 1,
+                payload=(
+                    frozenset({1, 2, 3, 4}) - {data.draw(st.integers(1, 4))}
+                    if config else data.draw(st.integers(0, 2))
+                ),
+                is_config=config,
+            )
+            for i, config in enumerate(
+                data.draw(st.lists(st.booleans(), max_size=3), label=f"suffix{step}")
+            )
+        ]
+        del log[base:]
+        log.extend(suffix)
+        commit_len = data.draw(st.integers(0, len(log)), label=f"commit{step}")
+        engine.observe(nid, base, suffix, commit_len)
+    tree = engine.tree
+    assert "prov" not in (tree._memo or {})
+    assert_same_derived_tables(tree, rebuilt_from_shuffled_entries(data, tree))

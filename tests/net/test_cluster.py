@@ -154,9 +154,17 @@ def test_follower_redirects_clients_to_the_leader():
             request = ClientRequest(
                 client_id="c0", seq=999, command=("put", "k", 1)
             )
-            reply = client._rpc(follower, request, timeout_s=5.0)
-            assert isinstance(reply, ClientResponse)
-            assert not reply.ok and reply.error == "not-leader"
+            # A follower learns who leads from the first CommitReq it
+            # accepts, and a probe can beat that heartbeat: ask until
+            # the hint has converged, not once.
+            deadline = time.monotonic() + 5.0
+            while True:
+                reply = client._rpc(follower, request, timeout_s=5.0)
+                assert isinstance(reply, ClientResponse)
+                assert not reply.ok and reply.error == "not-leader"
+                if reply.leader_hint == leader or time.monotonic() >= deadline:
+                    break
+                time.sleep(0.02)
             assert reply.leader_hint == leader
         # And the full client loop follows that hint to completion.
         with cluster.client(client_id="c1") as client:
