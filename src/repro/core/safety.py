@@ -728,19 +728,34 @@ class IncrementalTreeChecker:
     The tables that check reads are extended from the previous tree's
     where it holds them (:meth:`CacheTree.derive`), and the branch
     table of a committed tip is one tuple, its root path, not one per
-    link of the chain.  A commit marker or configuration entry still
-    pays one kind-partition / child-map pass when the previous tree
-    never built those tables -- with ``trim=True`` it usually has not:
-    a plain entry's check asks for neither, and the chain of
-    predecessors that did is released.  Growing the tree is not cheap
-    yet either: every ``add_leaf`` / ``insert_btw`` builds its
-    successor through ``CacheTree.__init__``, which makes two
-    Python-level passes over every node (the order check and the item
-    tuple), so an observed entry still costs O(tree) and folding a log
-    is quadratic in its length.  After each step the superseded tree is
-    released from the hash-consing table and the new one forgets its
-    provenance (``trim=True``), so a monitor that runs for days holds
-    one tree, not its whole history.
+    link of the chain.  Growing the tree is O(new node) in interpreted
+    work as well: ``add_leaf`` / ``insert_btw`` assemble the successor
+    from the predecessor's own entries and item pairs (one C-level dict
+    copy, one tuple concatenation; ``CacheTree._shared``), so folding a
+    log of plain entries is linear in its length
+    (``tests/core/test_tree_growth_cost.py`` holds that line in call
+    counts).  After each step the superseded tree is released from the
+    hash-consing table and the new one forgets its provenance
+    (``trim=True``), so a monitor that runs for days holds one tree,
+    not its whole history.
+
+    What is still not flat is a *commit marker or configuration entry*
+    under ``trim=True``.  Its check reads the kind partition and the
+    child map, and ``insert_btw`` the child map; a plain entry's check
+    asks for neither, so by the time a marker arrives the previous tree
+    usually never built them and the predecessors that did are
+    released -- each marker then rebuilds both from scratch (one pass
+    over every node each) and re-walks its own root path.  A replica
+    that commits in batches hardly notices; one that reports a commit
+    after *every* entry makes the fold quadratic again: 4,000 entries
+    each followed by its marker take 9.4 s (22.0 s before growth became
+    O(new node)).  Deriving the child map and the kind partition on
+    every tree before ``"prov"`` is dropped, so the next step can
+    extend them, brings that to 3.7 s; carrying the *branch* table
+    forward the same way does not pay -- cubic, 27 s at 2,000 entries
+    and seven times that per doubling -- because ``_inherit_branches``
+    filters every held path at each ``insert_btw``.  Left for a change
+    of its own (ROADMAP item 2).
     """
 
     def __init__(

@@ -261,13 +261,15 @@ class CacheTree:
     tree as the paper does: a set of caches with ancestor structure.
     """
 
-    __slots__ = ("_entries", "_children", "_fp", "_items", "_memo", "__weakref__")
+    __slots__ = ("_entries", "_fp", "_items", "_memo", "__weakref__")
 
     def __init__(self, entries: Dict[Cid, TreeEntry], _fp: Optional[int] = None) -> None:
+        # The path for trees built directly from a dict of entries
+        # (initial, unpickling, canonicalisation, tests): copy, put in
+        # ascending-cid order, pair.  The growth operations never come
+        # here -- they assemble the successor from this tree's own parts
+        # (_shared).
         held = dict(entries)
-        # The growth operations (add_leaf / insert_btw) always produce
-        # dicts already in ascending-cid insertion order, so the sort
-        # is needed only for directly constructed trees.
         cids = list(held)
         if any(a >= b for a, b in zip(cids, cids[1:])):
             held = dict(sorted(held.items()))
@@ -275,9 +277,6 @@ class CacheTree:
         self._items: Tuple[Tuple[Cid, Cache], ...] = tuple(
             (cid, entry.cache) for cid, entry in held.items()
         )
-        # The child map is built on first use (_child_map): push-free
-        # expansion paths never ask for it.
-        self._children: Optional[Dict[Cid, Tuple[Cid, ...]]] = None
         self._fp: Optional[int] = _fp
         self._memo: Optional[Dict] = None
 
@@ -323,27 +322,37 @@ class CacheTree:
         return value
 
     def _child_map(self) -> Dict[Cid, Tuple[Cid, ...]]:
-        # Built on first use: push-free expansion paths never ask.  (The
-        # ``_children`` slot the constructor clears is no longer read:
-        # the map lives in the memo, where a successor can find it.)
+        # Built on first use: push-free expansion paths never ask.  It
+        # lives in the memo, where a successor can find and extend it.
         return self.derive("children", _extend_child_map, _build_child_map)
 
     @classmethod
-    def _shared(cls, entries: Dict[Cid, TreeEntry], fp: int) -> "CacheTree":
-        """The interned tree for ``entries`` (hash-consing).
+    def _shared(
+        cls,
+        entries: Dict[Cid, TreeEntry],
+        items: Tuple[Tuple[Cid, Cache], ...],
+        fp: int,
+    ) -> "CacheTree":
+        """The interned successor tree made of ``entries`` and ``items``.
 
-        Successor states produced by the growth operations route through
-        here, so structurally-equal trees are reference-equal within a
-        process and the per-tree derived tables (:meth:`node_tables`,
-        the ``r2``/``r3`` memos in :mod:`repro.core.aux`) are computed
-        once per *distinct* tree instead of once per path reaching it.
+        Only the growth operations call this, after their intern lookup
+        on ``fp`` missed.  They hand over a private copy of their own
+        entries dict -- already in ascending-cid order, the new cid
+        (the greatest) inserted last -- and their own item tuple plus
+        the one new pair, so nothing is copied, ordered or paired a
+        second time: the successor *shares* every ``(cid, cache)`` pair
+        but the last with its predecessor.  Structurally-equal trees
+        stay reference-equal within a process, so the per-tree derived
+        tables (:meth:`node_tables`, the ``r2``/``r3`` memos in
+        :mod:`repro.core.aux`) are computed once per *distinct* tree
+        instead of once per path reaching it.
         """
-        tree = _INTERNED_TREES.get(fp)
-        if tree is None:
-            tree = _intern_tree(fp, cls(entries, _fp=fp))
-        elif _TREE_RECALLS is not None:
-            _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
-        return tree
+        tree = cls.__new__(cls)
+        tree._entries = entries
+        tree._items = items
+        tree._fp = fp
+        tree._memo = None
+        return _intern_tree(fp, tree)
 
     def fingerprint(self) -> int:
         """The 128-bit structural fingerprint of this tree.
@@ -401,7 +410,7 @@ class CacheTree:
         if tree is None:
             entries = dict(self._entries)
             entries[cid] = TreeEntry(parent, cache)
-            tree = CacheTree._shared(entries, fp)
+            tree = CacheTree._shared(entries, self._items + ((cid, cache),), fp)
             # Record how this tree was derived: derive() extends the
             # predecessor's tables by this one node, and any one valid
             # derivation does (every table is a pure function of the
@@ -437,7 +446,10 @@ class CacheTree:
             for child in children[parent]:
                 entries[child] = TreeEntry(cid, entries[child].cache)
             entries[cid] = TreeEntry(parent, cache)
-            tree = CacheTree._shared(entries, fp)
+            # Re-parenting changes no cache and keeps every existing
+            # dict slot, so the pairs and their order carry over here
+            # exactly as they do for a new leaf.
+            tree = CacheTree._shared(entries, self._items + ((cid, cache),), fp)
             tree.memo().setdefault("prov", (self, "btw", cid, parent))
         elif _TREE_RECALLS is not None:
             _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
@@ -790,15 +802,16 @@ class CacheTree:
     def render(self) -> str:
         """ASCII rendering of the tree, one cache per line."""
         lines: List[str] = []
-
-        def walk(cid: Cid, depth: int) -> None:
-            cache = self._entries[cid].cache
+        entries = self._entries
+        children = self._child_map()
+        # Pre-order on an explicit stack: the tree check_safety grows
+        # from a long run is as deep as the log is long.
+        stack: List[Tuple[Cid, int]] = [(ROOT_CID, 0)]
+        while stack:
+            cid, depth = stack.pop()
             prefix = "  " * depth + ("- " if depth else "")
-            lines.append(f"{prefix}[{cid}] {cache.describe()}")
-            for child in self._child_map()[cid]:
-                walk(child, depth + 1)
-
-        walk(ROOT_CID, 0)
+            lines.append(f"{prefix}[{cid}] {entries[cid].cache.describe()}")
+            stack.extend((child, depth + 1) for child in reversed(children[cid]))
         return "\n".join(lines)
 
 

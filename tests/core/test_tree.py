@@ -205,6 +205,20 @@ def test_render_mentions_every_cache(simple_tree):
         assert f"[{cid}]" in text
 
 
+def test_render_of_a_log_deep_chain():
+    # The tree check_safety grows from a long run is one chain as deep
+    # as the log; the recursive walk hit RecursionError near 1,000.
+    depth = 3_000
+    tree = CacheTree.initial(root())
+    tip = ROOT_CID
+    for vrsn in range(1, depth + 1):
+        tree, tip = tree.add_leaf(tip, mc(1, 1, vrsn))
+    lines = tree.render().split("\n")
+    assert len(lines) == depth + 1
+    assert lines[0].startswith("[0] ")
+    assert lines[-1].startswith("  " * depth + f"- [{tip}] ")
+
+
 def test_contains_and_len(simple_tree):
     assert 3 in simple_tree
     assert 99 not in simple_tree

@@ -7,6 +7,8 @@ every structural invariant, and the derived queries (ancestors, paths,
 nearest common ancestors) satisfy their algebraic laws.
 """
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -25,7 +27,8 @@ from repro.core.safety import (
     check_state,
     rdist,
 )
-from repro.core.tree import ROOT_CID, flush_interned_trees
+from repro.core.tree import ROOT_CID, _restore_tree, flush_interned_trees
+from repro.mc.symmetry import apply_renaming
 
 from ..helpers import NODES3, root
 from .test_incremental_checker import E as Entry
@@ -144,27 +147,85 @@ def test_insert_btw_preserves_leaf_count_or_structure(data):
     assert set(grown.children(cid)) == set(children_before)
 
 
-@settings(max_examples=150, deadline=None)
+def render_recursively(tree):
+    """``CacheTree.render`` as it was written before it had to cope
+    with log-deep trees: the reference for the explicit-stack walk."""
+    lines = []
+
+    def walk(cid, depth):
+        prefix = "  " * depth + ("- " if depth else "")
+        lines.append(f"{prefix}[{cid}] {tree.cache(cid).describe()}")
+        for child in tree.children(cid):
+            walk(child, depth + 1)
+
+    walk(ROOT_CID, 0)
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
-    # Direct construction sorts and validates; the growth operations
-    # rely on producing cid order by construction.  Fed the same entries
-    # in any order, direct construction must arrive at the grown tree --
-    # the reference any cheaper growth path has to meet.
+def test_render_equals_the_recursive_rendering(data):
     tree = grow_random_tree(data)
-    entries = [
-        (cid, TreeEntry(tree.parent(cid), tree.cache(cid)))
-        for cid in tree.cids()
-    ]
-    shuffled = data.draw(st.permutations(entries), label="order")
-    direct = CacheTree(dict(shuffled))
-    assert list(tree.cids()) == sorted(cid for cid, _ in entries)
+    assert tree.render() == render_recursively(tree)
+
+
+def assert_same_tree(tree, direct):
     assert list(tree.cids()) == list(direct.cids())
     assert list(tree.items()) == list(direct.items())
     assert list(tree.parent_items()) == list(direct.parent_items())
     assert tree.fingerprint() == direct.fingerprint()
     assert tree == direct
     assert tree.fresh_cid() == direct.fresh_cid()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
+    # Two construction paths.  The growth operations assemble the
+    # successor from the predecessor's own parts and rely on producing
+    # cid order by construction; everything else (direct construction,
+    # unpickling, canonicalisation) goes through __init__, which sorts.
+    # Fed the same entries in any order, each of those must arrive at
+    # the grown tree.
+    assert "_children" not in CacheTree.__slots__
+    flush_interned_trees()  # so every growth step below builds its tree
+    tree = grow_random_tree(data)
+    parent = data.draw(st.sampled_from(sorted(tree.cids())), label="last parent")
+    last = MCache(caller=1, time=9, vrsn=99, conf=frozenset({1, 2, 3}), method="last")
+    for grown, _ in (tree.add_leaf(parent, last), tree.insert_btw(parent, last)):
+        # The successor holds the predecessor's very pairs, plus one.
+        assert len(grown._items) == len(tree._items) + 1
+        assert all(mine is theirs for mine, theirs in zip(grown._items, tree._items))
+        assert list(grown.cids()) == sorted(grown._entries)
+
+        entries = [
+            (cid, TreeEntry(grown.parent(cid), grown.cache(cid)))
+            for cid in grown.cids()
+        ]
+        shuffled = data.draw(st.permutations(entries), label="order")
+        assert_same_tree(grown, CacheTree(dict(shuffled)))
+
+        # Unpickling: a real round trip, and the hook fed the entries
+        # out of order, with and without the shipped fingerprint.  The
+        # intern table is emptied first each time, or the hook would
+        # hand back the tree it interned before without building one.
+        for restore in (
+            lambda: pickle.loads(pickle.dumps(grown)),
+            lambda: _restore_tree(dict(shuffled), grown.fingerprint()),
+            lambda: _restore_tree(dict(shuffled)),
+        ):
+            flush_interned_trees()
+            restored = restore()
+            assert restored is not grown
+            assert_same_tree(grown, restored)
+
+        # Canonicalisation rebuilds the tree from renamed entries;
+        # renaming there and back again is the identity.
+        swap = {1: 2, 2: 1}
+        state = AdoreState(grown, NO_TIMES)
+        renamed = apply_renaming(apply_renaming(state, swap), swap)
+        assert renamed.tree is not grown
+        assert_same_tree(grown, renamed.tree)
 
 
 # ----------------------------------------------------------------------
