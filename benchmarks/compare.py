@@ -8,8 +8,9 @@ has a direction and a severity:
 
 * **fail** metrics exit non-zero when they regress past the tolerance
   (default 20%).  These are chosen to be hardware-independent ratios
-  (e.g. the optimized/baseline speedup measured within one run on one
-  machine), so a slower CI runner does not flag a phantom regression.
+  (e.g. the routed/raw overhead of the sharding layer, both legs
+  measured within one run on one machine), so a slower CI runner does
+  not flag a phantom regression.
 * **warn** metrics only print a warning.  Absolute numbers (ops/sec,
   wall-clock p99) land here: they track the trajectory across runs but
   depend on the runner's hardware.
@@ -41,16 +42,12 @@ Spec = Tuple[str, Sequence[str], str, str, float]
 
 SPECS: dict = {
     "BENCH_net_throughput.json": [
-        ("net speedup (opt/base ops/sec)",
-         ("test_net_throughput", "speedup"), "higher", "fail", 0.20),
-        ("net optimized ops/sec",
-         ("test_net_throughput", "optimized", "ops_per_s"),
-         "higher", "warn", 0.20),
-        ("net optimized p99 latency (ms)",
-         ("test_net_throughput", "optimized", "p99_ms"),
-         "lower", "warn", 0.20),
-        ("net bytes shipped (opt/base)",
-         ("test_net_throughput", "bytes_ratio"), "lower", "warn", 0.20),
+        ("net ops/sec",
+         ("test_net_throughput", "ops_per_s"), "higher", "warn", 0.20),
+        ("net p99 latency (ms)",
+         ("test_net_throughput", "p99_ms"), "lower", "warn", 0.20),
+        ("net replication bytes per op",
+         ("test_net_throughput", "bytes_per_op"), "lower", "warn", 0.20),
     ],
     "BENCH_obs_overhead.json": [
         ("obs disabled-path overhead ratio",

@@ -4,16 +4,16 @@
 
 * ``_after_progress`` starts with one ``_export_enabled`` test (the
   trace-export gate), and
-* ``_deliver`` / ``_send_all`` start with one ``_blocked`` test (the
-  admin partition fault the Fig. 4 schedule drives).
+* ``_send_all`` starts with one ``_blocked`` test (the admin partition
+  fault the Fig. 4 schedule drives; the inbound half of that test sits
+  in the connection handler, off the path measured here).
 
 The promise mirrors DESIGN.md §9's obs contract: with no monitor
 attached, a node's per-message cost stays within 5% of a node without
 the hooks at all.  The baseline is a ``NetNode`` subclass whose
-``_deliver``/``_send_all``/``_after_progress`` are the pre-monitor
-bodies, measured on the synchronous delivery path (the part the hooks
-touched) without sockets: a follower folding a leader's replication
-stream.  The export-enabled variant is reported, not asserted -- its
+``_send_all``/``_after_progress`` are the pre-monitor bodies, measured
+on the synchronous delivery path (the part the hooks touched) without
+sockets: a follower folding a leader's replication stream.  The export-enabled variant is reported, not asserted -- its
 cost is the price of running verified, and the queue drains on a
 background task off this path anyway.
 """
@@ -22,7 +22,7 @@ import random
 import time
 from typing import List
 
-from repro.net.node import NetNode, NodeConfig, now_ms
+from repro.net.node import NetNode, NodeConfig
 from repro.net.wire import ClientResponse
 from repro.raft.messages import CommitReq, LogEntry
 from repro.raft.server import LEADER
@@ -39,20 +39,12 @@ CONF0 = frozenset({1, 2, 3})
 class BareNode(NetNode):
     """The pre-monitor hot path: no partition test, no export gate."""
 
-    def _deliver(self, msg) -> None:
-        self._m_received.inc()
-        if self._obs:
-            self.tracer.receive(
-                now_ms(), self.config.nid, msg.frm, type(msg).__name__, 0
-            )
-        responses, accepted = self.driver.on_message(msg)
-        if accepted and isinstance(msg, CommitReq) and msg.frm != self.config.nid:
-            self._leader_hint = msg.frm
-        self._send_all(responses)
-        self._after_progress()
-
     def _send_all(self, msgs) -> None:
-        msgs = msgs + self._courtesy_heartbeats(msgs)
+        if self.server.role == LEADER and any(
+            isinstance(m, CommitReq) and m.frm == self.config.nid
+            for m in msgs
+        ):
+            msgs = msgs + self._courtesy_heartbeats() + self._read_probes()
         for msg in msgs:
             outbox = self._outboxes.get(msg.to)
             if outbox is None:
@@ -64,8 +56,8 @@ class BareNode(NetNode):
         if server.role != LEADER:
             if self._pending:
                 for pending in self._pending:
-                    self._respond(
-                        pending,
+                    self._write(
+                        pending.writer,
                         ClientResponse(
                             client_id=pending.request.client_id,
                             seq=pending.request.seq,
@@ -82,8 +74,7 @@ class BareNode(NetNode):
 def make_node(cls=NetNode, monitor=None) -> NetNode:
     """A follower node wired for synchronous delivery (no sockets)."""
     config = NodeConfig(
-        nid=2, host="127.0.0.1", port=0, peers={}, conf0=CONF0,
-        seed=7, monitor=monitor,
+        nid=2, port=0, peers={}, conf0=CONF0, seed=7, monitor=monitor,
     )
     node = cls(config)
     node.driver = ElectionDriver(

@@ -1,21 +1,14 @@
-"""Experiment E10: the production write path, measured end to end.
+"""Experiment E10: the served write and read path, measured end to end.
 
-PR 6 turned :mod:`repro.net` from a correct-but-naive transport into a
-production-shaped one: leader-side append batching (one log append +
-one broadcast per event-loop tick instead of per request), pipelined
+:mod:`repro.net` has one transport: leader-side append batching (one
+log append + one broadcast per event-loop tick), pipelined
 AppendEntries with a bounded in-flight window, ReadIndex reads that
 skip the log entirely, and snapshot-based log compaction.  This
-benchmark quantifies that work with a many-client load generator over
-a real 3-node localhost cluster, run twice on the same machine:
-
-* **baseline** -- the PR 4 semantics, restored via knobs
-  (``batching=False, read_index=False, snapshot_threshold=0``):
-  every request broadcasts individually through an unpipelined,
-  uncoalesced outbox, every read is serialized through the log, and
-  every read response folds the whole committed prefix;
-* **optimized** -- the defaults: per-tick batching, pipelined sends,
-  ReadIndex fast reads from the incrementally-applied store, and
-  compaction under load.
+benchmark drives it with a many-client load generator over a real
+3-node localhost cluster and checks that the path that ships is
+*correct under load*: the recorded history linearizes, (nearly) every
+operation completes, ReadIndex actually served reads, and compaction
+actually happened mid-load.
 
 The load generator is a single-threaded asyncio fan-out of
 ``N_CLIENTS`` logical clients (each with its own connection, identity,
@@ -23,15 +16,13 @@ and ``(client_id, seq)`` dedup ids), so client-side thread scheduling
 does not pollute the measurement and the server sees genuinely
 concurrent load.
 
-The headline gate is the **speedup** (optimized / baseline ops/sec,
-same hardware, same run), which must stay >= 3x.  Both runs record
-client histories and must pass the Wing-Gong linearizability checker
--- the fast read path must be indistinguishable from the slow one.
-
-Results land in ``BENCH_net_throughput.json`` (ops/sec, p99 latency,
-log bytes shipped by the nodes, fast-read counts); CI's bench-gate job
-diffs that file against ``benchmarks/baselines/`` via
-``benchmarks/compare.py``.
+Speed is reported, not gated, here: ops/sec, p99 latency and replication
+bytes per operation land in ``BENCH_net_throughput.json`` and CI's
+bench-gate job tracks them as warn-only rows
+(``benchmarks/compare.py``) -- absolute numbers depend on the runner.
+What gates the speed of this path on every PR is the ``net_put`` /
+``net_read90`` pair in ``BENCHMARK.json``, parent against change on the
+same machine.
 """
 
 import asyncio
@@ -57,19 +48,14 @@ from conftest import full_scale
 NIDS = (1, 2, 3)
 #: Concurrent logical clients (single-threaded asyncio fan-out).
 N_CLIENTS = 20
-#: Operations per client (x3 under REPRO_FULL=1).  High enough that
-#: the baseline's read-through-the-log behavior -- every read appends,
-#: every response folds the whole committed prefix -- pays its real
-#: cost, as it would in production.
+#: Operations per client (x3 under REPRO_FULL=1).
 OPS_PER_CLIENT = 45
 #: Fraction of operations that are reads (ReadIndex's territory).
 READ_FRACTION = 0.75
 KEYS = [f"k{i}" for i in range(8)]
 HEARTBEAT_MS = 10.0
-#: Low enough that the optimized run actually compacts mid-load.
+#: Low enough that the run actually compacts mid-load.
 SNAPSHOT_THRESHOLD = 64
-#: The PR 6 acceptance bar: optimized >= 3x baseline ops/sec.
-SPEEDUP_TARGET = 3.0
 PER_OP_DEADLINE_S = 30.0
 
 
@@ -184,7 +170,7 @@ def _cluster_totals(cluster, probe):
     return totals
 
 
-def run_mode(label, *, batching, read_index, snapshot_threshold):
+def run_experiment():
     scale = 3 if full_scale() else 1
     ops = OPS_PER_CLIENT * scale
     with LocalCluster(
@@ -193,19 +179,17 @@ def run_mode(label, *, batching, read_index, snapshot_threshold):
         heartbeat_ms=HEARTBEAT_MS,
         election_timeout_min_ms=8 * HEARTBEAT_MS,
         election_timeout_max_ms=16 * HEARTBEAT_MS,
-        batching=batching,
-        read_index=read_index,
-        snapshot_threshold=snapshot_threshold,
+        snapshot_threshold=SNAPSHOT_THRESHOLD,
     ) as cluster:
         leader = cluster.wait_for_leader()
-        with cluster.client(client_id=f"probe-{label}") as probe:
+        with cluster.client(client_id="probe") as probe:
             before = _cluster_totals(cluster, probe)
             results = []
 
             async def fan_out():
                 await asyncio.gather(*[
                     _drive_one(
-                        f"load-{label}-{cid}", cluster.addresses, leader,
+                        f"load-{cid}", cluster.addresses, leader,
                         ops, random.Random(1000 + cid), results,
                     )
                     for cid in range(N_CLIENTS)
@@ -219,8 +203,8 @@ def run_mode(label, *, batching, read_index, snapshot_threshold):
         unknown = sum(u for _, u, _ in results)
         history = merge_histories(h for _, _, h in results)
         verdict = check_history(history)
+    bytes_shipped = after["bytes_sent"] - before["bytes_sent"]
     return {
-        "label": label,
         "clients": N_CLIENTS,
         "ops_requested": N_CLIENTS * ops,
         "ops_completed": len(latencies),
@@ -230,7 +214,8 @@ def run_mode(label, *, batching, read_index, snapshot_threshold):
         "mean_ms": statistics.mean(latencies),
         "p50_ms": _percentile(latencies, 0.50),
         "p99_ms": _percentile(latencies, 0.99),
-        "bytes_shipped": after["bytes_sent"] - before["bytes_sent"],
+        "bytes_shipped": bytes_shipped,
+        "bytes_per_op": bytes_shipped / len(latencies),
         "reads_fast": after["reads_fast"] - before["reads_fast"],
         "snapshots_installed": after["snapshots_installed"],
         "snapshot_base_len": after["base_len"],
@@ -239,86 +224,34 @@ def run_mode(label, *, batching, read_index, snapshot_threshold):
     }
 
 
-def run_experiment():
-    return {
-        "baseline": run_mode(
-            "base", batching=False, read_index=False, snapshot_threshold=0
-        ),
-        "optimized": run_mode(
-            "opt", batching=True, read_index=True,
-            snapshot_threshold=SNAPSHOT_THRESHOLD,
-        ),
-    }
-
-
 def test_net_throughput(benchmark, report, bench_json):
     out = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    base, opt = out["baseline"], out["optimized"]
-    speedup = opt["ops_per_s"] / base["ops_per_s"]
-    bytes_ratio = (
-        opt["bytes_shipped"] / base["bytes_shipped"]
-        if base["bytes_shipped"] else float("nan")
-    )
-
-    def row(mode):
-        return (
-            mode["label"],
-            round(mode["ops_per_s"], 1),
-            round(mode["p50_ms"], 2),
-            round(mode["p99_ms"], 2),
-            mode["bytes_shipped"],
-            mode["reads_fast"],
-            mode["unknown_ops"],
-        )
 
     report(
         "",
         "=" * 72,
-        "E10 -- production write path: batching + pipelining + ReadIndex",
-        f"({N_CLIENTS} concurrent clients, "
-        f"{base['ops_requested']} ops/mode, "
+        "E10 -- served path: batching + pipelining + ReadIndex + compaction",
+        f"({N_CLIENTS} concurrent clients, {out['ops_requested']} ops, "
         f"{int(READ_FRACTION * 100)}% reads, 3 nodes on localhost TCP)",
         "=" * 72,
-        f"  {'mode':8} {'ops/s':>8} {'p50 ms':>8} {'p99 ms':>8} "
-        f"{'bytes':>10} {'fast rd':>8} {'unk':>4}",
-        "  " + " ".join(str(v).rjust(w) for v, w in zip(
-            row(base), (8, 8, 8, 8, 10, 8, 4))),
-        "  " + " ".join(str(v).rjust(w) for v, w in zip(
-            row(opt), (8, 8, 8, 8, 10, 8, 4))),
-        "",
-        f"  speedup: {speedup:.2f}x (target >= {SPEEDUP_TARGET:.1f}x); "
-        f"bytes shipped: {bytes_ratio:.2f}x of baseline",
-        f"  optimized compacted to base_len={opt['snapshot_base_len']}, "
-        f"{opt['snapshots_installed']} snapshots installed, "
-        f"{opt['reads_fast']} ReadIndex reads",
-        f"  histories: baseline {'OK' if base['linearizable'] else 'FAIL'}"
-        f" ({base['checked_ops']} ops), optimized "
-        f"{'OK' if opt['linearizable'] else 'FAIL'}"
-        f" ({opt['checked_ops']} ops)",
+        f"  {out['ops_per_s']:.1f} ops/s; latency p50 {out['p50_ms']:.2f} ms, "
+        f"p99 {out['p99_ms']:.2f} ms; {out['bytes_per_op']:.0f} replication "
+        f"bytes/op; {out['unknown_ops']} unknown",
+        f"  compacted to base_len={out['snapshot_base_len']}, "
+        f"{out['snapshots_installed']} snapshots installed, "
+        f"{out['reads_fast']} ReadIndex reads",
+        f"  history: {'OK' if out['linearizable'] else 'FAIL'} "
+        f"({out['checked_ops']} ops)",
     )
 
-    bench_json({
-        "baseline": base,
-        "optimized": opt,
-        "speedup": speedup,
-        "bytes_ratio": bytes_ratio,
-        "speedup_target": SPEEDUP_TARGET,
-    })
+    bench_json(out)
 
-    # Both paths must be correct before either is fast: the recorded
-    # histories linearize, and nearly every op completed.
-    assert base["linearizable"] and opt["linearizable"]
-    assert base["unknown_ops"] <= base["ops_requested"] * 0.02
-    assert opt["unknown_ops"] <= opt["ops_requested"] * 0.02
+    # Correct before fast: the recorded history linearizes, and nearly
+    # every op completed.
+    assert out["linearizable"]
+    assert out["unknown_ops"] <= out["ops_requested"] * 0.02
 
     # The fast path actually engaged: ReadIndex served reads without
     # log appends, and compaction happened under load.
-    assert opt["reads_fast"] > 0
-    assert opt["snapshot_base_len"] > 0
-
-    # The PR 6 acceptance bar: >= 3x ops/sec over the unbatched,
-    # read-through-the-log baseline, on the same hardware in the same
-    # run (so the comparison is hardware-independent).
-    assert speedup >= SPEEDUP_TARGET, (
-        f"speedup {speedup:.2f}x below the {SPEEDUP_TARGET:.1f}x target"
-    )
+    assert out["reads_fast"] > 0
+    assert out["snapshot_base_len"] > 0

@@ -14,31 +14,17 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from typing import List
 
+from ..net.procs import add_config_flags, config_from, log_to_stdout
 from .bundle import replay_bundle, verdict_matches
 from .service import MonitorConfig, run_monitor
 
 
-def _parse_conf(spec: str) -> frozenset:
-    return frozenset(int(part) for part in spec.split(",") if part.strip())
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stdout,
-    )
-    monitor = run_monitor(MonitorConfig(
-        host=args.host,
-        port=args.port,
-        conf0=_parse_conf(args.conf),
-        nodes=_parse_conf(args.nodes) if args.nodes else None,
-        bundle_dir=args.bundle_dir,
-    ))
+    log_to_stdout(args.verbose)
+    monitor = run_monitor(config_from(MonitorConfig, args))
     stats = monitor.engine.stats()
     print(f"monitor: {stats}")
     if monitor.verdict is not None:
@@ -74,17 +60,7 @@ def main(argv: List[str] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser("serve", help="run the live safety monitor")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, required=True)
-    serve.add_argument("--conf", required=True, help="e.g. 1,2,3")
-    serve.add_argument(
-        "--nodes", default=None,
-        help="all node ids that may stream (default: --conf)",
-    )
-    serve.add_argument(
-        "--bundle-dir", default=None,
-        help="write the violation bundle under this directory",
-    )
+    add_config_flags(serve, MonitorConfig)
     serve.add_argument("--verbose", action="store_true")
     serve.set_defaults(func=_cmd_serve)
 

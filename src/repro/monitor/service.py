@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.safety import IncrementalTreeChecker
+from ..net.node import option, serve_until_signalled
 from ..net.wire import (
     MonitorHello,
     MonitorStatusRequest,
@@ -52,17 +53,21 @@ MAX_JOURNAL_EVENTS = 500_000
 
 @dataclass
 class MonitorConfig:
-    """Everything the monitor process needs."""
+    """Everything the monitor process can be told; the ``serve``
+    sub-command's flags and the launcher's argv are derived from these
+    fields (:func:`repro.net.procs.add_config_flags` / ``argv_of``)."""
 
-    host: str
-    port: int
-    #: The cluster's initial configuration (the engine's root CCache).
-    conf0: frozenset
-    #: All node ids that may stream (defaults to ``conf0``).
-    nodes: Optional[frozenset] = None
-    #: Where to write the violation bundle (None: no bundle).
-    bundle_dir: Optional[str] = None
-    lemma_rdist_bound: Optional[int] = 1
+    port: int = option("listen port")
+    conf0: frozenset = option(
+        "the cluster's initial configuration, e.g. 1,2,3 (the engine's "
+        "root CCache)", flag="conf")
+    host: str = option("listen address", "127.0.0.1")
+    nodes: Optional[frozenset] = option(
+        "all node ids that may stream (default: the initial "
+        "configuration)", None)
+    bundle_dir: Optional[str] = option(
+        "write the violation bundle under this directory (default: no "
+        "bundle)", None)
 
 
 @dataclass
@@ -81,11 +86,12 @@ class Monitor:
 
     def __init__(self, config: MonitorConfig) -> None:
         self.config = config
-        nodes = config.nodes if config.nodes is not None else config.conf0
+        #: Every node id that may stream.
+        self.nodes = frozenset(
+            config.nodes if config.nodes is not None else config.conf0
+        )
         self.engine = IncrementalTreeChecker(
-            frozenset(config.conf0),
-            nodes=frozenset(nodes),
-            lemma_rdist_bound=config.lemma_rdist_bound,
+            frozenset(config.conf0), nodes=self.nodes
         )
         #: Arrival-ordered journal of every received event dict.
         self.journal: List[Dict] = []
@@ -126,11 +132,7 @@ class Monitor:
                 self.verdict.bundle = write_monitor_bundle(
                     self.config.bundle_dir,
                     conf0=self.config.conf0,
-                    nodes=sorted(
-                        self.config.nodes
-                        if self.config.nodes is not None
-                        else self.config.conf0
-                    ),
+                    nodes=sorted(self.nodes),
                     journal=self.journal,
                     event_index=index,
                     described=self.verdict.described,
@@ -254,21 +256,9 @@ def monitor_status(
     return reply if isinstance(reply, MonitorStatusResponse) else None
 
 
-async def _run(monitor: Monitor) -> None:
-    loop = asyncio.get_running_loop()
-    import signal
-
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, monitor.stop)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
-    await monitor.serve_forever()
-
-
 def run_monitor(config: MonitorConfig) -> Monitor:
     """Run a monitor until SIGTERM/SIGINT; returns it (for its final
     verdict) after shutdown."""
     monitor = Monitor(config)
-    asyncio.run(_run(monitor))
+    asyncio.run(serve_until_signalled(monitor))
     return monitor

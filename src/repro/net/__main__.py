@@ -16,37 +16,23 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import logging
 import random
 import sys
 import time
 import uuid
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .client import ClientError, ClientTimeout, NetClient
 from .node import NodeConfig, run_node
-from .procs import LocalCluster
-from ..runtime.driver import TimingConfig
+from .procs import (
+    LocalCluster,
+    add_config_flags,
+    config_from,
+    log_to_stdout,
+    parse_conf,
+    parse_peers,
+)
 from ..runtime.linearize import check_history
-
-
-def _parse_peers(spec: str) -> Dict[int, Tuple[str, int]]:
-    """``"1=127.0.0.1:7001,2=127.0.0.1:7002"`` -> address map."""
-    peers: Dict[int, Tuple[str, int]] = {}
-    for part in spec.split(","):
-        nid, _, addr = part.strip().partition("=")
-        host, _, port = addr.rpartition(":")
-        peers[int(nid)] = (host, int(port))
-    return peers
-
-
-def _parse_conf(spec: str) -> frozenset:
-    return frozenset(int(part) for part in spec.split(",") if part.strip())
-
-
-def _parse_addr(spec: str) -> Tuple[str, int]:
-    host, _, port = spec.rpartition(":")
-    return host, int(port)
 
 
 # ----------------------------------------------------------------------
@@ -55,30 +41,8 @@ def _parse_addr(spec: str) -> Tuple[str, int]:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        stream=sys.stdout,
-    )
-    config = NodeConfig(
-        nid=args.nid,
-        host=args.host,
-        port=args.port,
-        peers=_parse_peers(args.peers),
-        conf0=_parse_conf(args.conf),
-        timing=TimingConfig(
-            heartbeat_ms=args.heartbeat_ms,
-            election_timeout_min_ms=args.election_min_ms,
-            election_timeout_max_ms=args.election_max_ms,
-        ),
-        seed=args.seed,
-        snapshot_threshold=args.snapshot_threshold,
-        batching=not args.no_batch,
-        read_index=not args.no_read_index,
-        monitor=_parse_addr(args.monitor) if args.monitor else None,
-        spec=args.spec,
-    )
-    run_node(config)
+    log_to_stdout(args.verbose)
+    run_node(config_from(NodeConfig, args))
     return 0
 
 
@@ -88,7 +52,7 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    addresses = _parse_peers(args.peers)
+    addresses = parse_peers(args.peers)
     # Each one-shot invocation is a distinct client: a fixed default id
     # would restart the sequence counter at the same value every time,
     # and the at-most-once dedup would answer later invocations with
@@ -129,7 +93,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             elif args.op == "delete":
                 result = client.delete(args.key)
             elif args.op == "reconfig":
-                result = client.reconfigure(_parse_conf(args.key))
+                result = client.reconfigure(parse_conf(args.key))
             else:  # pragma: no cover - argparse restricts choices
                 raise SystemExit(f"unknown op {args.op}")
         except (ClientError, ClientTimeout) as exc:
@@ -352,38 +316,7 @@ def main(argv: List[str] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     node = sub.add_parser("node", help="run one replica process")
-    node.add_argument("--nid", type=int, required=True)
-    node.add_argument("--host", default="127.0.0.1")
-    node.add_argument("--port", type=int, required=True)
-    node.add_argument("--peers", required=True,
-                      help="e.g. 1=127.0.0.1:7001,2=127.0.0.1:7002")
-    node.add_argument("--conf", required=True, help="e.g. 1,2,3")
-    node.add_argument("--heartbeat-ms", type=float, default=25.0)
-    node.add_argument("--election-min-ms", type=float, default=100.0)
-    node.add_argument("--election-max-ms", type=float, default=200.0)
-    node.add_argument("--seed", type=int, default=None)
-    node.add_argument(
-        "--snapshot-threshold", type=int, default=1024,
-        help="compact the committed prefix after this many entries "
-             "past the snapshot point (0 disables)",
-    )
-    node.add_argument(
-        "--no-batch", action="store_true",
-        help="broadcast per request instead of per event-loop tick",
-    )
-    node.add_argument(
-        "--no-read-index", action="store_true",
-        help="serialize reads through the log instead of ReadIndex",
-    )
-    node.add_argument(
-        "--monitor", default=None, metavar="HOST:PORT",
-        help="stream trace events to the safety monitor at this address",
-    )
-    node.add_argument(
-        "--spec", choices=["raft", "buggy"], default="raft",
-        help="server semantics: the spec, or the pre-fix algorithm "
-             "with the R3 reconfiguration guard disabled",
-    )
+    add_config_flags(node, NodeConfig)
     node.add_argument("--verbose", action="store_true")
     node.set_defaults(func=_cmd_node)
 
@@ -417,7 +350,8 @@ def main(argv: List[str] = None) -> int:
     demo.add_argument("--kill-leader", action="store_true")
     demo.add_argument("--op-timeout-s", type=float, default=20.0)
     demo.add_argument(
-        "--snapshot-threshold", type=int, default=1024,
+        "--snapshot-threshold", type=int,
+        default=NodeConfig.snapshot_threshold,
         help="per-node compaction threshold (low values force "
              "InstallSnapshot traffic mid-demo; 0 disables)",
     )
@@ -431,7 +365,7 @@ def main(argv: List[str] = None) -> int:
              "verdict (with --spec buggy: require a violation verdict)",
     )
     demo.add_argument(
-        "--spec", choices=["raft", "buggy"], default="raft",
+        "--spec", choices=["raft", "buggy"], default=NodeConfig.spec,
         help="node semantics; 'buggy' disables the R3 reconfiguration "
              "guard and implies the fig4 schedule",
     )

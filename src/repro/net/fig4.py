@@ -35,12 +35,11 @@ Works with any cluster of >= 3 nodes (full *commit* divergence needs
 from __future__ import annotations
 
 import socket
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .client import NetClient
-from .procs import LocalCluster
+from .procs import LocalCluster, poll
 from .wire import ClientResponse
 
 
@@ -85,22 +84,14 @@ def _directed(
         return None
 
 
-def _wait_leader_among(
-    cluster: LocalCluster, client: NetClient, candidates, timeout_s: float
-) -> Optional[int]:
+def _leader_among(client: NetClient, candidates) -> Optional[int]:
     """The highest-term self-reported leader among ``candidates``."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        best = None
-        for nid in sorted(candidates):
-            reply = client.status(nid)
-            if reply is not None and reply.role == "leader":
-                if best is None or reply.term > best[0]:
-                    best = (reply.term, nid)
-        if best is not None:
-            return best[1]
-        time.sleep(0.05)
-    return None
+    leaders = [
+        (reply.term, nid) for nid in candidates
+        if (reply := client.status(nid)) is not None
+        and reply.role == "leader"
+    ]
+    return max(leaders)[1] if leaders else None
 
 
 def run_fig4_live(
@@ -153,7 +144,7 @@ def run_fig4_live(
             )
 
         # -- the rest elect a fresh-logged leader B --------------------
-        b = _wait_leader_among(cluster, client, others, settle_s)
+        b = poll(lambda: _leader_among(client, others), settle_s)
         if b is None:
             raise RuntimeError("no replacement leader emerged")
         result.leader_b = b
@@ -161,35 +152,26 @@ def run_fig4_live(
 
         # -- reconfig at B: remove A -----------------------------------
         conf_b = frozenset(nids) - {a}
-        outcome = "no definitive response"
-        deadline = time.monotonic() + settle_s
-        while time.monotonic() < deadline:
-            reply = _directed(
-                client, b, ("reconfig", conf_b), timeout_s=3.0
-            )
-            if reply is None:
-                time.sleep(0.1)
-                continue
-            if reply.ok:
-                outcome = "committed"
-                break
-            if reply.error != "retry":
-                outcome = f"refused ({reply.error})"
-                break
-            time.sleep(0.1)  # barrier still committing: retry
+
+        def remove_a() -> Optional[str]:
+            reply = _directed(client, b, ("reconfig", conf_b), timeout_s=3.0)
+            if reply is None or reply.error == "retry":
+                return None  # unreachable, or barrier still committing
+            return "committed" if reply.ok else f"refused ({reply.error})"
+
+        outcome = poll(remove_a, settle_s, 0.1) or "no definitive response"
         result.steps.append(f"S{b} removing S{a}: {outcome}")
         result.reconfig_outcome = outcome
 
         # -- the verdict -----------------------------------------------
-        deadline = time.monotonic() + (detect_s if expect_violation else 0.0)
-        status = cluster.monitor_status()
-        while (
-            expect_violation
-            and (status is None or status.ok)
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.2)
+        def flagged():
             status = cluster.monitor_status()
+            return status if status is not None and not status.ok else None
+
+        status = (
+            poll(flagged, detect_s if expect_violation else 0.0, 0.2)
+            or cluster.monitor_status()
+        )
         if status is not None:
             result.violations = list(status.violations)
             result.bundle = status.bundle

@@ -12,6 +12,7 @@ on a real network:
   (``loop.call_later``), so election timeouts and heartbeat chains run
   on wall-clock milliseconds.
 * **Transport**: one listening socket; per-peer *outbound* connections
+  (one loop, :meth:`NetNode._outbound`, shared with the monitor feed)
   with reconnect, capped exponential backoff, and a bounded outbox.
   Replication ``CommitReq``\\ s are coalesced latest-wins (each carries
   the full state, so an unsent older one is strictly superseded), and
@@ -37,6 +38,12 @@ on a real network:
   incrementally-applied committed state.  Non-leaders answer
   ``not-leader`` with their best hint.
 
+There is one transport, not a family of them: batching, pipelining and
+ReadIndex are how the node works, not switches, and
+:class:`NodeConfig` holds only what a deployment actually varies.  The
+fixed sizes (outbox limit, pipelining window, reconnect backoff, export
+queue) are constants beside the code that reads them.
+
 Malformed frames close the offending connection and never crash the
 node (every decode failure is a :class:`repro.net.wire.ProtocolError`).
 """
@@ -46,10 +53,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import random
+import signal
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
@@ -57,7 +65,7 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..raft.messages import CommitAck, CommitReq, ElectAck, ElectReq, Msg
 from ..raft.server import FOLLOWER, LEADER
 from ..runtime.driver import ElectionDriver, TimingConfig
-from ..runtime.kvstore import apply_command, materialize
+from ..runtime.kvstore import apply_command
 from ..schemes.single_node import RaftSingleNodeScheme
 from .snapshot import (
     CompactLog,
@@ -95,7 +103,18 @@ from .wire import (
 
 log = logging.getLogger("repro.net.node")
 
-_RAFT_TYPES = (ElectReq, ElectAck, CommitReq, CommitAck)
+#: Node-to-node frames: the spec's messages plus the ReadIndex probes.
+_PEER_TYPES = (ElectReq, ElectAck, CommitReq, CommitAck, ReadProbe,
+               ReadProbeAck)
+
+#: Reconnect backoff of an outbound connection: initial delay, doubled
+#: per failed attempt, capped.
+RECONNECT_MIN_MS = 40.0
+RECONNECT_MAX_MS = 2_000.0
+
+#: Trace events queued for the monitor; on overflow the backlog is
+#: dropped whole and the log re-shipped (:meth:`NetNode._resync_export`).
+EXPORT_QUEUE_LIMIT = 4096
 
 #: Commands a node will admit into the log (anything else is refused
 #: at the door, so the apply path never sees unknown vocabulary).
@@ -161,56 +180,61 @@ def _set_nodelay(writer: asyncio.StreamWriter) -> None:
             pass
 
 
+def option(help: str, default=MISSING, **metadata):
+    """A field of a config dataclass: ``help`` is its flag's help text;
+    pass ``flag=`` when the flag is not spelled like the field and
+    ``choices=`` when the values are enumerated."""
+    return field(default=default, metadata={"help": help, **metadata})
+
+
 @dataclass
 class NodeConfig:
-    """Everything one node process needs to join a cluster."""
+    """Everything one node process can be told -- and nothing else.
 
-    nid: int
-    host: str
-    port: int
-    #: Peer listen addresses, keyed by node id (self is ignored).
-    peers: Dict[int, Tuple[str, int]]
-    #: The initial configuration (hot reconfiguration evolves it).
-    conf0: frozenset
-    #: Wall-clock timing; defaults suit localhost clusters.
-    timing: TimingConfig = field(
-        default_factory=lambda: TimingConfig(
-            heartbeat_ms=25.0,
-            election_timeout_min_ms=100.0,
-            election_timeout_max_ms=200.0,
+    This is the single statement of a node's options: the ``node``
+    sub-command's flags and the argv :class:`~repro.net.procs.LocalCluster`
+    launches its children with are both derived from these fields
+    (:func:`repro.net.procs.add_config_flags` / ``argv_of``), so a new
+    option is one new :func:`option` line.
+    """
+
+    nid: int = option("this node's id")
+    port: int = option("listen port")
+    peers: Dict[int, Tuple[str, int]] = option(
+        "every node's listen address, e.g. "
+        "1=127.0.0.1:7001,2=127.0.0.1:7002 (self is ignored)")
+    conf0: frozenset = option(
+        "the initial configuration, e.g. 1,2,3 (hot reconfiguration "
+        "evolves it)", flag="conf")
+    host: str = option("listen address", "127.0.0.1")
+    #: Wall-clock timing; the defaults suit localhost clusters.
+    heartbeat_ms: float = option("leader heartbeat period", 25.0)
+    election_timeout_min_ms: float = option(
+        "election timeout, lower bound", 100.0)
+    election_timeout_max_ms: float = option(
+        "election timeout, upper bound", 200.0)
+    seed: Optional[int] = option(
+        "seed of this node's timeout RNG (default: its nid)", None)
+    snapshot_threshold: int = option(
+        "fold the committed prefix into a snapshot once it has grown this "
+        "many entries past the snapshot point (0 disables)", 1024)
+    #: None keeps the export entirely off -- one boolean test per
+    #: progress step, nothing else.
+    monitor: Optional[Tuple[str, int]] = option(
+        "HOST:PORT of the safety monitor to stream the trace (log/commit "
+        "advances and protocol milestones) to", None)
+    spec: str = option(
+        "server semantics: the spec (R3 on), or the pre-fix algorithm with "
+        "the R3 reconfiguration guard off, for seeding live violations the "
+        "monitor must catch", "raft", choices=("raft", "buggy"))
+
+    @property
+    def timing(self) -> TimingConfig:
+        return TimingConfig(
+            heartbeat_ms=self.heartbeat_ms,
+            election_timeout_min_ms=self.election_timeout_min_ms,
+            election_timeout_max_ms=self.election_timeout_max_ms,
         )
-    )
-    #: Seed for this node's timeout RNG (None: derived from nid).
-    seed: Optional[int] = None
-    #: Bounded per-peer outbox: beyond this, the oldest message is shed.
-    outbox_limit: int = 64
-    #: Reconnect backoff: initial delay, doubled per failure, capped.
-    reconnect_min_ms: float = 40.0
-    reconnect_max_ms: float = 2_000.0
-    #: Fold the committed prefix into a snapshot once it has grown this
-    #: many entries past the current snapshot point (0 disables).
-    snapshot_threshold: int = 1024
-    #: Coalesce all appends from one event-loop tick into one broadcast
-    #: (False restores the PR 4 broadcast-per-request write path).
-    batching: bool = True
-    #: Serve linearizable ``get``\\ s via a ReadIndex quorum round
-    #: instead of a log append (False restores the PR 4 read path).
-    read_index: bool = True
-    #: Messages drained per socket write in the peer loop: the
-    #: pipelining window (in-flight, un-acked frames per connection).
-    pipeline_window: int = 32
-    #: Safety-monitor address; when set, the node streams its trace
-    #: (log/commit advances and protocol milestones) there as
-    #: :class:`TraceBatch` frames.  None keeps the export entirely off
-    #: -- one boolean test per progress step, nothing else.
-    monitor: Optional[Tuple[str, int]] = None
-    #: Which server semantics to host: ``"raft"`` (the spec, R3 on) or
-    #: ``"buggy"`` (R3 off -- the pre-fix algorithm, for seeding live
-    #: violations the monitor must catch).
-    spec: str = "raft"
-    #: Ring-buffer capacity of the auto-created tracer when a monitor
-    #: address is configured.
-    trace_capacity: int = 65_536
 
 
 @dataclass
@@ -248,39 +272,39 @@ class _Outbox:
     a backlog of stale ones.
     """
 
-    __slots__ = ("limit", "misc", "commit", "event", "m_shed", "m_coalesced",
-                 "coalesce")
+    #: Control messages held per peer; beyond this the oldest is shed.
+    LIMIT = 64
+    #: Messages drained per socket write: the pipelining window
+    #: (in-flight, un-acked frames per connection).
+    WINDOW = 32
 
-    def __init__(self, limit: int, m_shed, m_coalesced,
-                 coalesce: bool = True) -> None:
-        self.limit = limit
+    __slots__ = ("misc", "commit", "event", "m_shed", "m_coalesced")
+
+    def __init__(self, m_shed, m_coalesced) -> None:
         self.misc: deque = deque()
         self.commit: Optional[CommitReq] = None
         self.event = asyncio.Event()
         self.m_shed = m_shed
         self.m_coalesced = m_coalesced
-        #: ``batching=False`` restores the PR 4 transport: every
-        #: CommitReq queues and ships individually, none superseded.
-        self.coalesce = coalesce
 
     def put(self, msg: Msg) -> None:
-        if self.coalesce and isinstance(msg, CommitReq):
+        if isinstance(msg, CommitReq):
             if self.commit is not None:
                 self.m_coalesced.inc()
             self.commit = msg
         else:
-            if len(self.misc) >= self.limit:
+            if len(self.misc) >= self.LIMIT:
                 self.misc.popleft()
                 self.m_shed.inc()
             self.misc.append(msg)
         self.event.set()
 
-    def pop_batch(self, window: int) -> List[Msg]:
-        """Up to ``window`` messages for one pipelined socket write."""
+    def pop_batch(self) -> List[Msg]:
+        """Up to ``WINDOW`` messages for one pipelined socket write."""
         out: List[Msg] = []
-        while self.misc and len(out) < window:
+        while self.misc and len(out) < self.WINDOW:
             out.append(self.misc.popleft())
-        if self.commit is not None and len(out) < window:
+        if self.commit is not None and len(out) < self.WINDOW:
             out.append(self.commit)
             self.commit = None
         if not self.misc and self.commit is None:
@@ -308,19 +332,17 @@ class NetNode:
         #: the single gate the hot path tests; everything else below it
         #: only exists (and only costs) when a monitor is configured.
         self._export_enabled = config.monitor is not None
-        self._export_q: deque = deque(maxlen=4096)
-        self._export_dropped = 0
+        self._export_q: deque = deque()
+        #: Events of the batch last handed to the monitor socket: lost
+        #: if that connection turns out dead.
+        self._export_in_flight = 0
         self._export_event: Optional[asyncio.Event] = None
-        self._export_task: Optional[asyncio.Task] = None
         #: Absolute-indexed shadow of the entries already exported
         #: (None marks positions elided before export could see them).
         self._shadow: List[Any] = []
         self._exported_commit = 0
         if tracer is None and self._export_enabled:
-            tracer = Tracer(
-                capacity=config.trace_capacity, sink=self._export_sink,
-                metrics=metrics,
-            )
+            tracer = Tracer(sink=self._export_sink, metrics=metrics)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         #: Fault injection: raft/probe traffic from or to these peers is
@@ -340,11 +362,13 @@ class NetNode:
         self._m_partition_dropped = self.metrics.counter(
             "net.partition_dropped"
         )
+        self._m_export_dropped = self.metrics.counter("net.export_dropped")
         self._h_commit = self.metrics.histogram("net.commit_latency_ms")
         self.driver: Optional[ElectionDriver] = None
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._outboxes: Dict[int, _Outbox] = {}
-        self._peer_tasks: List[asyncio.Task] = []
+        #: The outbound connections: one per peer, one to the monitor.
+        self._link_tasks: List[asyncio.Task] = []
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         self._pending: List[_PendingRequest] = []
         self._leader_hint: Optional[int] = None
@@ -396,13 +420,10 @@ class NetNode:
         for nid in self.config.peers:
             if nid == self.config.nid:
                 continue
-            outbox = _Outbox(
-                self.config.outbox_limit, self._m_shed, self._m_coalesced,
-                coalesce=self.config.batching,
-            )
+            outbox = _Outbox(self._m_shed, self._m_coalesced)
             self._outboxes[nid] = outbox
-            self._peer_tasks.append(
-                asyncio.ensure_future(self._peer_loop(nid, outbox))
+            self._link_tasks.append(
+                asyncio.ensure_future(self._peer_link(nid, outbox))
             )
         self._tcp_server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -411,7 +432,9 @@ class NetNode:
             self._export_event = asyncio.Event()
             if self._export_q:
                 self._export_event.set()
-            self._export_task = asyncio.ensure_future(self._monitor_loop())
+            self._link_tasks.append(
+                asyncio.ensure_future(self._monitor_link())
+            )
         self.driver.arm()
         log.info(
             "S%d listening on %s:%d (conf0=%s)",
@@ -435,12 +458,9 @@ class NetNode:
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
-        for task in self._peer_tasks:
+        for task in self._link_tasks:
             task.cancel()
-        await asyncio.gather(*self._peer_tasks, return_exceptions=True)
-        if self._export_task is not None:
-            self._export_task.cancel()
-            await asyncio.gather(self._export_task, return_exceptions=True)
+        await asyncio.gather(*self._link_tasks, return_exceptions=True)
         log.info("S%d stopped cleanly", self.config.nid)
 
     # ------------------------------------------------------------------
@@ -471,32 +491,14 @@ class NetNode:
     # ------------------------------------------------------------------
 
     def _send_all(self, msgs: List[Msg]) -> None:
-        msgs = msgs + self._courtesy_heartbeats(msgs)
-        # Piggyback outstanding ReadIndex probes on every replication
-        # broadcast (the driver's heartbeat chain included): a follower
-        # that was behind on the term when first probed re-acks on the
-        # next round, so no read round can starve on one stale ack.
         server = self.server
-        if (
-            self._read_batches
-            and server.role == LEADER
-            and any(
-                isinstance(m, CommitReq) and m.frm == self.config.nid
-                for m in msgs
-            )
+        if server.role == LEADER and any(
+            isinstance(m, CommitReq) and m.frm == self.config.nid
+            for m in msgs
         ):
-            members = self.scheme.members(server.config())
-            probes = [
-                ReadProbe(
-                    frm=self.config.nid, to=peer,
-                    probe=batch.probe, time=server.time,
-                )
-                for batch in self._read_batches.values()
-                if batch.term == server.time
-                for peer in sorted(members)
-                if peer != self.config.nid
-            ]
-            msgs = msgs + probes
+            # A replication broadcast (the driver's heartbeat chain
+            # included) carries two riders.
+            msgs = msgs + self._courtesy_heartbeats() + self._read_probes()
         blocked = self._blocked
         for msg in msgs:
             if blocked and msg.to in blocked:
@@ -507,7 +509,27 @@ class NetNode:
                 continue
             outbox.put(msg)
 
-    def _courtesy_heartbeats(self, msgs: List[Msg]) -> List[Msg]:
+    def _read_probes(self) -> List[Msg]:
+        """Outstanding ReadIndex probes, re-sent with every replication
+        broadcast: a follower that was behind on the term when first
+        probed re-acks on the next round, so no read round can starve
+        on one stale ack."""
+        if not self._read_batches:
+            return []
+        server = self.server
+        members = self.scheme.members(server.config())
+        return [
+            ReadProbe(
+                frm=self.config.nid, to=peer,
+                probe=batch.probe, time=server.time,
+            )
+            for batch in self._read_batches.values()
+            if batch.term == server.time
+            for peer in sorted(members)
+            if peer != self.config.nid
+        ]
+
+    def _courtesy_heartbeats(self) -> List[Msg]:
         """Replication for peers the configuration just dropped.
 
         ``broadcast_commit`` targets members only, so a removed node
@@ -530,11 +552,6 @@ class NetNode:
         folded state instead of the raw prefix).
         """
         server = self.server
-        if server.role != LEADER or not any(
-            isinstance(m, CommitReq) and m.frm == self.config.nid
-            for m in msgs
-        ):
-            return []
         positions = [
             (i, self.scheme.members(payload))
             for i, payload in config_positions(server)
@@ -577,58 +594,66 @@ class NetNode:
             )
         return out
 
-    async def _peer_loop(self, nid: int, outbox: _Outbox) -> None:
-        """Own the outbound connection to one peer: connect with capped
-        exponential backoff, then drain the outbox through a fresh
-        delta encoder per connection.  Each iteration pops a bounded
-        *window* of ready messages and ships them in one pipelined
-        write -- no per-message ack wait, no per-message drain.  A
-        connection drop resets the delta/snapshot state (the encoder is
-        per-connection), which is the rewind: the next frame re-ships
-        from the last point the fresh connection state supports."""
-        host, port = self.config.peers[nid]
-        backoff_ms = self.config.reconnect_min_ms
+    async def _outbound(self, address, hello, connected) -> None:
+        """Own one outbound connection: connect with capped exponential
+        backoff, say ``hello``, then write whatever ``next_batch()``
+        returns, one ``drain()`` per batch, until the connection drops;
+        then start over.  ``connected()`` runs once per established
+        connection and returns that connection's ``next_batch``:
+        whatever the sender keeps *per connection* starts fresh there."""
+        backoff_ms = RECONNECT_MIN_MS
         while not self._stopping.is_set():
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                reader, writer = await asyncio.open_connection(*address)
             except OSError:
                 await asyncio.sleep(backoff_ms / 1000.0)
-                backoff_ms = min(backoff_ms * 2, self.config.reconnect_max_ms)
+                backoff_ms = min(backoff_ms * 2, RECONNECT_MAX_MS)
                 continue
-            backoff_ms = self.config.reconnect_min_ms
-            self._m_reconnects.inc()
+            backoff_ms = RECONNECT_MIN_MS
             _set_nodelay(writer)
-            encoder = DeltaEncoder()
             try:
-                writer.write(encode_frame(PeerHello(nid=self.config.nid)))
+                writer.write(encode_frame(hello))
+                next_batch = connected()
                 while True:
-                    await outbox.event.wait()
-                    # With batching off the transport is the PR 4 one:
-                    # one message per socket write, drained before the
-                    # next (no pipelined in-flight window).
-                    window = (
-                        self.config.pipeline_window
-                        if self.config.batching else 1
-                    )
-                    msgs = outbox.pop_batch(window)
-                    if not msgs:
-                        continue
-                    data = b"".join(encoder.encode(msg) for msg in msgs)
-                    writer.write(data)
+                    writer.write(await next_batch())
                     await writer.drain()
-                    self._n_bytes_sent += len(data)
-                    self._m_sent.inc(len(msgs))
-                    if self._obs:
-                        for msg in msgs:
-                            self.tracer.send(
-                                now_ms(), self.config.nid, nid,
-                                type(msg).__name__,
-                                bytes=len(data) // len(msgs),
-                            )
             except (OSError, asyncio.IncompleteReadError):
-                pass  # peer went away: reconnect with fresh delta state
+                pass  # the other end went away: reconnect
             finally:
                 writer.close()
+
+    def _peer_link(self, nid: int, outbox: _Outbox):
+        """The outbound connection to one peer.  Each batch is a bounded
+        *window* of ready messages shipped in one pipelined write -- no
+        per-message ack wait, no per-message drain -- through a delta
+        encoder that lives as long as the connection: a drop resets the
+        delta/snapshot state, which is the rewind (the next frame
+        re-ships from the last point the fresh state supports)."""
+
+        def connected():
+            encoder = DeltaEncoder()
+            self._m_reconnects.inc()
+
+            async def next_batch() -> bytes:
+                await outbox.event.wait()
+                msgs = outbox.pop_batch()
+                data = b"".join(encoder.encode(msg) for msg in msgs)
+                self._n_bytes_sent += len(data)
+                self._m_sent.inc(len(msgs))
+                if self._obs:
+                    for msg in msgs:
+                        self.tracer.send(
+                            now_ms(), self.config.nid, nid,
+                            type(msg).__name__,
+                            bytes=len(data) // len(msgs),
+                        )
+                return data
+
+            return next_batch
+
+        return self._outbound(
+            self.config.peers[nid], PeerHello(nid=self.config.nid), connected
+        )
 
     # ------------------------------------------------------------------
     # Inbound transport
@@ -665,18 +690,17 @@ class NetNode:
                     continue  # a snapshot chunk, absorbed by the decoder
                 if isinstance(msg, PeerHello):
                     peer_nid = msg.nid
-                elif isinstance(msg, _RAFT_TYPES):
-                    self._deliver(msg)
-                elif isinstance(msg, ReadProbe):
+                elif isinstance(msg, _PEER_TYPES):
+                    # Peer traffic is what a partition cuts (clients
+                    # and admin frames still get through).
                     if self._blocked and msg.frm in self._blocked:
                         self._m_partition_dropped.inc()
-                    else:
+                    elif isinstance(msg, ReadProbe):
                         self._on_read_probe(msg)
-                elif isinstance(msg, ReadProbeAck):
-                    if self._blocked and msg.frm in self._blocked:
-                        self._m_partition_dropped.inc()
-                    else:
+                    elif isinstance(msg, ReadProbeAck):
                         self._on_read_probe_ack(msg)
+                    else:
+                        self._deliver(msg)
                 elif isinstance(msg, PartitionRequest):
                     writer.write(encode_frame(self._set_partition(msg)))
                 elif isinstance(msg, ShardOwnershipRequest):
@@ -831,18 +855,34 @@ class NetNode:
 
     def _export_sink(self, event) -> None:
         """Tracer sink: queue every non-transport event for shipment.
-        Bounded; sheds oldest under backpressure (the monitor counts
-        arrivals, not acks, so shedding only loses detail events --
-        ``log_advance`` events re-carry cumulative state, so the next
-        one resynchronizes the engine's view)."""
+        Bounded: a monitor that is down or slow costs the node at most
+        :data:`EXPORT_QUEUE_LIMIT` queued events, then the backlog goes
+        and the log is re-shipped from its base."""
         if event.kind in _EXPORT_SKIP:
             return
         q = self._export_q
-        if len(q) == q.maxlen:
-            self._export_dropped += 1
+        if len(q) >= EXPORT_QUEUE_LIMIT:
+            self._resync_export(lost=len(q))
+            q.clear()
         q.append(event.to_dict())
         if self._export_event is not None:
             self._export_event.set()
+
+    def _resync_export(self, lost: int = 0) -> None:
+        """Forget what was exported, so the next ``log_advance`` carries
+        the whole log from its base (with ``anchor`` when compacted).
+
+        ``log_advance`` events are *deltas* against :attr:`_shadow`, the
+        record of what was queued -- the monitor can only apply one
+        whose predecessors all arrived (it counts the rest as gaps and
+        skips them).  So whenever events may have been lost -- the
+        queue overflowed, or the connection they were written to died
+        -- the shadow no longer describes what the monitor holds and is
+        dropped; the engine re-walks the positions it already has and
+        picks up from there."""
+        self._m_export_dropped.inc(lost)
+        self._shadow = []
+        self._exported_commit = 0
 
     def _maybe_export_log(self) -> None:
         """Emit a ``log_advance`` trace event when the server's log or
@@ -898,52 +938,38 @@ class NetNode:
         self._exported_commit = commit_len
         self.tracer.record("log_advance", now_ms(), self.config.nid, **data)
 
-    async def _monitor_loop(self) -> None:
-        """Own the outbound connection to the monitor: connect with
-        capped backoff, say hello, then ship queued trace events as
-        :class:`TraceBatch` frames.  Fire-and-forget -- the monitor
+    def _monitor_link(self):
+        """The outbound connection to the monitor: queued trace events
+        as :class:`TraceBatch` frames.  Fire-and-forget -- the monitor
         never replies on this connection, and a dead monitor costs the
-        node nothing but this loop's backoff timer."""
-        host, port = self.config.monitor
-        backoff_ms = self.config.reconnect_min_ms
-        while not self._stopping.is_set():
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except OSError:
-                await asyncio.sleep(backoff_ms / 1000.0)
-                backoff_ms = min(backoff_ms * 2, self.config.reconnect_max_ms)
-                continue
-            backoff_ms = self.config.reconnect_min_ms
-            _set_nodelay(writer)
-            try:
-                writer.write(encode_frame(MonitorHello(nid=self.config.nid)))
-                while True:
-                    await self._export_event.wait()
-                    events = []
-                    q = self._export_q
-                    while q and len(events) < 256:
-                        events.append(q.popleft())
-                    if not q:
-                        self._export_event.clear()
-                    if not events:
-                        continue
-                    writer.write(encode_frame(TraceBatch(
-                        nid=self.config.nid, events=tuple(events),
-                    )))
-                    await writer.drain()
-            except (OSError, asyncio.IncompleteReadError):
-                pass  # monitor went away: reconnect and resume the queue
-            finally:
-                writer.close()
+        node nothing but the reconnect backoff timer.  Whatever was in
+        flight when a connection died is counted lost, and every new
+        connection (the monitor may be a fresh process) starts from a
+        full re-ship."""
+
+        async def next_batch() -> bytes:
+            self._export_in_flight = 0  # the previous batch drained
+            await self._export_event.wait()
+            q = self._export_q
+            events = tuple(q.popleft() for _ in range(min(len(q), 256)))
+            if not q:
+                self._export_event.clear()
+            self._export_in_flight = len(events)
+            return encode_frame(TraceBatch(nid=self.config.nid, events=events))
+
+        def connected():
+            self._resync_export(lost=self._export_in_flight)
+            return next_batch
+
+        return self._outbound(
+            self.config.monitor, MonitorHello(nid=self.config.nid), connected
+        )
 
     # ------------------------------------------------------------------
     # Spec message path
     # ------------------------------------------------------------------
 
     def _deliver(self, msg: Msg) -> None:
-        if self._blocked and msg.frm in self._blocked:
-            self._m_partition_dropped.inc()
-            return
         self._m_received.inc()
         if self._obs:
             self.tracer.receive(
@@ -967,7 +993,7 @@ class NetNode:
             still_waiting: List[_PendingRequest] = []
             for pending in self._pending:
                 if server.commit_len >= pending.target_len:
-                    self._respond(pending, self._committed_response(pending))
+                    self._write(pending.writer, self._committed_response(pending))
                 else:
                     still_waiting.append(pending)
             self._pending = still_waiting
@@ -982,7 +1008,7 @@ class NetNode:
                     # still commit under the next leader, so the bounce
                     # is flagged as an ambiguous (admitted) refusal --
                     # the client must not treat it as not-applied.
-                    self._respond(pending, _reply(
+                    self._write(pending.writer, _reply(
                         pending.request, False, error="not-leader",
                         leader_hint=self._hint(), admitted=True,
                     ))
@@ -1074,29 +1100,19 @@ class NetNode:
         command = request.command
         result: object = True
         if command[0] == "get":
-            # The read linearizes at response time: every entry applied
-            # here committed before this response is sent.
-            server = self.server
-            if (self.config.batching or self.config.read_index
-                    or isinstance(server.log, CompactLog)):
-                self._apply_committed()
-                result = self._app_store.get(command[1])
-            else:
-                # Full-parity baseline (both optimizations off, log
-                # never compacted): fold the whole committed prefix per
-                # read, as the pre-optimization write path did.
-                store = materialize(
-                    server.log[i] for i in range(server.commit_len)
-                )
-                result = store.get(command[1])
+            # A read that went through the log (no current-term commit
+            # yet when it arrived) linearizes at response time: every
+            # entry applied here committed before this response is sent.
+            self._apply_committed()
+            result = self._app_store.get(command[1])
         self._h_commit.observe(now_ms() - pending.invoked_ms)
         return _reply(request, True, result=result)
 
-    def _respond(
-        self, pending: _PendingRequest, response: ClientResponse
-    ) -> None:
+    @staticmethod
+    def _write(writer: asyncio.StreamWriter, frame) -> None:
+        """Answer on a client connection that may be gone by now."""
         try:
-            pending.writer.write(encode_frame(response))
+            writer.write(encode_frame(frame))
         except (OSError, RuntimeError):
             pass  # client gave up; its retry will dedup via request id
 
@@ -1174,12 +1190,7 @@ class NetNode:
         for request, writer, invoked_ms in batch.reads:
             result = self._app_store.get(request.command[1])
             self._h_commit.observe(now_ms() - invoked_ms)
-            try:
-                writer.write(
-                    encode_frame(_reply(request, True, result=result))
-                )
-            except (OSError, RuntimeError):
-                pass
+            self._write(writer, _reply(request, True, result=result))
         self._n_reads_fast += len(batch.reads)
         self._m_reads_fast.inc(len(batch.reads))
 
@@ -1189,7 +1200,7 @@ class NetNode:
         retries, and the retry re-registers under current state."""
         if not self._read_batches:
             return
-        horizon = now_ms() - 2 * self.config.timing.election_timeout_max_ms
+        horizon = now_ms() - 2 * self.config.election_timeout_max_ms
         stale = [
             batch for batch in self._read_batches.values()
             if batch.born_ms < horizon or batch.term != self.server.time
@@ -1210,12 +1221,9 @@ class NetNode:
     def _refuse_reads(self, batch: _ReadBatch, error: str) -> None:
         hint = self._hint() if error == "not-leader" else None
         for request, writer, _ in batch.reads:
-            try:
-                writer.write(encode_frame(
-                    _reply(request, False, error=error, leader_hint=hint)
-                ))
-            except (OSError, RuntimeError):
-                pass
+            self._write(
+                writer, _reply(request, False, error=error, leader_hint=hint)
+            )
 
     # ------------------------------------------------------------------
     # Batched flush
@@ -1224,9 +1232,6 @@ class NetNode:
     def _schedule_flush(self) -> None:
         """Coalesce all appends/reads admitted in one event-loop tick
         into a single broadcast (and a single ReadIndex round)."""
-        if not self.config.batching:
-            self._flush()
-            return
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.loop.call_soon(self._flush)
@@ -1305,11 +1310,7 @@ class NetNode:
             writer.write(encode_frame(refuse))
             return
 
-        if (
-            self.config.read_index
-            and command[0] == "get"
-            and server.has_commit_at_current_time()
-        ):
+        if command[0] == "get" and server.has_commit_at_current_time():
             # ReadIndex fast path: no log append, no replication of the
             # read itself -- a commit-index barrier plus one quorum
             # probe round.  Requires a committed entry of the current
@@ -1348,7 +1349,7 @@ class NetNode:
             )
         )
         # Batch: every append admitted this tick replicates in one
-        # broadcast at flush (immediately when batching is off).
+        # broadcast at flush.
         self._schedule_flush()
 
     def _start_reconfig(self, request: ClientRequest, request_id):
@@ -1385,16 +1386,16 @@ class NetNode:
 # ----------------------------------------------------------------------
 
 
-async def _run(node: NetNode) -> None:
+async def serve_until_signalled(service) -> None:
+    """``service.serve_forever()`` with SIGINT/SIGTERM wired to its
+    ``stop()`` (a node here, the monitor in ``repro.monitor``)."""
     loop = asyncio.get_running_loop()
-    import signal
-
     for sig in (signal.SIGINT, signal.SIGTERM):
         try:
-            loop.add_signal_handler(sig, node.stop)
+            loop.add_signal_handler(sig, service.stop)
         except NotImplementedError:  # pragma: no cover - non-POSIX loops
             pass
-    await node.serve_forever()
+    await service.serve_forever()
 
 
 def run_node(
@@ -1404,4 +1405,6 @@ def run_node(
 ) -> None:
     """Run one node until SIGTERM/SIGINT; the ``python -m repro.net
     node`` subcommand lands here."""
-    asyncio.run(_run(NetNode(config, tracer=tracer, metrics=metrics)))
+    asyncio.run(serve_until_signalled(
+        NetNode(config, tracer=tracer, metrics=metrics)
+    ))

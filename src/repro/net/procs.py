@@ -14,10 +14,21 @@ centrally:
   whose exit path terminates every live child, waits with a deadline,
   and escalates to ``SIGKILL`` -- including when the owning test is
   failing, so no node processes leak across tests.
+
+A child's command line is not written out here.  What a process can be
+told is its config dataclass (:class:`~repro.net.node.NodeConfig`,
+:class:`~repro.monitor.service.MonitorConfig`); :func:`add_config_flags`
+turns its fields into the sub-command's flags, :func:`config_from`
+turns the parsed flags back into the dataclass, and :func:`argv_of` is
+the inverse the launcher uses -- so an option is stated once, as a
+field.  :func:`poll` is the one deadline-aware wait the launchers and
+their callers share.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import os
 import signal
 import socket
@@ -25,10 +36,123 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+import typing
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from .client import NetClient
+from .node import NodeConfig
+
+T = TypeVar("T")
+
+
+def poll(
+    probe: Callable[[], Optional[T]], timeout_s: float,
+    interval_s: float = 0.05,
+) -> Optional[T]:
+    """Call ``probe`` every ``interval_s`` until it answers something
+    other than ``None``; ``None`` once ``timeout_s`` has run out.  The
+    probe always runs at least once, so ``timeout_s=0`` is one sample."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        result = probe()
+        if result is not None or time.monotonic() >= deadline:
+            return result
+        time.sleep(interval_s)
+
+
+# ----------------------------------------------------------------------
+# A config dataclass is a command line
+# ----------------------------------------------------------------------
+
+
+def parse_conf(text: str) -> frozenset:
+    """``"1,2,3"`` -> a set of node ids."""
+    return frozenset(int(part) for part in text.split(",") if part.strip())
+
+
+def _parse_addr(text: str) -> Tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    return host, int(port)
+
+
+def parse_peers(text: str) -> Dict[int, Tuple[str, int]]:
+    """``"1=127.0.0.1:7001,2=127.0.0.1:7002"`` -> address map."""
+    pairs = (part.partition("=") for part in text.split(",") if part.strip())
+    return {int(nid): _parse_addr(addr.strip()) for nid, _, addr in pairs}
+
+
+def _format_addr(addr: Tuple[str, int]) -> str:
+    return f"{addr[0]}:{addr[1]}"
+
+
+#: How each field type is written on a command line: annotation ->
+#: (parse, format).  ``Optional[X]`` is written like ``X``; ``None`` is
+#: the flag's absence.
+_TEXT = {
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    frozenset: (parse_conf, lambda v: ",".join(map(str, sorted(v)))),
+    Tuple[str, int]: (_parse_addr, _format_addr),
+    Dict[int, Tuple[str, int]]: (parse_peers, lambda v: ",".join(
+        f"{nid}={_format_addr(addr)}" for nid, addr in sorted(v.items())
+    )),
+}
+
+
+def _flags(cls) -> List[Tuple[dataclasses.Field, str, Callable, Callable]]:
+    """``(field, flag, parse, format)`` for every field of a config
+    dataclass; a field of a type :data:`_TEXT` cannot write raises
+    ``KeyError`` here, i.e. when the parser is built."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:  # Optional[X]
+            hint, = (a for a in typing.get_args(hint) if a is not type(None))
+        flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
+        out.append((f, flag, *_TEXT[hint]))
+    return out
+
+
+def add_config_flags(parser, cls) -> None:
+    """One flag per field of the config dataclass ``cls``: spelled like
+    the field, typed like it, required iff it has no default, help text
+    from the field's metadata."""
+    for f, flag, parse, _ in _flags(cls):
+        required = f.default is dataclasses.MISSING
+        parser.add_argument(
+            flag, dest=f.name, type=parse, required=required,
+            default=None if required else f.default,
+            choices=f.metadata.get("choices"), help=f.metadata.get("help"),
+        )
+
+
+def log_to_stdout(verbose: bool) -> None:
+    """Where a served process logs: its stdout, which the launcher
+    points at the process's log file."""
+    logging.basicConfig(
+        level=logging.DEBUG if verbose else logging.INFO,
+        format="%(asctime)s %(name)s %(levelname)s %(message)s",
+        stream=sys.stdout,
+    )
+
+
+def config_from(cls, args):
+    """The ``cls`` instance a parsed command line (built by
+    :func:`add_config_flags`) describes: the inverse of :func:`argv_of`."""
+    return cls(**{f.name: getattr(args, f.name)
+                  for f in dataclasses.fields(cls)})
+
+
+def argv_of(config) -> List[str]:
+    """The flags that make ``config``'s own sub-command rebuild it."""
+    return [
+        f"{flag}={fmt(getattr(config, f.name))}"
+        for f, flag, _, fmt in _flags(type(config))
+        if getattr(config, f.name) is not None
+    ]
 
 
 def allocate_ports(n: int, host: str = "127.0.0.1") -> List[int]:
@@ -88,74 +212,77 @@ class NodeHandle:
             return ""
 
 
-@dataclass
 class LocalCluster:
     """A cluster of localhost node subprocesses.
 
     ``conf0`` defaults to all of ``nids``; pass a smaller initial
     configuration to spawn standby processes that join later via
     reconfiguration (the Fig. 16 trajectory needs live-but-unconfigured
-    nodes).
+    nodes).  ``seed`` seeds the whole cluster (each node derives its
+    own from it), ``monitor=True`` spawns a ``repro.monitor`` process
+    (its bundles go to ``bundle_dir``, default the log dir) and points
+    every node at it.
+
+    Everything else a node can be told is not restated here:
+    ``**node_options`` are :class:`~repro.net.node.NodeConfig` fields
+    by name (``snapshot_threshold=16``, ``heartbeat_ms=10.0``,
+    ``spec="buggy"``, ...), checked against it and handed to every
+    child through :func:`argv_of`.
     """
 
-    nids: Tuple[int, ...] = (1, 2, 3)
-    conf0: Optional[frozenset] = None
-    host: str = "127.0.0.1"
-    heartbeat_ms: float = 25.0
-    election_timeout_min_ms: float = 100.0
-    election_timeout_max_ms: float = 200.0
-    seed: int = 0
-    log_dir: Optional[str] = None
-    startup_timeout_s: float = 10.0
-    #: Per-node compaction threshold (0 disables snapshotting).
-    snapshot_threshold: int = 1024
-    #: Per-tick append batching (False: PR 4 broadcast-per-request).
-    batching: bool = True
-    #: ReadIndex reads (False: PR 4 reads-through-the-log).
-    read_index: bool = True
-    #: Server semantics the nodes host ("raft" or "buggy" -- the
-    #: pre-fix algorithm with the R3 guard off).
-    spec: str = "raft"
-    #: Spawn a ``repro.monitor`` process and point every node at it.
-    monitor: bool = False
-    #: Where the monitor writes its violation bundle (defaults to the
-    #: cluster's log dir).
-    bundle_dir: Optional[str] = None
-    handles: Dict[int, NodeHandle] = field(default_factory=dict)
-    monitor_handle: Optional[NodeHandle] = field(default=None, repr=False)
-    _tempdir: Optional[tempfile.TemporaryDirectory] = field(
-        default=None, repr=False
+    #: The ``NodeConfig`` fields the cluster works out per node.
+    _PER_NODE = frozenset(
+        ("nid", "host", "port", "peers", "conf0", "seed", "monitor")
     )
 
-    def __post_init__(self) -> None:
-        self.nids = tuple(sorted(self.nids))
-        if self.conf0 is None:
-            self.conf0 = frozenset(self.nids)
-        self.conf0 = frozenset(self.conf0)
+    def __init__(
+        self,
+        nids: Iterable[int] = (1, 2, 3),
+        conf0: Optional[Iterable[int]] = None,
+        host: str = "127.0.0.1",
+        seed: int = 0,
+        log_dir: Optional[str] = None,
+        startup_timeout_s: float = 10.0,
+        monitor: bool = False,
+        bundle_dir: Optional[str] = None,
+        **node_options,
+    ) -> None:
+        valid = {f.name for f in dataclasses.fields(NodeConfig)}
+        valid -= self._PER_NODE
+        if not valid.issuperset(node_options):
+            raise TypeError(
+                f"unknown node option(s) {sorted(set(node_options) - valid)}; "
+                f"a node can be told {sorted(valid)}"
+            )
+        self.nids = tuple(sorted(nids))
+        self.conf0 = frozenset(self.nids if conf0 is None else conf0)
         if not self.conf0 <= set(self.nids):
             raise ValueError("conf0 must be a subset of the spawned nodes")
-        if self.log_dir is None:
+        self.host = host
+        self.seed = seed
+        self.startup_timeout_s = startup_timeout_s
+        self.node_options = node_options
+        self._tempdir: Optional[tempfile.TemporaryDirectory] = None
+        if log_dir is None:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-net-")
-            self.log_dir = self._tempdir.name
+            log_dir = self._tempdir.name
         else:
-            os.makedirs(self.log_dir, exist_ok=True)
-        ports = allocate_ports(len(self.nids) + (1 if self.monitor else 0),
-                               self.host)
-        for nid, port in zip(self.nids, ports):
-            self.handles[nid] = NodeHandle(
-                nid=nid,
-                host=self.host,
-                port=port,
-                log_path=os.path.join(self.log_dir, f"node-{nid}.log"),
+            os.makedirs(log_dir, exist_ok=True)
+        self.log_dir = log_dir
+        self.bundle_dir = bundle_dir if bundle_dir is not None else log_dir
+        ports = allocate_ports(len(self.nids) + (1 if monitor else 0), host)
+        self.handles: Dict[int, NodeHandle] = {
+            nid: NodeHandle(
+                nid=nid, host=host, port=port,
+                log_path=os.path.join(log_dir, f"node-{nid}.log"),
             )
-        if self.monitor:
-            if self.bundle_dir is None:
-                self.bundle_dir = self.log_dir
+            for nid, port in zip(self.nids, ports)
+        }
+        self.monitor_handle: Optional[NodeHandle] = None
+        if monitor:
             self.monitor_handle = NodeHandle(
-                nid=0,
-                host=self.host,
-                port=ports[-1],
-                log_path=os.path.join(self.log_dir, "monitor.log"),
+                nid=0, host=host, port=ports[-1],
+                log_path=os.path.join(log_dir, "monitor.log"),
             )
 
     # ------------------------------------------------------------------
@@ -169,78 +296,54 @@ class LocalCluster:
             for nid, handle in self.handles.items()
         }
 
-    def _peer_spec(self) -> str:
-        return ",".join(
-            f"{nid}={handle.host}:{handle.port}"
-            for nid, handle in sorted(self.handles.items())
+    def node_config(self, nid: int) -> NodeConfig:
+        """What node ``nid`` of this cluster is told."""
+        handle = self.handles[nid]
+        monitor = self.monitor_handle
+        return NodeConfig(
+            nid=nid, host=handle.host, port=handle.port,
+            peers=self.addresses, conf0=self.conf0,
+            seed=self.seed * 1000 + nid,
+            monitor=(monitor.host, monitor.port) if monitor else None,
+            **self.node_options,
         )
+
+    @staticmethod
+    def _launch(handle: NodeHandle, module: str, command: str, config) -> None:
+        """Start ``python -m module command <config's flags>`` as the
+        process behind ``handle`` (a no-op while it is alive)."""
+        if handle.alive:
+            return
+        with open(handle.log_path, "ab") as log_file:
+            # The child holds its own descriptor to the log.
+            handle.process = subprocess.Popen(
+                [sys.executable, "-m", module, command, *argv_of(config)],
+                stdout=log_file,
+                stderr=subprocess.STDOUT,
+                env={**os.environ, "PYTHONPATH": _repro_pythonpath()},
+                start_new_session=True,  # never die with the parent's tty
+            )
 
     def spawn(self, nid: int) -> NodeHandle:
         handle = self.handles[nid]
-        if handle.alive:
-            return handle
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _repro_pythonpath()
-        log_file = open(handle.log_path, "ab")
-        handle.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.net", "node",
-                "--nid", str(nid),
-                "--host", handle.host,
-                "--port", str(handle.port),
-                "--peers", self._peer_spec(),
-                "--conf", ",".join(str(n) for n in sorted(self.conf0)),
-                "--heartbeat-ms", str(self.heartbeat_ms),
-                "--election-min-ms", str(self.election_timeout_min_ms),
-                "--election-max-ms", str(self.election_timeout_max_ms),
-                "--seed", str(self.seed * 1000 + nid),
-                "--snapshot-threshold", str(self.snapshot_threshold),
-            ]
-            + ([] if self.batching else ["--no-batch"])
-            + ([] if self.read_index else ["--no-read-index"])
-            + ([] if self.spec == "raft" else ["--spec", self.spec])
-            + (
-                ["--monitor",
-                 f"{self.monitor_handle.host}:{self.monitor_handle.port}"]
-                if self.monitor_handle is not None else []
-            ),
-            stdout=log_file,
-            stderr=subprocess.STDOUT,
-            env=env,
-            start_new_session=True,  # never die with the parent's tty
-        )
-        log_file.close()  # the child holds its own descriptor
+        self._launch(handle, "repro.net", "node", self.node_config(nid))
         return handle
 
-    def spawn_monitor(self) -> NodeHandle:
+    def spawn_monitor(self) -> Optional[NodeHandle]:
         handle = self.monitor_handle
-        if handle is None or handle.alive:
-            return handle
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _repro_pythonpath()
-        log_file = open(handle.log_path, "ab")
-        handle.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.monitor", "serve",
-                "--host", handle.host,
-                "--port", str(handle.port),
-                "--conf", ",".join(str(n) for n in sorted(self.conf0)),
-                "--nodes", ",".join(str(n) for n in self.nids),
-                "--bundle-dir", self.bundle_dir,
-            ],
-            stdout=log_file,
-            stderr=subprocess.STDOUT,
-            env=env,
-            start_new_session=True,
-        )
-        log_file.close()
+        if handle is not None:
+            from ..monitor.service import MonitorConfig
+
+            self._launch(handle, "repro.monitor", "serve", MonitorConfig(
+                host=handle.host, port=handle.port, conf0=self.conf0,
+                nodes=frozenset(self.nids), bundle_dir=self.bundle_dir,
+            ))
         return handle
 
     def start(self) -> "LocalCluster":
-        if self.monitor:
-            # The monitor comes up first so no node burns its startup
-            # window in export-reconnect backoff.
-            self.spawn_monitor()
+        # The monitor comes up first so no node burns its startup
+        # window in export-reconnect backoff.
+        self.spawn_monitor()
         for nid in self.nids:
             self.spawn(nid)
         self.wait_healthy()
@@ -260,27 +363,31 @@ class LocalCluster:
         )
 
     def wait_healthy(self, timeout_s: Optional[float] = None) -> None:
-        """Block until every spawned node answers a status probe."""
-        deadline = time.monotonic() + (timeout_s or self.startup_timeout_s)
+        """Block until the monitor (if any) and every spawned node
+        answer a status probe; ``timeout_s`` defaults to the cluster's
+        ``startup_timeout_s``."""
+        if timeout_s is None:
+            timeout_s = self.startup_timeout_s
+        deadline = time.monotonic() + timeout_s
         if self.monitor_handle is not None:
-            while (time.monotonic() < deadline
-                   and self.monitor_status(timeout_s=0.5) is None):
-                time.sleep(0.05)
+            poll(lambda: self.monitor_status(timeout_s=0.5), timeout_s)
         pending = set(self.nids)
+
+        def sweep() -> Optional[bool]:
+            for nid in sorted(pending):
+                handle = self.handles[nid]
+                if handle.process is not None and not handle.alive:
+                    raise RuntimeError(
+                        f"node {nid} exited during startup "
+                        f"(rc={handle.process.returncode}):\n"
+                        f"{handle.log_text()[-2000:]}"
+                    )
+                if probe.status(nid) is not None:
+                    pending.discard(nid)
+            return None if pending else True
+
         with self.client(client_id="health-check") as probe:
-            while pending and time.monotonic() < deadline:
-                for nid in sorted(pending):
-                    handle = self.handles[nid]
-                    if handle.process is not None and not handle.alive:
-                        raise RuntimeError(
-                            f"node {nid} exited during startup "
-                            f"(rc={handle.process.returncode}):\n"
-                            f"{handle.log_text()[-2000:]}"
-                        )
-                    if probe.status(nid) is not None:
-                        pending.discard(nid)
-                if pending:
-                    time.sleep(0.05)
+            poll(sweep, deadline - time.monotonic())
         if pending:
             raise RuntimeError(
                 f"nodes {sorted(pending)} not healthy within deadline"
@@ -305,32 +412,34 @@ class LocalCluster:
     ) -> int:
         """Poll until some live node reports itself leader."""
         excluded = set(exclude)
-        deadline = time.monotonic() + timeout_s
+
+        def leader() -> Optional[int]:
+            nid = probe.find_leader()
+            return nid if nid not in excluded else None
+
         with self.client(client_id="leader-probe") as probe:
-            while time.monotonic() < deadline:
-                leader = probe.find_leader()
-                if leader is not None and leader not in excluded:
-                    return leader
-                time.sleep(0.05)
-        raise RuntimeError("no leader emerged within deadline")
+            found = poll(leader, timeout_s)
+        if found is None:
+            raise RuntimeError("no leader emerged within deadline")
+        return found
 
     # ------------------------------------------------------------------
     # Teardown (reaps children even on test failure)
     # ------------------------------------------------------------------
 
-    def shutdown(self, grace_s: float = 5.0) -> Dict[int, Optional[int]]:
-        """Terminate every live child; escalate to SIGKILL after
-        ``grace_s``.  Returns exit codes.  Idempotent."""
-        for handle in self.handles.values():
+    @staticmethod
+    def _reap(handles: Iterable[NodeHandle], grace_s: float) -> None:
+        """SIGTERM every child behind ``handles``, wait for all of them
+        until one shared deadline, then escalate to SIGKILL."""
+        handles = [h for h in handles if h.process is not None]
+        for handle in handles:
             if handle.alive:
                 try:
                     handle.process.terminate()
                 except ProcessLookupError:  # pragma: no cover - exit race
                     pass
         deadline = time.monotonic() + grace_s
-        for handle in self.handles.values():
-            if handle.process is None:
-                continue
+        for handle in handles:
             remaining = max(0.05, deadline - time.monotonic())
             try:
                 handle.process.wait(timeout=remaining)
@@ -342,19 +451,14 @@ class LocalCluster:
                 except (ProcessLookupError, PermissionError):
                     handle.process.kill()
                 handle.process.wait(timeout=5)
+
+    def shutdown(self, grace_s: float = 5.0) -> Dict[int, Optional[int]]:
+        """Terminate every live child; escalate to SIGKILL after
+        ``grace_s``.  Returns exit codes.  Idempotent."""
+        self._reap(self.handles.values(), grace_s)
         # The monitor goes last so every node's final batches land.
-        monitor = self.monitor_handle
-        if monitor is not None and monitor.process is not None:
-            if monitor.alive:
-                try:
-                    monitor.process.terminate()
-                except ProcessLookupError:  # pragma: no cover - exit race
-                    pass
-            try:
-                monitor.process.wait(timeout=grace_s)
-            except subprocess.TimeoutExpired:
-                monitor.process.kill()
-                monitor.process.wait(timeout=5)
+        if self.monitor_handle is not None:
+            self._reap([self.monitor_handle], grace_s)
         return {
             nid: (handle.process.returncode if handle.process else None)
             for nid, handle in self.handles.items()

@@ -43,7 +43,7 @@ import time
 from typing import Dict, Optional, Tuple
 
 from ..net.client import NetClient
-from ..net.procs import LocalCluster
+from ..net.procs import LocalCluster, poll
 from ..net.wire import ProtocolError, ShardDumpResponse
 from .client import ShardClient, TableAuthority
 from .ring import KeyRange, RoutingTable
@@ -156,29 +156,16 @@ class ShardedCluster:
         completes -- never a stale fact after the freeze."""
         cluster = self.clusters[gid]
         cluster.spawn(nid)
-        deadline = time.monotonic() + timeout_s
         with cluster.client(client_id=f"respawn-probe-{gid}") as probe:
-            while time.monotonic() < deadline:
-                if probe.status(nid) is not None:
-                    break
-                time.sleep(0.05)
-            else:
+            if poll(lambda: probe.status(nid), timeout_s) is None:
                 raise RuntimeError(
                     f"group {gid} node {nid} not healthy after respawn"
                 )
             with self._ownership_lock:
-                if gid not in self._pushed:
-                    return
-                version, ranges = self._pushed[gid]
-                deadline = time.monotonic() + timeout_s
-                while True:
-                    try:
-                        probe.shard_ownership(nid, version, ranges)
-                        break
-                    except (OSError, ProtocolError, ConnectionError):
-                        if time.monotonic() >= deadline:
-                            raise
-                        time.sleep(0.05)
+                if gid in self._pushed:
+                    self._push(
+                        probe, gid, [nid], *self._pushed[gid], timeout_s
+                    )
 
     # ------------------------------------------------------------------
     # Migration: freeze -> drain -> grant -> install -> publish
@@ -279,31 +266,37 @@ class ShardedCluster:
         the ``_pushed`` record) sits under the ownership lock so a
         concurrent respawn can never wedge a stale fact in between."""
         with self._ownership_lock:
-            admin = self._admin(gid)
-            pending = {
-                nid for nid, handle in self.clusters[gid].handles.items()
-                if handle.alive
-            }
-            deadline = time.monotonic() + timeout_s
-            while pending and time.monotonic() < deadline:
-                for nid in sorted(pending):
-                    if not self.clusters[gid].handles[nid].alive:
-                        pending.discard(nid)
-                        continue
-                    try:
-                        reply = admin.shard_ownership(nid, version, ranges)
-                    except (OSError, ProtocolError, ConnectionError):
-                        continue
-                    if reply.version >= version:
-                        pending.discard(nid)
-                if pending:
-                    time.sleep(0.05)
-            if pending:
-                raise RuntimeError(
-                    f"group {gid}: live nodes {sorted(pending)} did not "
-                    f"ack ownership v{version}"
-                )
+            self._push(
+                self._admin(gid), gid, self.clusters[gid].handles,
+                version, ranges, timeout_s,
+            )
             self._pushed[gid] = (version, ranges)
+
+    def _push(self, client, gid, nids, version, ranges, timeout_s) -> None:
+        """Push ``(version, ranges)`` through ``client`` to the nodes
+        ``nids`` of group ``gid`` until each one has acked it or is
+        dead.  The caller holds the ownership lock."""
+        handles = self.clusters[gid].handles
+        pending = {nid for nid in nids if handles[nid].alive}
+
+        def sweep() -> Optional[bool]:
+            for nid in sorted(pending):
+                if not handles[nid].alive:
+                    pending.discard(nid)
+                    continue
+                try:
+                    reply = client.shard_ownership(nid, version, ranges)
+                except (OSError, ProtocolError, ConnectionError):
+                    continue
+                if reply.version >= version:
+                    pending.discard(nid)
+            return None if pending else True
+
+        if poll(sweep, timeout_s) is None:
+            raise RuntimeError(
+                f"group {gid}: live nodes {sorted(pending)} did not "
+                f"ack ownership v{version}"
+            )
 
     def _barrier_dump(
         self, gid: int, rng: KeyRange, timeout_s: float = 30.0
@@ -347,7 +340,9 @@ class ShardedCluster:
         admin = self._admin(gid)
         deadline = time.monotonic() + timeout_s
         base: Optional[Tuple[int, int, int]] = None  # (nid, term, n0)
-        while time.monotonic() < deadline:
+
+        def barrier() -> Optional[ShardDumpResponse]:
+            nonlocal base
             try:
                 leader = cluster.wait_for_leader(
                     timeout_s=min(5.0, max(0.1,
@@ -355,10 +350,9 @@ class ShardedCluster:
                 )
                 dump = admin.shard_dump(leader, rng.lo, rng.hi)
             except (RuntimeError, OSError, ProtocolError, ConnectionError):
-                continue
+                return None
             if dump.role != "leader":
-                time.sleep(0.05)
-                continue
+                return None
             if base is None or (base[0], base[1]) != (dump.nid, dump.term):
                 base = (dump.nid, dump.term, dump.log_len)
             if dump.commit_in_term and dump.commit_len >= base[2]:
@@ -367,11 +361,15 @@ class ShardedCluster:
                 admin.request_direct(leader, ("noop",), timeout_s=1.0)
             except (OSError, ProtocolError, ConnectionError):
                 pass
-            time.sleep(0.05)
-        raise RuntimeError(
-            f"group {gid}: {rng.describe()} gave no barrier dump within "
-            f"{timeout_s:.0f}s (last leader base {base})"
-        )
+            return None
+
+        dump = poll(barrier, timeout_s)
+        if dump is None:
+            raise RuntimeError(
+                f"group {gid}: {rng.describe()} gave no barrier dump within "
+                f"{timeout_s:.0f}s (last leader base {base})"
+            )
+        return dump
 
     def _install(
         self,

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..net.client import ClientError, merge_histories
+from ..net.procs import poll
 from ..runtime.history import History
 from ..runtime.linearize import LinearizabilityResult, check_history
 from ..runtime.nemesis import ShardFault, per_shard_schedule
@@ -366,7 +367,6 @@ def run_shard_scenario(config: ShardScenarioConfig) -> ShardScenarioResult:
         nemesis = _Nemesis(cluster, schedule, stats)
         workload.start()
         nemesis.start(lambda: workload.attempts)
-        deadline = time.monotonic() + config.run_timeout_s
         moved: Optional[KeyRange] = None
         merged_back = False
         src, dst = 1, 2 if config.groups > 1 else 1
@@ -375,11 +375,13 @@ def run_shard_scenario(config: ShardScenarioConfig) -> ShardScenarioResult:
         # is frozen -- unavailable, never inconsistent -- so retry a
         # few times rather than strand the workload's keys.
         attempts_left = 3
-        while workload.running():
-            if time.monotonic() > deadline:
-                workload.abort.set()
-                stats.fault_log.append("run timeout: aborted workload")
-                break
+
+        def migrate_when_due() -> Optional[bool]:
+            """One look at the workload: ``True`` once it has finished;
+            until then, fire the split / merge whose op count is due."""
+            nonlocal moved, merged_back, attempts_left
+            if not workload.running():
+                return True
             at_op = workload.attempts
             if (moved is None and at_op >= split_at and dst != src
                     and attempts_left > 0):
@@ -408,7 +410,11 @@ def run_shard_scenario(config: ShardScenarioConfig) -> ShardScenarioResult:
                     stats.migrations_failed += 1
                     attempts_left -= 1
                     stats.fault_log.append(f"@{at_op} merge failed: {exc}")
-            time.sleep(0.02)
+            return None
+
+        if poll(migrate_when_due, config.run_timeout_s, 0.02) is None:
+            workload.abort.set()
+            stats.fault_log.append("run timeout: aborted workload")
         nemesis.stop()
         nemesis.heal_all()
         workload.join(timeout_s=30.0)

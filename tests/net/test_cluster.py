@@ -66,6 +66,10 @@ def test_three_node_cluster_serves_linearizable_ops():
             verdict = check_history(client.history)
             assert verdict.ok, verdict.describe()
             assert not client.history.pending()
+            # The gets were ReadIndex reads: answered off the applied
+            # store after a quorum probe, never appended to the log.
+            statuses = [client.status(nid) for nid in cluster.nids]
+            assert sum(s.reads_fast for s in statuses) > 0
         codes = cluster.shutdown()
     # SIGTERM produces a clean exit on every node.
     assert all(code == 0 for code in codes.values()), codes

@@ -14,11 +14,11 @@ import pytest
 
 from repro.monitor.bundle import load_monitor_bundle, replay_bundle, verdict_matches
 from repro.net.fig4 import run_fig4_live
-from repro.net.procs import LocalCluster
+from repro.net.procs import LocalCluster, poll
 
 
-def _drive_load(cluster, ops=10):
-    with cluster.client(client_id="load", total_timeout_s=20.0) as client:
+def _drive_load(cluster, ops=10, client_id="load"):
+    with cluster.client(client_id=client_id, total_timeout_s=20.0) as client:
         for i in range(ops):
             client.put("k", i)
 
@@ -89,4 +89,38 @@ def test_monitor_counts_a_plain_workload(tmp_path):
         assert status is not None and status.ok
         assert set(status.nodes) == {1, 2, 3}
         assert status.entries >= 15
+        cluster.shutdown()
+
+
+def test_a_restarted_monitor_is_resynchronized(tmp_path):
+    # The nodes export *deltas* against what they already queued.  A
+    # monitor that comes back as a fresh process holds none of that, so
+    # every reconnect must re-ship the log from its base -- otherwise
+    # each later advance lands beyond anything the new engine has, is
+    # counted as a gap and skipped, and the monitor reports ``ok`` over
+    # a cluster it can no longer see.
+    with LocalCluster(
+        nids=(1, 2, 3), seed=29, monitor=True, log_dir=str(tmp_path),
+    ) as cluster:
+        cluster.wait_for_leader()
+        _drive_load(cluster, ops=5, client_id="before")
+        assert cluster.monitor_status().entries >= 5
+
+        cluster.monitor_handle.process.kill()
+        cluster.monitor_handle.process.wait(timeout=5)
+        _drive_load(cluster, ops=5, client_id="meanwhile")  # nobody listens
+        cluster.spawn_monitor()
+        _drive_load(cluster, ops=5, client_id="after")
+
+        def caught_up():
+            # Every node found the new monitor (each on its own
+            # reconnect backoff) and the whole log is there again.
+            status = cluster.monitor_status()
+            if (status is not None and status.entries >= 15
+                    and set(status.nodes) == {1, 2, 3}):
+                return status
+            return None
+
+        status = poll(caught_up, 10.0)
+        assert status is not None and status.ok, cluster.monitor_status()
         cluster.shutdown()
