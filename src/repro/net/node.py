@@ -3,9 +3,10 @@
 A :class:`NetNode` hosts exactly one **unmodified**
 :class:`repro.raft.server.Server` -- the same pure handlers the
 simulator schedules (via the :class:`repro.net.snapshot.CompactServer`
-subclass, which only changes how derived state is *queried* once the
-log is compacted) -- and supplies everything the spec abstracts away
-on a real network:
+subclass, which only changes how derived state is *queried*: from two
+folds that follow the log, compacted or not, instead of walks over
+it) -- and supplies everything the spec abstracts away on a real
+network:
 
 * **Timers**: the shared :class:`repro.runtime.driver.ElectionDriver`
   (identical policy to the simulator) armed against the asyncio clock
@@ -65,15 +66,8 @@ from ..obs.trace import NULL_TRACER, Tracer
 from ..raft.messages import CommitAck, CommitReq, ElectAck, ElectReq, Msg
 from ..raft.server import FOLLOWER, LEADER
 from ..runtime.driver import ElectionDriver, TimingConfig
-from ..runtime.kvstore import apply_command
 from ..schemes.single_node import RaftSingleNodeScheme
-from .snapshot import (
-    CompactLog,
-    CompactServer,
-    config_positions,
-    find_request_compact,
-    slice_prefix,
-)
+from .snapshot import CompactLog, CompactServer, slice_prefix
 from .wire import (
     ClientRequest,
     ClientResponse,
@@ -380,11 +374,6 @@ class NetNode:
         self._read_batches: Dict[int, _ReadBatch] = {}
         self._open_probe: Optional[int] = None
         self._probe_counter = 0
-        #: Incrementally-applied committed state: ``_app_store`` is the
-        #: kvstore after folding ``log[:_app_len]`` (jumps to the
-        #: snapshot's store on compaction/installation).
-        self._app_store: Dict[str, Any] = {}
-        self._app_len = 0
         #: Shard ownership, pushed by a sharding manager
         #: (:class:`repro.shard.manager.ShardedCluster`): at routing
         #: table version ``_shard_version`` this node's group owns
@@ -554,7 +543,7 @@ class NetNode:
         server = self.server
         positions = [
             (i, self.scheme.members(payload))
-            for i, payload in config_positions(server)
+            for i, payload in server.index().configs
         ]
         if not positions:
             return []  # still on conf0: nobody has been removed
@@ -795,10 +784,9 @@ class NetNode:
         ``[lo, hi)`` (the drain half of a migration), plus the log and
         commit lengths the manager's quiesce loop keys off."""
         server = self.server
-        self._apply_committed()
         items = tuple(sorted(
             (key, value)
-            for key, value in self._app_store.items()
+            for key, value in server.applied().store.items()
             if msg.lo <= hash_key(key) < msg.hi
         ))
         return ShardDumpResponse(
@@ -828,26 +816,19 @@ class NetNode:
 
         Refusal happens before anything enters the log, so the client
         may safely re-route the command (fresh seq) to another group.
-        The one exception is a retry of a command that *already*
-        entered the log pre-freeze: at-most-once beats ownership, the
-        existing entry is served so the client can learn the outcome
-        that may well have committed.
         """
         stamp = request.table_version
         command = request.command
         if stamp is None or command[0] not in _KEYED_COMMANDS:
             return False
-        if (
+        return not (
             self._shard_version is not None
             and stamp <= self._shard_version
             and any(
                 lo <= hash_key(command[1]) < hi
                 for lo, hi in self._shard_ranges
             )
-        ):
-            return False
-        request_id = (request.client_id, request.seq)
-        return find_request_compact(self.server, request_id) is None
+        )
 
     # ------------------------------------------------------------------
     # Trace export (the monitor's feed)
@@ -1027,9 +1008,6 @@ class NetNode:
             return
         if server.commit_len - server.snapshot_base() < threshold:
             return
-        # Catch the applied store up first: after compaction it can
-        # only jump forward from the new snapshot's store.
-        self._apply_committed()
         if server.compact():
             self._m_compactions.inc()
             if self._obs:
@@ -1053,7 +1031,7 @@ class NetNode:
             return
         if self.config.nid in self.scheme.members(server.config()):
             return
-        positions = config_positions(server)
+        positions = server.index().configs
         if not positions:
             return
         # The newest config entry governs; a config folded into a
@@ -1068,32 +1046,8 @@ class NetNode:
             self._leader_hint = None
 
     # ------------------------------------------------------------------
-    # Committed state (incremental apply)
+    # Committed state
     # ------------------------------------------------------------------
-
-    def _apply_committed(self) -> None:
-        """Advance the applied store to the current commit index.
-
-        Entries below the commit index never change (Raft's state
-        machine safety), so each is applied exactly once; a snapshot
-        installation jumps the store to the snapshot's materialized
-        state.  This turns every read from O(history) folding into
-        O(new entries)."""
-        server = self.server
-        log_ = server.log
-        if isinstance(log_, CompactLog):
-            base = log_.snap.base_len
-            if self._app_len < base:
-                self._app_store = dict(log_.snap.store)
-                self._app_len = base
-        while self._app_len < server.commit_len:
-            entry = log_[self._app_len]
-            if not entry.is_config:
-                try:
-                    apply_command(self._app_store, entry.payload)
-                except (ValueError, TypeError, IndexError):
-                    pass  # unknown vocabulary folds as a no-op
-            self._app_len += 1
 
     def _committed_response(self, pending: _PendingRequest) -> ClientResponse:
         request = pending.request
@@ -1103,8 +1057,7 @@ class NetNode:
             # A read that went through the log (no current-term commit
             # yet when it arrived) linearizes at response time: every
             # entry applied here committed before this response is sent.
-            self._apply_committed()
-            result = self._app_store.get(command[1])
+            result = self.server.applied().store.get(command[1])
         self._h_commit.observe(now_ms() - pending.invoked_ms)
         return _reply(request, True, result=result)
 
@@ -1186,9 +1139,9 @@ class NetNode:
         # registration covered every write completed before the reads
         # began.  commit_len is monotonic, so the applied store (which
         # is at least at batch.index) serves linearizable results.
-        self._apply_committed()
+        store = server.applied().store
         for request, writer, invoked_ms in batch.reads:
-            result = self._app_store.get(request.command[1])
+            result = store.get(request.command[1])
             self._h_commit.observe(now_ms() - invoked_ms)
             self._write(writer, _reply(request, True, result=result))
         self._n_reads_fast += len(batch.reads)
@@ -1287,7 +1240,8 @@ class NetNode:
             )
         server = self.server
         command = request.command
-        refuse = None
+        request_id = (request.client_id, request.seq)
+        refuse = existing = None
         if server.role != LEADER:
             refuse = _reply(
                 request, False, error="not-leader", leader_hint=self._hint()
@@ -1298,14 +1252,22 @@ class NetNode:
             # Admission-time vocabulary check: nothing the apply path
             # cannot fold ever enters the log.
             refuse = _reply(request, False, error="bad-command")
-        elif self._shard_refuses(request):
-            # Before the ReadIndex fast path on purpose: a frozen or
-            # handed-off range must refuse reads too, or a stale-routed
-            # get could observe state the new owner has moved past.
-            refuse = _reply(
-                request, False, error="wrong-shard",
-                table_version=self._shard_version,
-            )
+        else:
+            # The one lookup of this request: every branch below reads it.
+            existing = server.find_request(request_id)
+            if existing is None and self._shard_refuses(request):
+                # Before the ReadIndex fast path on purpose: a frozen or
+                # handed-off range must refuse reads too, or a
+                # stale-routed get could observe state the new owner has
+                # moved past.  A retry of a command that *already*
+                # entered the log pre-freeze is not refused: at-most-once
+                # beats ownership, the existing entry is served so the
+                # client can learn the outcome that may well have
+                # committed.
+                refuse = _reply(
+                    request, False, error="wrong-shard",
+                    table_version=self._shard_version,
+                )
         if refuse is not None:
             writer.write(encode_frame(refuse))
             return
@@ -1319,8 +1281,6 @@ class NetNode:
             self._register_read(request, writer)
             return
 
-        request_id = (request.client_id, request.seq)
-        existing = find_request_compact(server, request_id)
         if existing is not None:
             # At-most-once: a previous attempt's entry survived (maybe
             # from a dead leader's replicated log, maybe folded into a

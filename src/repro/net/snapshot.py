@@ -1,11 +1,14 @@
-"""Raft snapshotting for the real-network runtime.
+"""Raft snapshotting for the real-network runtime: two folds, one ``follow``.
 
 The specification keeps the whole log forever -- being a spec, its
-messages carry full logs and its handlers index into them freely.
-Neither survives the ROADMAP's "millions of requests": memory grows
-without bound, and a rejoining node replays every entry it missed.
+messages carry full logs and its handlers index into them freely -- and
+everything a replica knows besides ``(log, time)`` is a function of the
+log, re-derived by walking it.  Neither survives the ROADMAP's
+"millions of requests": memory grows without bound, a rejoining node
+replays every entry it missed, and every request pays for the walk.
 This module is the production answer, layered so the *spec semantics
-stay intact* while the *representation* becomes compact:
+stay intact* while the *representation* becomes compact and what the
+log means is folded once:
 
 * :class:`Snapshot` -- the committed prefix of a log, folded down to
   what the rest of the system can still ask about it: the materialized
@@ -24,12 +27,31 @@ stay intact* while the *representation* becomes compact:
   code path that silently needed the full history fails a test instead
   of corrupting state.
 
-* :class:`CompactServer` -- a :class:`~repro.raft.server.Server`
-  subclass overriding only the handful of derived-state queries that
-  would otherwise iterate the elided prefix (current configuration,
-  the R3 commit-at-current-term check, ``describe``).  Every message
-  handler, the commit rule, and the election logic are inherited
-  unchanged: the compaction is invisible to the protocol.
+* :class:`CompactServer` -- the spec replica a node hosts.  Every
+  message handler, the commit rule and the election logic are the
+  inherited spec code; what it adds is two lazily-followed
+  :class:`~repro.runtime.cluster.LogFold`\\ s, the same classes the
+  simulator uses, through the same ``follow``:
+
+  - the **whole log** (:meth:`~repro.runtime.cluster.IndexedServer.index`,
+    a :class:`~repro.runtime.cluster.RequestIndex`): request id -> first
+    position, and every configuration entry with its absolute index,
+    hence the hot configuration.  ``config()``, the at-most-once lookup
+    and the node's removal-entry search read it.
+  - the **committed prefix** (:meth:`CompactServer.applied`, a
+    :class:`~repro.runtime.kvstore.KVView`): key-value store, sessions,
+    configuration history -- exactly a :class:`Snapshot`'s content.
+    Every read a node serves comes from it, and
+    :meth:`CompactServer.compact` *freezes* it into the next snapshot
+    instead of folding the entries a second time.
+
+  ``follow`` checks that what it folded is a prefix of the log it is
+  given and absorbs only the new entries; a log whose snapshot reaches
+  past what was folded (InstallSnapshot on a follower) seeds the state
+  from the digest, a diverging one refolds, and a snapshot of entries
+  already folded (the leader's own compaction) costs nothing.  The
+  snapshot itself answers for the elided prefix: its ``sessions`` for
+  requests, its ``config_history`` for configurations.
 
 Compaction is leader-driven: once the committed prefix has grown
 ``snapshot_threshold`` entries past the current base, the leader folds
@@ -46,11 +68,11 @@ state plus the live tail instead of replaying the full history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..raft.messages import Log, LogEntry
-from ..raft.server import Server, config_of
-from ..runtime.kvstore import apply_command
+from ..runtime.cluster import IndexedServer
+from ..runtime.kvstore import KVView
 
 
 class SnapshotElided(RuntimeError):
@@ -59,18 +81,6 @@ class SnapshotElided(RuntimeError):
     every spec query the runtime performs is answerable from the
     snapshot digest, so raising (rather than silently answering from
     the tail only) is what keeps compaction honest."""
-
-
-def _fold_command(store: Dict[str, Any], payload) -> None:
-    """Apply one non-config payload to the folding store, tolerating
-    vocabulary the kvstore does not know (e.g. bare no-op markers the
-    simulator uses): unknown commands fold as no-ops rather than
-    poisoning compaction."""
-    if isinstance(payload, tuple) and payload:
-        try:
-            apply_command(store, payload)
-        except (ValueError, TypeError):
-            pass
 
 
 @dataclass(frozen=True)
@@ -208,24 +218,6 @@ def base_len(log) -> int:
     return log.snap.base_len if isinstance(log, CompactLog) else 0
 
 
-def config_positions(server: Server) -> List[Tuple[int, frozenset]]:
-    """Every configuration entry of ``server``'s log as ``(absolute
-    index, members)``, including those folded into a snapshot."""
-    log = server.log
-    if isinstance(log, CompactLog):
-        positions = list(log.snap.config_history)
-        base = log.snap.base_len
-        positions.extend(
-            (base + i, entry.payload)
-            for i, entry in enumerate(log.tail)
-            if entry.is_config
-        )
-        return positions
-    return [
-        (i, entry.payload) for i, entry in enumerate(log) if entry.is_config
-    ]
-
-
 def slice_prefix(log, target: int):
     """``log[:target]`` for replication purposes: when ``target`` falls
     inside the elided prefix, the snapshot itself (which covers
@@ -235,55 +227,8 @@ def slice_prefix(log, target: int):
     return log[:target]
 
 
-def materialize_prefix(log, upto: int) -> Dict[str, Any]:
-    """Fold ``log[:upto]`` into key-value state, starting from the
-    snapshot's store when the prefix is compacted."""
-    if isinstance(log, CompactLog):
-        base = log.snap.base_len
-        if upto < base:
-            raise SnapshotElided(
-                f"cannot materialize log[:{upto}] below the snapshot "
-                f"point {base}"
-            )
-        store = dict(log.snap.store)
-        entries = log.tail[: upto - base]
-    else:
-        store = {}
-        entries = log[:upto]
-    for entry in entries:
-        if not entry.is_config:
-            _fold_command(store, entry.payload)
-    return store
-
-
-def find_request_compact(server: Server, request_id) -> Optional[int]:
-    """Snapshot-aware at-most-once lookup.
-
-    Returns the absolute 1-based prefix length that must commit for
-    ``request_id``'s entry to be durable -- or, when the request was
-    folded into the snapshot (necessarily committed), the snapshot's
-    own base length, which the commit length always covers, so the
-    caller answers immediately.
-    """
-    if request_id is None:
-        return None
-    log = server.log
-    if isinstance(log, CompactLog):
-        client_id, seq = request_id
-        if log.snap.sessions.get(client_id, -1) >= seq:
-            return log.snap.base_len
-        base = log.snap.base_len
-        for i, entry in enumerate(log.tail):
-            if entry.request_id == request_id:
-                return base + i + 1
-        return None
-    for i, entry in enumerate(log):
-        if entry.request_id == request_id:
-            return i + 1
-    return None
-
-
-class CompactServer(Server):
+@dataclass
+class CompactServer(IndexedServer):
     """A spec replica whose log may carry an elided, snapshotted prefix.
 
     Only derived-state *queries* are overridden; every handler,
@@ -292,38 +237,33 @@ class CompactServer(Server):
     access keep them correct by construction).
     """
 
-    # -- derived state over the elided prefix ------------------------------
+    _applied: KVView = field(
+        default_factory=KVView, init=False, repr=False, compare=False
+    )
 
-    def config(self):
-        log = self.log
-        if isinstance(log, CompactLog):
-            for entry in reversed(log.tail):
-                if entry.is_config:
-                    return entry.payload
-            return log.snap.config
-        return config_of(log, self.conf0)
+    def applied(self) -> KVView:
+        """The fold of the committed prefix, brought up to the current
+        commit point.  Entries below it never change (Raft's state
+        machine safety), so each is applied exactly once; adopting a
+        snapshot jumps the state to the snapshot's."""
+        self._applied.follow(self.committed_log())
+        return self._applied
 
-    def has_commit_at_current_time(self) -> bool:
-        log = self.log
-        if isinstance(log, CompactLog):
-            snap = log.snap
-            # The snapshot covers only committed entries, and times are
-            # nondecreasing, so its last entry decides for its terms.
-            if snap.last_entry.time == self.time:
-                return True
-            committed_tail = self.commit_len - snap.base_len
-            return any(
-                entry.time == self.time
-                for entry in log.tail[:max(committed_tail, 0)]
-            )
-        return super().has_commit_at_current_time()
+    def find_request(self, request_id) -> Optional[int]:
+        """Snapshot-aware at-most-once lookup.
 
-    def has_entry_at_current_time(self) -> bool:
-        """Whether any entry (committed or not) carries the current
-        term -- the no-op-barrier trigger.  Times are nondecreasing, so
-        the last entry answers for the whole log."""
+        Returns the absolute 1-based prefix length that must commit for
+        ``request_id``'s entry to be durable -- or, when the request was
+        folded into the snapshot (necessarily committed), the snapshot's
+        own base length, which the commit length always covers, so the
+        caller answers immediately.
+        """
         log = self.log
-        return bool(log) and log[-1].time == self.time
+        if request_id is not None and isinstance(log, CompactLog):
+            client_id, seq = request_id
+            if log.snap.sessions.get(client_id, -1) >= seq:
+                return log.snap.base_len
+        return super().find_request(request_id)
 
     def describe(self) -> str:
         log = self.log
@@ -342,7 +282,7 @@ class CompactServer(Server):
         return base_len(self.log)
 
     def compact(self) -> bool:
-        """Fold the committed prefix into a (new) snapshot.
+        """Freeze the committed prefix into a (new) snapshot.
 
         Leader-only by convention (the node gates on role); always
         safe: only committed entries fold, and every query the runtime
@@ -350,42 +290,17 @@ class CompactServer(Server):
         whether anything was folded.
         """
         log = self.log
-        base = base_len(log)
         upto = self.commit_len
-        if upto <= base:
+        if upto <= base_len(log):
             return False
-        if isinstance(log, CompactLog):
-            snap = log.snap
-            store = dict(snap.store)
-            sessions = dict(snap.sessions)
-            history = list(snap.config_history)
-            config = snap.config
-            folding = log.tail[: upto - base]
-            tail = log.tail[upto - base :]
-        else:
-            store = {}
-            sessions = {}
-            history = []
-            config = self.conf0
-            folding = log[:upto]
-            tail = log[upto:]
-        for i, entry in enumerate(folding):
-            if entry.is_config:
-                config = entry.payload
-                history.append((base + i, entry.payload))
-            else:
-                _fold_command(store, entry.payload)
-            if entry.request_id is not None:
-                client_id, seq = entry.request_id
-                if sessions.get(client_id, -1) < seq:
-                    sessions[client_id] = seq
+        state = self.applied()
         snap = Snapshot(
             base_len=upto,
-            last_entry=folding[-1],
-            config=config,
-            store=store,
-            sessions=sessions,
-            config_history=tuple(history),
+            last_entry=log[upto - 1],
+            config=state.config(self.conf0),
+            store=dict(state.store),
+            sessions=dict(state.sessions),
+            config_history=tuple(state.configs),
         )
-        self.log = CompactLog(snap, tail)
+        self.log = CompactLog(snap, log[upto:])
         return True

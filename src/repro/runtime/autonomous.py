@@ -39,7 +39,8 @@ from typing import Dict, List, Optional
 from ..core.cache import Config, Method, NodeId
 from ..core.config import ReconfigScheme
 from ..raft.messages import CommitReq, ElectReq, Msg
-from ..raft.server import LEADER, Server
+from ..raft.server import LEADER
+from .cluster import IndexedServer
 from .driver import ElectionDriver, TimingConfig
 from .simnet import LatencyModel, Simulator
 
@@ -74,8 +75,8 @@ class AutonomousCluster:
         self.timing = timing or TimingConfig()
         self.processing_ms = processing_ms
         nodes = set(scheme.members(conf0)) | set(extra_nodes)
-        self.servers: Dict[NodeId, Server] = {
-            nid: Server(nid=nid, conf0=conf0) for nid in sorted(nodes)
+        self.servers: Dict[NodeId, IndexedServer] = {
+            nid: IndexedServer(nid=nid, conf0=conf0) for nid in sorted(nodes)
         }
         self._crashed: set = set()
         self._last_heartbeat: Dict[NodeId, float] = {

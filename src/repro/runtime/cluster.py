@@ -12,7 +12,7 @@ through the same path (hot reconfiguration: processing never stops).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Dict, List, Optional
 
@@ -72,49 +72,135 @@ class LogFold:
     when it is not (a follower adopted a diverging log, a failover moved
     the question to another server) the state is refolded from scratch.
     The result therefore always equals a fresh fold of the log given.
+
+    A log may be *compacted*: an object with ``.snap``, a digest of its
+    first ``snap.base_len`` entries (:class:`repro.net.snapshot.Snapshot`),
+    and ``.tail``, the entries after them.  A digest that reaches past
+    what was folded replaces the state (:meth:`reset` reads it) and the
+    tail is folded on top; one at or behind it -- this server compacted
+    entries the fold had seen -- leaves the state alone: only the tail
+    both still hold is compared, plus the digest's verbatim last entry.
+
+    Every fold keeps :attr:`configs`, the configuration entries so far
+    as ``(absolute index, members)``; subclasses add the rest.
     """
 
     def __init__(self) -> None:
-        self._folded: Log = ()
-        self.reset()
+        self._log = ()  # the value last followed
+        self._base = 0  # how many of its entries are held as a digest
+        self._tail: Log = ()  # the entries folded after those
+        self.configs: list = []
+        self.reset(None)
 
-    def reset(self) -> None:
-        """Return the derived state to that of the empty log."""
+    def reset(self, snap) -> None:
+        """Return the derived state to that of the empty log, or to
+        that of the prefix ``snap`` digests."""
         raise NotImplementedError
 
     def absorb(self, position: int, entry: LogEntry) -> None:
         """Fold in ``entry``, the ``position``-th (1-based) of the log."""
         raise NotImplementedError
 
-    def follow(self, log: Log) -> None:
-        folded = self._folded
-        if log is folded:
+    def forget(self, base: int) -> None:
+        """The first ``base`` entries, all folded, are from now on
+        answered by the log's digest: drop what only indexed them."""
+
+    def config(self, conf0):
+        """The newest configuration folded (hot semantics), or conf0."""
+        return self.configs[-1][1] if self.configs else conf0
+
+    def follow(self, log) -> None:
+        if log is self._log:
             return
-        done = len(folded)
-        if len(log) < done or log[:done] != folded:
-            self.reset()
-            done = 0
-        for position, entry in enumerate(log[done:], done + 1):
+        snap = getattr(log, "snap", None)
+        base, tail = (0, log) if snap is None else (snap.base_len, log.tail)
+        held, kept = self._base, self._tail
+        done = held + len(kept)
+        if (
+            held <= base <= done <= base + len(tail)
+            and tail[: done - base] == kept[base - held :]
+            and (base == held or kept[base - held - 1] == snap.last_entry)
+        ):
+            if base > held:
+                self.forget(base)
+        else:
+            self.configs = list(snap.config_history) if snap else []
+            self.reset(snap)
+            done = base
+        for position, entry in enumerate(tail[done - base :], done + 1):
+            if entry.is_config:
+                self.configs.append((position - 1, entry.payload))
             self.absorb(position, entry)
-        self._folded = log
+        self._log, self._base, self._tail = log, base, tail
 
 
 class RequestIndex(LogFold):
-    """Where each client request sits in a log, and which terms it holds.
+    """Where each client request sits in a log.
 
     ``positions`` maps a request id to the 1-based position of the
     *first* entry carrying it, which is what a front-to-back scan for
-    the id returns; ``terms`` is the set of ``entry.time`` values.
+    the id returns.  Entries behind a digest are not indexed: the
+    digest's ``sessions`` answer for them
+    (:meth:`repro.net.snapshot.CompactServer.find_request`).
     """
 
-    def reset(self) -> None:
+    def reset(self, snap) -> None:
         self.positions: Dict[object, int] = {}
-        self.terms: set = set()
 
     def absorb(self, position: int, entry: LogEntry) -> None:
         if entry.request_id is not None:
             self.positions.setdefault(entry.request_id, position)
-        self.terms.add(entry.time)
+
+    def forget(self, base: int) -> None:
+        self.positions = {
+            rid: at for rid, at in self.positions.items() if at > base
+        }
+
+
+@dataclass
+class IndexedServer(Server):
+    """A spec replica that answers questions about its log from a fold.
+
+    The specification re-derives the hot configuration, "is this request
+    already in my log" and "is there a commit at my term" by walking the
+    log on every call; the layer hosting it may not.  Only those
+    *queries* are overridden -- every handler, the election logic and
+    the commit rule are the inherited spec code -- and the fold is
+    followed lazily: a replica that is never asked folds nothing.
+    """
+
+    _index: RequestIndex = field(
+        default_factory=RequestIndex, init=False, repr=False, compare=False
+    )
+
+    def index(self) -> RequestIndex:
+        """The fold of the whole log, brought up to the current one."""
+        self._index.follow(self.log)
+        return self._index
+
+    def config(self):
+        return self.index().config(self.conf0)
+
+    def find_request(self, request_id) -> Optional[int]:
+        """Log position (1-based prefix length) of ``request_id``, if a
+        previous attempt's entry already survived into this log."""
+        if request_id is None:
+            return None
+        return self.index().positions.get(request_id)
+
+    def has_entry_at_current_time(self) -> bool:
+        """Whether any entry (committed or not) carries the current
+        term -- the no-op-barrier trigger.  Times are nondecreasing
+        along a log and never exceed the server's own, so the last
+        entry of a prefix answers for all of it."""
+        return bool(self.log) and self.log[-1].time == self.time
+
+    def has_commit_at_current_time(self) -> bool:
+        """R3, by the same argument: the last committed entry decides."""
+        return (
+            self.commit_len > 0
+            and self.log[self.commit_len - 1].time == self.time
+        )
 
 
 @dataclass
@@ -159,15 +245,12 @@ class Cluster:
         self.latency = latency or LatencyModel()
         self.processing_ms = processing_ms
         nodes = set(scheme.members(conf0)) | set(extra_nodes)
-        self.servers: Dict[NodeId, Server] = {
-            nid: Server(nid=nid, conf0=conf0) for nid in sorted(nodes)
+        self.servers: Dict[NodeId, IndexedServer] = {
+            nid: IndexedServer(nid=nid, conf0=conf0) for nid in sorted(nodes)
         }
         self.records: List[RequestRecord] = []
         self.messages_sent = 0
         self._crashed: set = set()
-        #: Per-server request index, owned by this cluster: two clusters
-        #: in one process share nothing.
-        self._request_index: Dict[NodeId, RequestIndex] = {}
         self.faults = faults
         # -- observability (see repro.obs) -----------------------------
         # The disabled path must stay near-free: one boolean (`_obs`)
@@ -438,21 +521,6 @@ class Cluster:
         """Submit a reconfiguration command and wait for commit."""
         return self._submit(new_conf, leader, True, max_wait_ms, request_id)
 
-    def _index_of(self, server: Server) -> RequestIndex:
-        """``server``'s request index, brought up to its current log."""
-        index = self._request_index.get(server.nid)
-        if index is None:
-            index = self._request_index[server.nid] = RequestIndex()
-        index.follow(server.log)
-        return index
-
-    def _find_request(self, server: Server, request_id) -> Optional[int]:
-        """Log position (1-based prefix length) of ``request_id``, if a
-        previous attempt's entry already survived into ``server``'s log."""
-        if request_id is None:
-            return None
-        return self._index_of(server).positions.get(request_id)
-
     def _submit(
         self,
         payload,
@@ -478,7 +546,7 @@ class Cluster:
                 payload=repr(payload),
             )
             self._m_requests.inc()
-        existing = self._find_request(server, request_id)
+        existing = server.find_request(request_id)
         if existing is not None:
             # At-most-once: a previous attempt already appended this
             # request and the entry survived into this leader's log.
@@ -487,7 +555,7 @@ class Cluster:
             # counting (Raft's commit rule), so lay down a no-op
             # barrier at the current term if none exists yet.
             target_len = existing
-            if server.time not in self._index_of(server).terms:
+            if not server.has_entry_at_current_time():
                 server.invoke(("noop",))
         elif is_reconfig:
             ok, reason = server.reconfig(

@@ -152,9 +152,7 @@ class FailoverDriver:
                 self._fail_over()
                 continue
             server = self.cluster.servers[self.leader]
-            already_appended = (
-                self.cluster._find_request(server, request_id) is not None
-            )
+            already_appended = server.find_request(request_id) is not None
             if not already_appended and not server.has_commit_at_current_time():
                 self.submit(("noop",))
                 continue

@@ -60,28 +60,45 @@ def materialize(entries) -> Dict[str, Any]:
 
 
 class KVView(LogFold):
-    """The key-value state of a log prefix, kept applied as it grows.
+    """A log prefix, applied: exactly what a snapshot of it holds.
 
-    ``state_of(prefix)`` equals ``materialize(prefix)`` for every
-    prefix given, in any order: :class:`LogFold` checks that what was
-    applied so far is a prefix of the new one and starts over when it
-    is not, so a reader of the view observes what a fresh fold would
-    show -- it does not come to rely on the Log Matching property that
-    the linearizability checker is there to test.
+    ``store`` is the key-value state, ``sessions`` the highest ``seq``
+    seen per client (at-most-once dedup), and the inherited ``configs``
+    the configuration history.  ``state_of(prefix)`` equals
+    ``materialize(prefix)`` for every prefix given, in any order:
+    :class:`LogFold` checks that what was applied so far is a prefix of
+    the new one and starts over when it is not, so a reader of the view
+    observes what a fresh fold would show -- it does not come to rely
+    on the Log Matching property that the linearizability checker is
+    there to test.
+
+    This is the one place either tier applies a logged command, so it
+    is where the tolerance rule lives: vocabulary the store does not
+    know (a model checker's bare method names, a malformed command from
+    a foreign leader) folds as a no-op instead of poisoning every later
+    read and every compaction.
     """
 
-    def reset(self) -> None:
-        self._store: Dict[str, Any] = {}
+    def reset(self, snap) -> None:
+        self.store: Dict[str, Any] = dict(snap.store) if snap else {}
+        self.sessions: Dict[str, int] = dict(snap.sessions) if snap else {}
 
     def absorb(self, position: int, entry: LogEntry) -> None:
         if not entry.is_config:
-            apply_command(self._store, entry.payload)
+            try:
+                apply_command(self.store, entry.payload)
+            except (ValueError, TypeError, IndexError):
+                pass
+        if entry.request_id is not None:
+            client_id, seq = entry.request_id
+            if self.sessions.get(client_id, -1) < seq:
+                self.sessions[client_id] = seq
 
     def state_of(self, prefix: Log) -> Dict[str, Any]:
         """The state after ``prefix``; the view's own dictionary, valid
         until the next call -- copy it to keep or change it."""
         self.follow(prefix)
-        return self._store
+        return self.store
 
 
 class ReplicatedKV:

@@ -10,19 +10,27 @@ trace export can be pinned down without a cluster:
 * the same ``get`` on a fresh leader (no current-term commit yet) goes
   through the log like a write and is answered when it commits;
 * a trace event lost between node and monitor makes the node re-ship
-  its log, instead of streaming deltas the monitor can no longer place.
+  its log, instead of streaming deltas the monitor can no longer place;
+* what the node derives from its log is folded once: a put costs the
+  same at any tail length, a command is applied once, the spec's own
+  log walk is never reached, and a replica asked nothing folds nothing.
 """
 
-import pytest
+import sys
 
 from repro.monitor.service import Monitor, MonitorConfig
 from repro.net import node as node_module
+from repro.net import snapshot as snapshot_module
 from repro.net.node import NetNode, NodeConfig
 from repro.net.wire import ClientRequest, ReadProbeAck, decode_message
 from repro.obs.metrics import MetricsRegistry
 from repro.raft.messages import CommitAck, CommitReq, ElectAck, LogEntry
+from repro.raft import server as server_module
 from repro.raft.server import LEADER
+from repro.runtime import kvstore as kvstore_module
+from repro.runtime.cluster import RequestIndex
 from repro.runtime.driver import ElectionDriver
+from repro.runtime.kvstore import KVView
 
 CONF0 = frozenset({1, 2, 3})
 
@@ -64,8 +72,8 @@ def make_node(nid, **options):
     return node
 
 
-def make_leader():
-    node = make_node(1)
+def make_leader(**options):
+    node = make_node(1, **options)
     node.driver._timer_fired(node.driver.epoch)  # election timeout
     node._deliver(ElectAck(frm=2, to=1, time=node.server.time, granted=True))
     assert node.server.role == LEADER
@@ -178,3 +186,127 @@ def test_a_shed_trace_backlog_is_followed_by_a_full_reship(monkeypatch):
     assert monitor.engine.entries_added == 10
     assert monitor.engine.gaps == 1 and monitor.status().ok
     assert node.metrics.counter("net.export_dropped").value == 1
+
+
+# ----------------------------------------------------------------------
+# Work counts: what a log means is folded once
+# ----------------------------------------------------------------------
+
+
+def put_and_commit(node, seq):
+    writer = ask(node, seq, "put", f"k{seq % 5}", seq)
+    ack_everything(node)
+    assert [r.ok for r in writer.replies] == [True]
+
+
+def leader_with_tail(n, **options):
+    node = make_leader(**options)
+    for seq in range(n):
+        put_and_commit(node, seq)
+    assert node.server.commit_len == n
+    return node
+
+
+def line_events(fn):
+    """``line`` trace events in the node, the spec and the folds while
+    ``fn`` runs -- unlike call counts they see the iterations of a loop
+    that walks a log inside one frame.  (``repro.obs`` is left out: a
+    histogram switches to reservoir sampling at its 1,024th sample.)"""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        name = frame.f_code.co_filename
+        if "/repro/" not in name or "/repro/obs/" in name:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_one_put_costs_the_same_at_any_uncompacted_tail_length():
+    """Admit + flush + one ``CommitAck``, compaction off.  At the parent
+    commit this counted 2,307 line events on a 128-entry tail and 61,827
+    on a 4,096-entry one (``config_of``, ``find_request_compact`` and
+    ``config_positions`` each walked the tail); it is 395 now, and what
+    is left that grows with the log is C-level tuple work, which emits
+    no line events."""
+    counts = []
+    for n in (128, 4096):
+        node = leader_with_tail(n, snapshot_threshold=0)
+        counts.append(line_events(lambda: put_and_commit(node, n)))
+    assert counts[0] == counts[1] < 1000
+
+
+def test_each_committed_command_is_applied_once_across_compactions(
+    monkeypatch,
+):
+    """The leader used to apply every command twice: once into its read
+    state, once more when ``compact()`` re-folded the prefix."""
+    applied = []
+    real_apply = kvstore_module.apply_command
+
+    def counting_apply(store, command):
+        applied.append(command)
+        real_apply(store, command)
+
+    monkeypatch.setattr(kvstore_module, "apply_command", counting_apply)
+    n = 40
+    node = leader_with_tail(n, snapshot_threshold=8)
+    assert node.metrics.counter("net.compactions").value >= 3
+    assert node.server.snapshot_base() > 0
+    get = ask(node, n, "get", "k4")
+    node.loop.tick()
+    batch, = node._read_batches.values()
+    node._on_read_probe_ack(ReadProbeAck(
+        frm=2, to=1, probe=batch.probe, time=node.server.time
+    ))
+    assert [r.result for r in get.replies] == [n - 1]
+    assert len(applied) == n
+
+
+def test_the_specs_log_walk_is_never_reached_from_a_node(monkeypatch):
+    def refuse(log, conf0):
+        raise AssertionError("config_of walked a log")
+
+    # ... nor from a copy of it a hosting module imported by name.
+    for module in (server_module, snapshot_module, node_module):
+        if hasattr(module, "config_of"):
+            monkeypatch.setattr(module, "config_of", refuse)
+    # A leader: election, requests, acks, a heartbeat, a reconfiguration.
+    node = leader_with_tail(3)
+    ask(node, 3, "get", "k0")
+    ack_everything(node)
+    node.driver._heartbeat(node.server.time)
+    shrink = ask(node, 4, "reconfig", (1, 2))
+    ack_everything(node)
+    assert [r.ok for r in shrink.replies] == [True]
+    assert node.server.config() == frozenset({1, 2})
+    node._status()
+    # A follower: replication, then its own election timeout.
+    follower = make_node(2)
+    for msg in replication_stream(4):
+        follower._deliver(msg)
+    follower.driver._timer_fired(follower.driver.epoch)
+    assert follower.server.time == 2
+
+
+def test_a_follower_that_is_asked_nothing_folds_nothing(monkeypatch):
+    absorbed = []
+    for fold in (RequestIndex, KVView):
+        monkeypatch.setattr(
+            fold, "absorb", lambda self, *entry: absorbed.append(entry)
+        )
+    follower = make_node(2)
+    for msg in replication_stream(10):
+        follower._deliver(msg)
+    assert follower.server.commit_len == 9 and absorbed == []
+    follower._status()  # asks for the configuration
+    assert len(absorbed) == 10

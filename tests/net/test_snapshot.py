@@ -21,9 +21,6 @@ from repro.net.snapshot import (
     CompactServer,
     SnapshotElided,
     base_len,
-    config_positions,
-    find_request_compact,
-    materialize_prefix,
     slice_prefix,
 )
 from repro.raft.messages import LogEntry
@@ -111,18 +108,18 @@ def test_compaction_preserves_materialization_and_derived_state():
     # Truncation correctness: every still-answerable prefix folds to the
     # same store a full replay produces.
     for upto in range(6, 9):
-        assert materialize_prefix(log, upto) == materialize(
-            e for e in full[:upto] if not e.is_config
-        )
+        server.commit_len = upto
+        assert server.applied().store == materialize(full[:upto])
+    server.commit_len = 5
     with pytest.raises(SnapshotElided):
-        materialize_prefix(log, 5)
+        server.applied()
     # Config, config history, and dedup sessions survive the fold.
     assert server.config() == frozenset({1, 2, 3, 4})
-    assert (2, frozenset({1, 2, 3, 4})) in config_positions(server)
+    assert (2, frozenset({1, 2, 3, 4})) in server.index().configs
     assert log.snap.sessions == {"alice": 7}
-    assert find_request_compact(server, ("alice", 7)) == 6   # folded
-    assert find_request_compact(server, ("alice", 9)) is None
-    assert find_request_compact(server, None) is None
+    assert server.find_request(("alice", 7)) == 6   # folded
+    assert server.find_request(("alice", 9)) is None
+    assert server.find_request(None) is None
 
 
 def test_repeated_compaction_folds_incrementally():
@@ -138,9 +135,9 @@ def test_repeated_compaction_folds_incrementally():
     assert base_len(log) == 10 and log.tail == ()
     assert server.config() == frozenset({1, 2})
     assert log.snap.sessions == {"alice": 7, "bob": 1}
-    assert find_request_compact(server, ("bob", 1)) == 10
+    assert server.find_request(("bob", 1)) == 10
     # Both folded config entries remain locatable for courtesy replies.
-    positions = dict(config_positions(server))
+    positions = dict(server.index().configs)
     assert positions[2] == frozenset({1, 2, 3, 4})
     assert positions[9] == frozenset({1, 2})
 
@@ -148,7 +145,7 @@ def test_repeated_compaction_folds_incrementally():
 def test_find_request_in_uncompacted_tail_is_absolute():
     server = _compacted(n=8, commit=6)
     server.log = server.log + (_entry(8, request_id=("carol", 3)),)
-    assert find_request_compact(server, ("carol", 3)) == 9
+    assert server.find_request(("carol", 3)) == 9
 
 
 # ----------------------------------------------------------------------

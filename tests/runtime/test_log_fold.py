@@ -2,10 +2,11 @@
 
 The simulated cluster used to re-walk whole logs on every client
 operation.  It now keeps derived state that follows each log
-(:class:`~repro.runtime.cluster.LogFold`): a request index per server
-and an applied key-value view.  These tests hold both to the linear
-reference implementations, which live here and nowhere in ``src/``, and
-pin the work done per run by deterministic counts, not by the clock.
+(:class:`~repro.runtime.cluster.LogFold`): a request index carried by
+each server and an applied key-value view.  These tests hold both to
+the linear reference implementations, which live here and nowhere in
+``src/``, and pin the work done per run by deterministic counts, not by
+the clock.
 """
 
 import copy
@@ -14,7 +15,6 @@ import random
 import repro.runtime.kvstore as kvstore_mod
 import repro.runtime.nemesis as nemesis_mod
 from repro.raft.messages import CommitReq, LogEntry
-from repro.raft.server import Server
 from repro.runtime import (
     Cluster,
     FailoverDriver,
@@ -25,7 +25,7 @@ from repro.runtime import (
     materialize,
     run_nemesis,
 )
-from repro.runtime.cluster import independent_copy
+from repro.runtime.cluster import IndexedServer, independent_copy
 from repro.runtime.kvstore import KVView
 from repro.schemes import RaftSingleNodeScheme
 
@@ -49,11 +49,9 @@ def put(term, vrsn, value, rid=None):
     )
 
 
-def assert_index_matches_scan(cluster, server, request_ids):
+def assert_index_matches_scan(server, request_ids):
     for rid in request_ids:
-        assert cluster._find_request(server, rid) == scan_for_request(
-            server, rid
-        ), rid
+        assert server.find_request(rid) == scan_for_request(server, rid), rid
 
 
 class TestRequestIndex:
@@ -67,22 +65,22 @@ class TestRequestIndex:
             put(1, 2, "b", ("c", 1)),
             put(1, 3, "c", ("c", 0)),  # the same request id again
         )
-        assert cluster._find_request(server, ("c", 0)) == 1
-        assert cluster._find_request(server, ("c", 1)) == 2
-        assert cluster._find_request(server, ("c", 2)) is None
+        assert server.find_request(("c", 0)) == 1
+        assert server.find_request(("c", 1)) == 2
+        assert server.find_request(("c", 2)) is None
 
     def test_none_is_never_found(self):
         cluster = Cluster(NODES, SCHEME)
         server = cluster.servers[1]
         server.log = (put(1, 1, "a"), put(1, 2, "b", ("c", 0)))
-        assert cluster._find_request(server, None) is None
+        assert server.find_request(None) is None
 
     def test_follows_appends_without_losing_earlier_positions(self):
         cluster = Cluster(NODES, SCHEME)
         assert cluster.elect(1)
         for n in range(5):
             cluster.submit(("put", "k", n), 1, request_id=("c", n))
-            assert_index_matches_scan(cluster, cluster.servers[1], self.RIDS)
+            assert_index_matches_scan(cluster.servers[1], self.RIDS)
 
     def test_follower_log_replaced_by_a_diverging_one(self):
         cluster = Cluster(NODES, SCHEME)
@@ -93,7 +91,7 @@ class TestRequestIndex:
             put(1, 2, "b", ("c", 1)),
             put(1, 3, "c", ("c", 2)),
         )
-        assert cluster._find_request(follower, ("c", 2)) == 3
+        assert follower.find_request(("c", 2)) == 3
         # A term-2 leader overwrites everything after the first entry:
         # ("c", 1) is gone and ("c", 2) moved.
         winner = (
@@ -105,47 +103,49 @@ class TestRequestIndex:
             CommitReq(frm=3, to=2, time=2, log=winner, commit_len=1)
         )
         assert follower.log == winner
-        assert cluster._find_request(follower, ("c", 1)) is None
-        assert cluster._find_request(follower, ("c", 2)) == 2
-        assert_index_matches_scan(cluster, follower, self.RIDS)
+        assert follower.find_request(("c", 1)) is None
+        assert follower.find_request(("c", 2)) == 2
+        assert_index_matches_scan(follower, self.RIDS)
 
     def test_shorter_log_is_refolded(self):
         cluster = Cluster(NODES, SCHEME)
         server = cluster.servers[1]
         server.log = (put(1, 1, "a", ("c", 0)), put(1, 2, "b", ("c", 1)))
-        assert cluster._find_request(server, ("c", 1)) == 2
+        assert server.find_request(("c", 1)) == 2
         server.log = server.log[:1]
-        assert cluster._find_request(server, ("c", 1)) is None
+        assert server.find_request(("c", 1)) is None
 
     def test_after_restart(self):
         cluster = Cluster(NODES, SCHEME)
         assert cluster.elect(1)
         for n in range(3):
             cluster.submit(("put", "k", n), 1, request_id=("c", n))
-        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+        assert_index_matches_scan(cluster.servers[2], self.RIDS)
         cluster.crash(2)
         cluster.submit(("put", "k", 3), 1, request_id=("c", 3))
         cluster.restart(2)
-        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+        assert_index_matches_scan(cluster.servers[2], self.RIDS)
         cluster.submit(("put", "k", 4), 1, request_id=("c", 4))
-        assert_index_matches_scan(cluster, cluster.servers[2], self.RIDS)
+        assert_index_matches_scan(cluster.servers[2], self.RIDS)
 
     def test_two_clusters_share_nothing(self):
         a, b = Cluster(NODES, SCHEME), Cluster(NODES, SCHEME)
         a.servers[1].log = (put(1, 1, "a", ("c", 0)),)
         b.servers[1].log = (put(1, 1, "z"), put(1, 2, "a", ("c", 0)))
-        assert a._find_request(a.servers[1], ("c", 0)) == 1
-        assert b._find_request(b.servers[1], ("c", 0)) == 2
-        assert a._find_request(a.servers[1], ("c", 0)) == 1
+        assert a.servers[1].find_request(("c", 0)) == 1
+        assert b.servers[1].find_request(("c", 0)) == 2
+        assert a.servers[1].find_request(("c", 0)) == 1
 
     def test_server_from_outside_the_cluster_is_still_answered_exactly(self):
-        # The index is keyed by node id but never trusts the key: what
-        # it returns is checked against the log it is asked about.
+        # Each server carries its own index, and what it returns is
+        # checked against the log it holds now, not the one it held.
         cluster = Cluster(NODES, SCHEME)
         cluster.servers[1].log = (put(1, 1, "a", ("c", 0)),)
-        assert cluster._find_request(cluster.servers[1], ("c", 0)) == 1
-        stranger = Server(nid=1, conf0=NODES, log=(put(1, 1, "z"),))
-        assert cluster._find_request(stranger, ("c", 0)) is None
+        assert cluster.servers[1].find_request(("c", 0)) == 1
+        stranger = IndexedServer(nid=1, conf0=NODES, log=(put(1, 1, "z"),))
+        assert stranger.find_request(("c", 0)) is None
+        stranger.log = cluster.servers[1].log
+        assert stranger.find_request(("c", 0)) == 1
 
     def test_random_log_histories_match_the_scan(self):
         rng = random.Random(20220613)
@@ -160,7 +160,7 @@ class TestRequestIndex:
                 rid = rng.choice(rids + [None])
                 log.append(put(1, len(log) + 1, rng.randrange(3), rid))
             server.log = tuple(log)
-            assert_index_matches_scan(cluster, server, rids + [None])
+            assert_index_matches_scan(server, rids + [None])
 
     def test_retry_barrier_decision_matches_the_term_scan(self):
         # The retry path lays a no-op barrier iff the log holds no entry
@@ -187,7 +187,7 @@ class TestRequestIndex:
         config_entries = [e for e in leader.log if e.is_config]
         assert len(config_entries) == 1
         rid = config_entries[0].request_id
-        assert cluster._find_request(leader, rid) == scan_for_request(
+        assert leader.find_request(rid) == scan_for_request(
             leader, rid
         )
 
