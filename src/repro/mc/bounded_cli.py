@@ -34,6 +34,11 @@ BUDGETS = {
 
 
 def signature(result) -> dict:
+    """What two runs must agree on to have explored the same thing.
+
+    Also the row format of ``tests/mc/test_golden.py``, so it stays
+    JSON-shaped (lists, not tuples).
+    """
     first = None
     if result.violations:
         violation = result.violations[0]
@@ -47,6 +52,8 @@ def signature(result) -> dict:
         "verdict": result.safe,
         "violations": len(result.violations),
         "first_violation": first,
+        "max_depth": result.max_depth,
+        "exhausted": result.exhausted,
     }
 
 
