@@ -5,7 +5,7 @@ RAM, once inside an ``RLIMIT_AS`` address-space cap with the bounded
 cache policy (tiered eviction) plus the disk-spilled frontier/visited
 set -- and gates on the ratio of their states/second.
 
-Measurement protocol (same as ``test_mc_throughput``):
+Measurement protocol:
 
 * Each run happens in a fresh forked child, so ``ru_maxrss`` is a
   clean per-run high-water mark and the rlimit applies only to that
@@ -30,6 +30,7 @@ import tempfile
 import time
 
 from repro.mc.ablations import verify_intact_explorer
+from repro.mc.bounded_cli import signature
 
 #: The fixed address-space cap for the bounded run.  The unbounded
 #: Fig. 4 intact run peaks around 260 MiB here (forked from pytest);
@@ -75,19 +76,8 @@ def _run_mode(bounded, conn):
             result = explorer.run()
         cpu = time.process_time() - cpu_started
         wall = time.monotonic() - wall_started
-    first = None
-    if result.violations:
-        violation = result.violations[0]
-        first = (
-            tuple(repr(op) for op in violation.trace),
-            tuple(violation.report.all_violations()),
-        )
     conn.send({
-        "states": result.states_visited,
-        "transitions": result.transitions,
-        "violations": len(result.violations),
-        "first_violation": first,
-        "exhausted": result.exhausted,
+        "signature": signature(result),
         "elapsed_seconds": wall,
         "cpu_seconds": cpu,
         "states_per_second": result.states_visited / cpu if cpu else 0.0,
@@ -110,14 +100,6 @@ def measure(bounded):
     return payload
 
 
-def parity_fields(payload):
-    return {
-        key: payload[key]
-        for key in ("states", "transitions", "violations", "first_violation",
-                    "exhausted")
-    }
-
-
 def best_of(payloads):
     return max(payloads, key=lambda p: p["states_per_second"])
 
@@ -134,7 +116,7 @@ def test_bounded_vs_unbounded(report, bench_json):
         bounded_runs.append(measure(bounded=True))
 
     for run in unbounded_runs[1:] + bounded_runs:
-        assert parity_fields(unbounded_runs[0]) == parity_fields(run), (
+        assert unbounded_runs[0]["signature"] == run["signature"], (
             "bounding memory changed the verification answer"
         )
     for run in bounded_runs:
@@ -157,8 +139,8 @@ def test_bounded_vs_unbounded(report, bench_json):
         "tree_cap": TREE_CAP,
         "spill_window": SPILL_WINDOW,
         "runs_per_mode": len(bounded_runs),
-        "states": bounded["states"],
-        "transitions": bounded["transitions"],
+        "states": bounded["signature"]["states"],
+        "transitions": bounded["signature"]["transitions"],
         "unbounded": {
             "elapsed_seconds": unbounded["elapsed_seconds"],
             "cpu_seconds": unbounded["cpu_seconds"],
@@ -182,10 +164,10 @@ def test_bounded_vs_unbounded(report, bench_json):
         "(states/second over CPU time, best of the interleaved runs)",
         f"{'mode':>10} {'states':>8} {'st/s':>10} {'peak RSS':>10} "
         f"{'flushes':>8}",
-        f"{'unbounded':>10} {unbounded['states']:>8} "
+        f"{'unbounded':>10} {unbounded['signature']['states']:>8} "
         f"{unbounded['states_per_second']:>10,.0f} "
         f"{unbounded['peak_rss_kb'] / 1024:>8.0f}Mi {'-':>8}",
-        f"{'bounded':>10} {bounded['states']:>8} "
+        f"{'bounded':>10} {bounded['signature']['states']:>8} "
         f"{bounded['states_per_second']:>10,.0f} "
         f"{bounded['peak_rss_kb'] / 1024:>8.0f}Mi "
         f"{bounded['cache_flushes']:>8}",

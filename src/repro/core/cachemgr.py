@@ -5,16 +5,14 @@ tables -- the tree intern table, the cache intern table, and per-tree
 memo scratch -- whose only bound was a blunt wipe-everything epoch
 flush.  This module is the single knob for all of them, shaped after
 the pydl8.5 tree-search cache (``CacheTrie``/``CacheHash`` with a
-``maxcachesize`` bound and ``WipeType All/Subnodes/Recall`` wipe
-strategies):
+``maxcachesize`` bound and ``WipeType All/Subnodes`` wipe strategies;
+its third type, ``Recall``, has no workload here):
 
 * ``wipe="all"`` -- clear the table at the cap (the old behaviour, now
   with provenance trimming so flushed ancestors actually die).
 * ``wipe="subnodes"`` -- keep the trees still reachable from the
   model checker's working set (its in-RAM frontier window); evict the
   rest.
-* ``wipe="recall"`` -- keep the trees most re-interned since the last
-  flush (a cheap recall counter, pydl8.5's ``Recall``/``Reuses``).
 
 The policy is process-global because the tables are: the model-checking
 engines call :func:`bounded` around a run, and worker processes inherit
@@ -31,7 +29,7 @@ Typical use::
 
     from repro.core import cachemgr
 
-    with cachemgr.bounded(tree_cap=1 << 16, wipe="recall"):
+    with cachemgr.bounded(tree_cap=1 << 16, wipe="subnodes"):
         result = explorer.run()
     print(cachemgr.stats())
 """
@@ -43,15 +41,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from . import cache as _cache
-from . import safety as _safety  # noqa: F401  (registers the memo trimmer)
 from . import tree as _tree
 
 #: The wipe strategies understood by :func:`configure`.
 WIPE_ALL = "all"
 WIPE_SUBNODES = "subnodes"
-WIPE_RECALL = "recall"
 
-WIPE_POLICIES = (WIPE_ALL, WIPE_SUBNODES, WIPE_RECALL)
+WIPE_POLICIES = (WIPE_ALL, WIPE_SUBNODES)
 
 
 @dataclass(frozen=True)
@@ -98,9 +94,12 @@ def bounded(
 ) -> Iterator[CachePolicy]:
     """Run a block under a bounded cache policy, then restore.
 
-    ``None`` caps keep their current values.  On exit the previous
-    policy is restored and the tables are flushed down to it, so a
-    bounded run cannot leave an oversized table behind.
+    ``None`` caps keep their current values.  A table already over its
+    new cap is flushed on entry (an intern *hit* never triggers a flush,
+    so a warm process whose run only re-derives known trees would
+    otherwise stay over the cap throughout); on exit the previous policy
+    is restored and the tables are flushed down to it, so a bounded run
+    cannot leave an oversized table behind either.
     """
     previous = current_policy()
     policy = CachePolicy(
@@ -108,15 +107,20 @@ def bounded(
         cache_cap=previous.cache_cap if cache_cap is None else cache_cap,
         wipe=wipe,
     )
-    configure(policy)
+    _enforce(policy)
     try:
         yield policy
     finally:
-        configure(previous)
-        if len(_tree._INTERNED_TREES) > previous.tree_cap:
-            _tree.flush_interned_trees()
-        if len(_cache._INTERNED) > previous.cache_cap:
-            _cache.flush_interned_caches()
+        _enforce(previous)
+
+
+def _enforce(policy: CachePolicy) -> None:
+    """Apply ``policy`` and flush whichever table already exceeds it."""
+    configure(policy)
+    if len(_tree._INTERNED_TREES) > policy.tree_cap:
+        _tree.flush_interned_trees()
+    if len(_cache._INTERNED) > policy.cache_cap:
+        _cache.flush_interned_caches()
 
 
 def flush() -> None:

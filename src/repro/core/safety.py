@@ -32,48 +32,7 @@ from .cache import (
 )
 from .errors import SafetyViolation
 from .state import AdoreState, TimeMap
-from .tree import ROOT_CID, CacheTree, forget_tree, set_memo_trimmer
-
-
-# ----------------------------------------------------------------------
-# Memo trimming (cache-manager hook)
-# ----------------------------------------------------------------------
-
-#: The per-tree *tables* of a memo: each one a dict (or three) the tree
-#: owns even where its contents are shared with the predecessor tree,
-#: rebuilt on demand if the tree is ever revisited.  Measured on the
-#: Fig. 4 intact run, bytes owned per tree that holds the table:
-#: ``node_tables`` 610, ``branches`` 460, ``children`` 450, ``rprefix``
-#: 350, ``kinds`` 260 (``descendants``, 340 on the guided hunt, is not
-#: derived from the predecessor: the tree owns every tuple in it).
-#: What the trimmer deliberately KEEPS is scalar-sized: the memoized
-#: safety-report verdicts (the whole point of letting a tree survive a
-#: flush -- and a clean one is the process-wide :data:`_CLEAN`, so
-#: keeping it costs one dict slot), the ``r2``/``r3`` booleans and
-#: ``known_nodes``.
-_HEAVY_MEMO_KEYS = (
-    "node_tables", "branches", "children", "rprefix", "kinds", "descendants",
-)
-
-
-def trim_tree_memo(tree: CacheTree) -> None:
-    """Drop the derived tables from ``tree``'s memo, keep verdicts.
-
-    Installed as :mod:`repro.core.tree`'s memo trimmer: the policy-driven
-    epoch flush applies it to trees that survive a ``"recall"`` flush, so
-    a bounded run's heuristic survivors cost one small dict each rather
-    than a dict per table.  (``"subnodes"`` survivors are the live
-    frontier and keep their tables: the engine is about to expand them,
-    and their successors extend those tables instead of rebuilding.)
-    """
-    memo = tree._memo
-    if not memo:
-        return
-    for key in _HEAVY_MEMO_KEYS:
-        memo.pop(key, None)
-
-
-set_memo_trimmer(trim_tree_memo)
+from .tree import ROOT_CID, CacheTree, forget_tree
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ to a separate persistent log as in the ADO model; instead a cache is
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -103,23 +102,12 @@ _INTERN_CAP = _DEFAULT_INTERN_CAP
 
 #: Wipe strategy applied at the cap (the pydl8.5 ``WipeType`` shape):
 #: ``"all"`` clears the table, ``"subnodes"`` keeps trees a pin provider
-#: (typically: the explorer's in-RAM frontier) names as reachable, and
-#: ``"recall"`` keeps the most re-interned trees since the last flush.
+#: (typically: the explorer's in-RAM frontier) names as reachable.
 _WIPE = "all"
-
-#: ``fp -> recall count`` since the last flush.  ``None`` unless the
-#: ``"recall"`` policy is active, so the hot intern paths pay only a
-#: global load + ``is not None`` when any other policy is selected.
-_TREE_RECALLS: Optional[Dict[int, int]] = None
 
 #: Callable yielding tree fingerprints the ``"subnodes"`` policy must
 #: keep (set by the model-checking engines to their live frontier).
 _PIN_PROVIDER: Optional[Callable[[], Iterable[int]]] = None
-
-#: Callable that drops heavy derived scratch from a surviving tree's
-#: memo at flush time (registered by :mod:`repro.core.safety`, which
-#: owns the memo-key vocabulary).
-_MEMO_TRIMMER: Optional[Callable[["CacheTree"], None]] = None
 
 #: Effective flush trigger.  Normally ``_INTERN_CAP``; raised after a
 #: flush whose survivors (pinned frontier trees can exceed the cap)
@@ -151,31 +139,16 @@ def _flush_interned_trees() -> None:
         pinned = set(_PIN_PROVIDER())
         if pinned:
             survivors = [tree for fp, tree in table.items() if fp in pinned]
-    elif _WIPE == "recall" and _TREE_RECALLS:
-        recalls = _TREE_RECALLS
-        keep = max(_INTERN_CAP // 2, 1)
-        recalled = [fp for fp in recalls if fp in table]
-        if len(recalled) > keep:
-            recalled = heapq.nlargest(keep, recalled, key=recalls.__getitem__)
-        survivors = [table[fp] for fp in recalled]
     trimmed = 0
     for tree in table.values():
         memo = tree._memo
         if memo is not None and memo.pop("prov", None) is not None:
             trimmed += 1
-    # "recall" survivors are a heuristic bet that may never pay off, so
-    # their heavy derived tables are dropped (rebuilt on demand).
-    # "subnodes" survivors are the *live frontier* -- the engine expands
-    # them next, so trimming would only force an immediate rebuild.
-    trimmer = _MEMO_TRIMMER
-    if trimmer is not None and _WIPE != "subnodes":
-        for tree in survivors:
-            trimmer(tree)
+    # Survivors are the *live frontier* -- the engine expands them
+    # next -- so they keep their derived tables.
     table.clear()
     for tree in survivors:
         table[tree.fingerprint()] = tree
-    if _TREE_RECALLS is not None:
-        _TREE_RECALLS.clear()
     stats = _TREE_STATS
     stats["flushes"] += 1
     stats["evicted"] += before - len(table)
@@ -197,21 +170,20 @@ def configure_tree_cache(cap: Optional[int] = None, wipe: Optional[str] = None) 
     """Set the tree intern table's bound and wipe policy.
 
     ``cap`` is the flush threshold (``None`` leaves it unchanged);
-    ``wipe`` is ``"all"``, ``"subnodes"`` or ``"recall"``.  Prefer the
+    ``wipe`` is ``"all"`` or ``"subnodes"``.  Prefer the
     :mod:`repro.core.cachemgr` facade, which configures both intern
     tables together and restores defaults on exit.
     """
-    global _INTERN_CAP, _WIPE, _TREE_RECALLS, _FLUSH_AT
+    global _INTERN_CAP, _WIPE, _FLUSH_AT
     if cap is not None:
         if cap < 1:
             raise ValueError(f"tree cache cap must be >= 1, got {cap}")
         _INTERN_CAP = cap
         _FLUSH_AT = cap
     if wipe is not None:
-        if wipe not in ("all", "subnodes", "recall"):
+        if wipe not in ("all", "subnodes"):
             raise ValueError(f"unknown wipe policy {wipe!r}")
         _WIPE = wipe
-        _TREE_RECALLS = {} if wipe == "recall" else None
 
 
 def tree_cache_policy() -> Tuple[int, str]:
@@ -240,12 +212,6 @@ def set_tree_pin_provider(
     previous = _PIN_PROVIDER
     _PIN_PROVIDER = provider
     return previous
-
-
-def set_memo_trimmer(trimmer: Optional[Callable[["CacheTree"], None]]) -> None:
-    """Install the survivor memo trimmer (see :data:`_MEMO_TRIMMER`)."""
-    global _MEMO_TRIMMER
-    _MEMO_TRIMMER = trimmer
 
 
 def flush_interned_trees() -> None:
@@ -416,8 +382,6 @@ class CacheTree:
             # derivation does (every table is a pure function of the
             # tree, so which one is irrelevant).
             tree.memo().setdefault("prov", (self, "leaf", cid, parent))
-        elif _TREE_RECALLS is not None:
-            _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
         return tree, cid
 
     def insert_btw(self, parent: Cid, cache: Cache) -> Tuple["CacheTree", Cid]:
@@ -451,8 +415,6 @@ class CacheTree:
             # exactly as they do for a new leaf.
             tree = CacheTree._shared(entries, self._items + ((cid, cache),), fp)
             tree.memo().setdefault("prov", (self, "btw", cid, parent))
-        elif _TREE_RECALLS is not None:
-            _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
         return tree, cid
 
     # ------------------------------------------------------------------
@@ -974,8 +936,6 @@ def _restore_tree(
     if fp is not None:
         tree = _INTERNED_TREES.get(fp)
         if tree is not None:
-            if _TREE_RECALLS is not None:
-                _TREE_RECALLS[fp] = _TREE_RECALLS.get(fp, 0) + 1
             return tree
         return _intern_tree(fp, CacheTree(entries, _fp=fp))
     tree = CacheTree(entries)

@@ -37,7 +37,7 @@ from .spill import file_sha256, iter_packed_records
 #: 2. Fingerprint-mode runs store the visited set as packed sorted
 #:    128-bit fingerprints in ``visited_fps`` (16 bytes per state,
 #:    canonical byte form of :class:`repro.mc.fpset.FingerprintSet`);
-#:    ``visited_keys`` stays for legacy exact-equality runs.
+#:    ``visited_keys`` stays for exact-equality runs.
 #: 3. Spill-aware: a disk-spilled run references its frontier/visited
 #:    snapshots as *sidecar files* (``<checkpoint>.frontier`` in packed
 #:    spill-record format, ``<checkpoint>.visited`` as a raw
@@ -83,7 +83,7 @@ class Checkpoint:
     version: int = CHECKPOINT_VERSION
     #: Fingerprint-mode visited set: sorted 16-byte little-endian
     #: records (:meth:`repro.mc.fpset.FingerprintSet.to_bytes`).
-    #: ``None`` for legacy exact-equality runs, which keep using
+    #: ``None`` for exact-equality runs, which keep using
     #: ``visited_keys``.
     visited_fps: Optional[bytes] = None
     #: v3 spill-mode sidecar references (see the version history);

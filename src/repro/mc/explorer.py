@@ -331,8 +331,9 @@ class Explorer:
 
         In fingerprint mode this is a 128-bit int (the state's
         structural fingerprint, or the fingerprint of its canonical
-        symmetry representative); in legacy mode it is the state object
-        itself (or its full canonical serialization under symmetry).
+        symmetry representative); in exact-equality mode it is the state
+        object itself (or its full canonical serialization under
+        symmetry).
         """
         if self.fingerprints:
             if self._sym_reducer is not None:
@@ -346,7 +347,7 @@ class Explorer:
 
     def visited_spill_path(self) -> Optional[str]:
         """The file a spilled visited table lives in; ``None`` when the
-        table stays in RAM (no ``spill_dir``, or legacy dedup, whose
+        table stays in RAM (no ``spill_dir``, or exact-equality dedup, whose
         full-state keys have no packed form)."""
         if self.spill_dir is None or not self.fingerprints:
             return None

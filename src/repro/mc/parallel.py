@@ -265,8 +265,8 @@ class _PoolExecutor:
     in a *new* file; workers then keep their stale, smaller mapping --
     a subset of visited, which is sound for a pre-filter: it can only
     miss, never wrongly hit.)  A table too big for the segment cap, or
-    legacy full-state keys, stay master-private and just lose the
-    pre-filter.
+    exact-equality full-state keys, stay master-private and just lose
+    the pre-filter.
     """
 
     #: Entries per window: as many as the frontier hands out.

@@ -53,11 +53,11 @@ class TestPolicyFacade:
 
     def test_bounded_restores_previous_policy(self):
         before = cachemgr.current_policy()
-        with cachemgr.bounded(tree_cap=8, wipe=cachemgr.WIPE_RECALL):
+        with cachemgr.bounded(tree_cap=8, wipe=cachemgr.WIPE_SUBNODES):
             active = cachemgr.current_policy()
             assert active.tree_cap == 8
-            assert active.wipe == cachemgr.WIPE_RECALL
-            assert tree_cache_policy() == (8, cachemgr.WIPE_RECALL)
+            assert active.wipe == cachemgr.WIPE_SUBNODES
+            assert tree_cache_policy() == (8, cachemgr.WIPE_SUBNODES)
         assert cachemgr.current_policy() == before
 
     def test_bounded_restores_on_exception(self):
@@ -123,21 +123,26 @@ class TestWipePolicies:
             # Equal tree, new object: the old one was evicted.
             assert again == hot and again is not hot
 
-    def test_recall_keeps_hot_trees(self):
+    def test_entering_a_bound_flushes_a_table_already_over_it(self):
+        # A warm process: the table holds more trees than the new cap
+        # allows, and a run that only re-derives them never misses, so
+        # nothing after entry would ever flush it.
         flush_interned_trees()
-        with cachemgr.bounded(tree_cap=16, wipe=cachemgr.WIPE_RECALL):
-            chain = grow_chain(2)
-            base, hot = chain[-2], chain[-1]
-            for _ in range(10):  # re-derivations count as recalls
-                again, _ = base.add_leaf(1, mc(1, 2, 2))
-                assert again is hot
-            cold_chain = grow_chain(6, start_time=100)
-            cold_base, cold = cold_chain[-2], cold_chain[-1]
-            flush_interned_trees()  # recall policy applies here
-            again, _ = base.add_leaf(1, mc(1, 2, 2))
-            assert again is hot  # most-recalled tree survived
-            cold_again, _ = cold_base.add_leaf(5, mc(1, 105, 105))
-            assert cold_again == cold and cold_again is not cold
+        chain = grow_chain(32)
+        assert tree_cache_stats()["occupancy"] > 8
+        before = tree_cache_stats()["flushes"]
+        with cachemgr.bounded(tree_cap=8):
+            stats = tree_cache_stats()
+            assert stats["occupancy"] <= 8  # before the first intern
+            assert stats["flushes"] == before + 1
+            assert grow_chain(32) == chain  # all re-derivable
+
+    def test_entering_a_bound_flushes_an_oversized_cache_table(self):
+        flush_interned_caches()
+        grow_chain(32)
+        assert cache_intern_stats()["occupancy"] > 8
+        with cachemgr.bounded(cache_cap=8):
+            assert cache_intern_stats()["occupancy"] <= 8
 
 
 class TestCacheInternTable:

@@ -3,10 +3,11 @@
 Cache eviction and disk spilling only discard *recomputable* memoized
 state (interned trees/caches, memo scratch) or move *exact* data
 structures to disk (the visited table, the frontier).  Therefore every
-wipe policy and the spill mode must reproduce the seed engine's answer
-bit for bit: same state count, same transition count, same verdict,
-same first violation -- on the intact configuration and all four
-ablations, sequentially and through the parallel engine.
+wipe policy and the spill mode must reproduce the seed engine's recorded
+answer (``ROWS`` in :mod:`tests.mc.test_golden`) bit for bit: same
+state count, same transition count, same verdict, same first violation
+-- on the intact configuration and all four ablations, sequentially and
+through the parallel engine.
 
 Caps here are deliberately tiny so every run actually flushes and
 spills many times; the unbounded runs in ``tests/mc/test_parity.py``
@@ -16,114 +17,49 @@ stay the baseline for the unbounded engine.
 import pytest
 
 from repro.core import cachemgr
-from repro.mc import ParallelExplorer, legacy
-from repro.mc.ablations import (
-    insert_btw_explorer,
-    overlap_explorer,
-    r2_explorer,
-    r3_explorer,
-    verify_intact_explorer,
-)
-from repro.mc.explorer import OpBudget
+from repro.mc import ParallelExplorer
+from repro.mc.bounded_cli import signature
 
-SMALL_INTACT = dict(budget=OpBudget(pulls=2, invokes=1, reconfigs=1, pushes=2))
+from .test_golden import BFS, ROWS, SEQUENTIAL, explorer
 
-#: (name, seed factory, new factory, overrides applied to both).
-CONFIGS = [
-    ("intact", legacy.verify_intact_explorer, verify_intact_explorer, SMALL_INTACT),
-    ("r3", legacy.r3_explorer, r3_explorer, {}),
-    ("r2", legacy.r2_explorer, r2_explorer, dict(max_states=4_000)),
-    ("overlap", legacy.overlap_explorer, overlap_explorer, dict(max_states=4_000)),
-    ("insert_btw", legacy.insert_btw_explorer, insert_btw_explorer, {}),
-]
-
-#: Tiny bounds: every configuration overflows these many times over.
-TREE_CAP = 512
+#: Tiny bounds: every configuration overflows them many times over.
 SPILL_WINDOW = 64
 
 
-def signature(result):
-    first = None
-    if result.violations:
-        violation = result.violations[0]
-        first = (
-            tuple(repr(op) for op in violation.trace),
-            tuple(violation.report.all_violations()),
-        )
-    return {
-        "states": result.states_visited,
-        "transitions": result.transitions,
-        "verdict": result.safe,
-        "violations": len(result.violations),
-        "first_violation": first,
-    }
+def tree_cap(name):
+    # A run interns about one tree per state, so a quarter of the row's
+    # states is overflowed at least four times (``insert_btw`` interns
+    # 91 trees in all: a flat 512 would never evict there).
+    return min(512, ROWS[name]["states"] // 4)
 
 
-@pytest.fixture(scope="module")
-def seed_signatures():
-    return {
-        name: signature(seed_factory(**overrides).run())
-        for name, seed_factory, _, overrides in CONFIGS
-    }
-
-
-@pytest.mark.parametrize(
-    "name,new_factory,overrides",
-    [(name, new, overrides) for name, _, new, overrides in CONFIGS],
-    ids=[name for name, *_ in CONFIGS],
-)
+@pytest.mark.parametrize("name", SEQUENTIAL)
 class TestWipePolicyParity:
     """Every eviction policy, tiny cap, no spill: exact seed parity."""
 
     @pytest.mark.parametrize("wipe", sorted(cachemgr.WIPE_POLICIES))
-    def test_matches_seed_engine(
-        self, seed_signatures, name, new_factory, overrides, wipe
-    ):
-        with cachemgr.bounded(tree_cap=TREE_CAP, wipe=wipe):
-            result = new_factory(**overrides).run()
-            flushes = cachemgr.stats()["tree_interns"]["flushes"]
-        assert signature(result) == seed_signatures[name]
+    def test_matches_seed_engine(self, name, wipe):
+        with cachemgr.bounded(tree_cap=tree_cap(name), wipe=wipe):
+            # The counter is process-cumulative and entering the bound
+            # may itself flush: count this run's flushes only.
+            before = cachemgr.stats()["tree_interns"]["flushes"]
+            result = explorer(name).run()
+            flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
+        assert signature(result) == ROWS[name]
         assert flushes > 0, "cap never hit: the test is not exercising eviction"
 
 
-@pytest.mark.parametrize(
-    "name,new_factory,overrides",
-    [(name, new, overrides) for name, _, new, overrides in CONFIGS],
-    ids=[name for name, *_ in CONFIGS],
-)
+@pytest.mark.parametrize("name", SEQUENTIAL)
 class TestSpillParity:
     """Disk-spilled frontier + visited set, sequential engine."""
 
-    def test_matches_seed_engine(
-        self, seed_signatures, name, new_factory, overrides, tmp_path
-    ):
-        explorer = new_factory(
-            spill_dir=str(tmp_path), spill_window=SPILL_WINDOW, **overrides
-        )
-        result = explorer.run()
-        assert signature(result) == seed_signatures[name]
+    def test_matches_seed_engine(self, name, tmp_path):
+        result = explorer(
+            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW
+        ).run()
+        assert signature(result) == ROWS[name]
         # The engine cleans its working spill files up after itself.
         assert not list(tmp_path.iterdir())
-
-
-BFS_CONFIGS = [
-    ("intact", legacy.verify_intact_explorer, verify_intact_explorer, SMALL_INTACT),
-    (
-        "r3-bfs",
-        legacy.r3_explorer,
-        r3_explorer,
-        dict(strategy="bfs", max_states=4_000),
-    ),
-    ("insert_btw", legacy.insert_btw_explorer, insert_btw_explorer, {}),
-]
-
-
-@pytest.fixture(scope="module")
-def bfs_seed_signatures():
-    return {
-        name: signature(seed_factory(**overrides).run())
-        for name, seed_factory, _, overrides in BFS_CONFIGS
-    }
 
 
 class TestParallelSpillParity:
@@ -132,22 +68,16 @@ class TestParallelSpillParity:
     not change the answer for any worker count."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize(
-        "name,new_factory,overrides",
-        [(name, new, overrides) for name, _, new, overrides in BFS_CONFIGS],
-        ids=[name for name, *_ in BFS_CONFIGS],
-    )
-    def test_matches_seed_engine(
-        self, bfs_seed_signatures, name, new_factory, overrides, workers, tmp_path
-    ):
-        explorer = new_factory(
-            spill_dir=str(tmp_path), spill_window=SPILL_WINDOW, **overrides
+    @pytest.mark.parametrize("name", BFS)
+    def test_matches_seed_engine(self, name, workers, tmp_path):
+        spilled = explorer(
+            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW
         )
         with cachemgr.bounded(
-            tree_cap=TREE_CAP, wipe=cachemgr.WIPE_SUBNODES
+            tree_cap=tree_cap(name), wipe=cachemgr.WIPE_SUBNODES
         ):
-            result = ParallelExplorer(explorer, workers=workers).run()
-        assert signature(result) == bfs_seed_signatures[name]
+            result = ParallelExplorer(spilled, workers=workers).run()
+        assert signature(result) == ROWS[name]
         assert not list(tmp_path.iterdir())
 
 

@@ -188,7 +188,7 @@ class TestFingerprintVisited:
         assert isinstance(restored, FingerprintSet)
         assert restored.to_bytes() == fps.to_bytes()
 
-    def test_legacy_keys_still_supported(self, tmp_path):
+    def test_exact_equality_keys_still_supported(self, tmp_path):
         # Exact-equality (fingerprints=False) runs keep pickling their
         # key sets; a v2 checkpoint without visited_fps restores a set.
         path = str(tmp_path / "keys.ckpt")

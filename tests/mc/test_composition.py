@@ -20,6 +20,7 @@ from repro.mc import (
     r3_explorer,
     verify_intact_explorer,
 )
+from repro.mc.bounded_cli import signature
 from repro.mc.differential import default_scenarios, run_differential
 
 SMALL_BUDGET = OpBudget(pulls=1, invokes=2, reconfigs=1, pushes=2)
@@ -29,20 +30,6 @@ GUIDED = [
     ("r2-capped", lambda **kw: r2_explorer(max_states=3_000, **kw)),
     ("overlap-capped", lambda **kw: overlap_explorer(max_states=3_000, **kw)),
 ]
-
-
-def signature(result):
-    first = None
-    if result.violations:
-        violation = result.violations[0]
-        first = (violation.trace, tuple(violation.report.all_violations()))
-    return (
-        result.states_visited,
-        result.transitions,
-        result.max_depth,
-        result.exhausted,
-        first,
-    )
 
 
 def run_in_slices(factory, path, **options):

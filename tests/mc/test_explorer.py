@@ -11,7 +11,10 @@ from repro.mc import (
     set_reconfig_candidates,
     verify_intact,
 )
+from repro.mc.bounded_cli import signature
 from repro.schemes import RaftSingleNodeScheme
+
+from .test_golden import ROWS
 
 NODES3 = frozenset({1, 2, 3})
 SCHEME = RaftSingleNodeScheme()
@@ -134,7 +137,8 @@ class TestAblations:
 
     def test_intact_model_is_safe_on_the_same_budget(self):
         # The other half of the Fig. 4 claim: with R2+R3 on, the same
-        # schedule class has no violation (exhaustive).
+        # schedule class has no violation (exhaustive) -- and the search
+        # that says so is state for state the seed engine's.
         from repro.mc.ablations import FIG4_BUDGET, FIG4_NODES
 
         explorer = Explorer(
@@ -149,6 +153,7 @@ class TestAblations:
         )
         result = explorer.run()
         assert result.safe, result.violations[0].describe()
+        assert signature(result) == ROWS["fig4-hunt"]
 
 
 class TestViolationReporting:

@@ -1,38 +1,34 @@
 """The model checker's fixed points: recorded answers, not a second engine.
 
-Two tables, two provenances, both append-only -- a change to the search
-loop, the tree core or the semantics that moves any value changed what
-is explored.
+Two tables, both append-only: a change to the search loop, the tree
+core or the semantics that moves any value changed what is explored.
 
-``ROWS`` -- **the seed engine's answers.**  ``repro.mc.legacy`` was the
+``ROWS`` -- **the seed engine's answers.**  The seed engine was the
 explorer as it stood before hash-consed trees, incremental fingerprints
-and the compact visited set, kept in-tree as a live reference until
-ISSUE 21.  It was frozen and only ever run on fixed configurations, so
-its answers are constants; they were recorded once, at commit
-``05ac986`` (the last one holding the package), by running it over every
-configuration in ``CONFIGS``: everything ``test_parity`` /
-``test_bounded`` compared against it, the full Fig. 4 budget and
-budget + 1 of the retired throughput benchmark, every ablation in both
-strategies and the intact model on 4 and 5 nodes.  A row is
+and the compact visited set, kept in-tree (a frozen ``legacy`` package
+beside this engine) as a live reference until ISSUE 21.  It was only
+ever run on fixed configurations, so its answers are constants; they
+were recorded once, at commit ``05ac986`` (the last one holding the
+package), over every configuration in ``CONFIGS``.  A row is
 :func:`repro.mc.bounded_cli.signature`: states, transitions, verdict,
 violation count, the first violation's trace reprs and
-``all_violations()`` messages, max depth, exhausted.  DESIGN.md section 11
-has the recording script and how to re-run it from that commit.  Every
-engine mode (``test_parity``: fingerprint and exact-equality dedup, 1
-and 4 workers; ``test_bounded``: each wipe policy, spill, parallel +
-spill) is held to the same row.
+``all_violations()`` messages, max depth, exhausted.  DESIGN.md
+section 11 has the recording script and how to re-run it from that
+commit.  Every engine mode is held to the same row: ``test_parity``
+(fingerprint and exact-equality dedup, 1 and 4 workers) and
+``test_bounded`` (each wipe policy, spill, parallel + spill).
 
 ``GOLDEN`` -- ten medium-capped digests of ``Explorer.run()`` recorded
 from the optimized engine on the commit before the two search loops
 were merged into one (ISSUE 14): states, transitions, max depth,
-exhausted, and the sha256 of the first violation's trace.
+exhausted, and the sha256 of the first violation's trace.  The seed
+engine reproduced all ten before it was deleted.
 """
 
 import hashlib
 
 import pytest
 
-from repro.mc import legacy
 from repro.mc.ablations import (
     _hunt_explorer,
     insert_btw_explorer,
@@ -275,31 +271,27 @@ ROWS = {'intact': {'states': 3385,
                'max_depth': 8,
                'exhausted': True}}
 
-#: Rows another module already runs in the default mode.
-RUN_ELSEWHERE = {"fig4-hunt"}
+#: The five rows of the former seed-vs-optimized matrices, which
+#: ``test_parity`` / ``test_bounded`` run in every engine mode; their
+#: breadth-first counterparts for the worker pool (a pooled *guided* run
+#: expands a window of best entries between merges, so only bfs state
+#: counts are worker-invariant); and the full-budget rows, which are run
+#: in the default mode only.
+SEQUENTIAL = ["intact", "r3", "r2", "overlap", "insert_btw"]
+BFS = ["intact", "r3-bfs", "insert_btw"]
+FULL_BUDGET = ["fig4", "fig4+1", "fig4-hunt"]
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_rows_are_the_seed_engines_answers(name):
-    """Provenance (this commit only): the live seed engine gives the row."""
+def explorer(name, **engine_options):
+    """The optimized engine on row ``name``'s configuration."""
     factory, overrides = CONFIGS[name]
-    seed_factory = getattr(legacy, factory.__name__.lstrip("_"))
-    assert signature(seed_factory(**overrides).run()) == ROWS[name]
+    return factory(**engine_options, **overrides)
 
 
+# The default mode on every row no other module runs under a test id it
+# has always had: SEQUENTIAL is test_parity's, fig4-hunt test_explorer's.
 @pytest.mark.parametrize(
-    "name,strategy", sorted(GOLDEN), ids=["-".join(k) for k in sorted(GOLDEN)]
+    "name", sorted(set(CONFIGS) - set(SEQUENTIAL) - {"fig4-hunt"})
 )
-def test_digests_are_the_seed_engines_answers_too(name, strategy):
-    """Provenance (this commit only): the seed engine gives the ten
-    ISSUE 14 digests as well."""
-    explorer = FACTORIES[name](strategy)
-    twin = getattr(legacy, f"{name}_explorer".replace("intact", "verify_intact"))
-    overrides = INTACT if name == "intact" else {"max_states": explorer.max_states}
-    assert digest(twin(strategy=strategy, **overrides).run()) == GOLDEN[(name, strategy)]
-
-
-@pytest.mark.parametrize("name", sorted(set(CONFIGS) - RUN_ELSEWHERE))
 def test_run_matches_the_seed_row(name):
-    factory, overrides = CONFIGS[name]
-    assert signature(factory(**overrides).run()) == ROWS[name]
+    assert signature(explorer(name).run()) == ROWS[name]

@@ -1,165 +1,54 @@
-"""Seed-engine vs optimized-engine parity (ISSUE 5 acceptance).
+"""Seed-engine parity of the unbounded engine modes (ISSUE 5 acceptance).
 
 The optimization rebuilt the model checker's hot path -- interned
 hash-consed trees, incremental 128-bit fingerprints, compact visited
 set, orbit-based symmetry -- **without changing what is checked**.
-These tests pin that claim against the frozen seed engine vendored at
-:mod:`repro.mc.legacy`: identical state count, transition count,
-verdict, and first violation (trace and messages), on the intact
-configuration and all four ablations, sequentially and through the
-parallel engine with 1 and 4 workers.
+These tests pin that claim against the seed engine's recorded answers
+(``ROWS`` in :mod:`tests.mc.test_golden`; the engine itself was deleted
+in ISSUE 21): identical state count, transition count, verdict, first
+violation (trace and messages), depth and coverage, on the intact
+configuration and every ablation, with fingerprint and exact-equality
+dedup, and through the parallel engine with 1 and 4 workers.
 
-Configurations are scaled-down versions of the real experiments
-(smaller budgets / state caps applied identically to both engines) so
-the whole module stays test-suite fast; the full-size runs live in
-``benchmarks/test_mc_throughput.py`` and the ablation benchmarks.
+Configurations are scaled-down versions of the real experiments so the
+whole module stays test-suite fast; the full Fig. 4 budget rows are run
+by ``test_golden`` and ``test_explorer``.
 """
 
 import pytest
 
-from repro.mc import ParallelExplorer, legacy
-from repro.mc.ablations import (
-    insert_btw_explorer,
-    overlap_explorer,
-    r2_explorer,
-    r3_explorer,
-    verify_intact_explorer,
-)
-from repro.mc.explorer import OpBudget
+from repro.mc import ParallelExplorer
+from repro.mc.bounded_cli import signature
 
-SMALL_INTACT = dict(budget=OpBudget(pulls=2, invokes=1, reconfigs=1, pushes=2))
-
-#: (name, seed factory, new factory, overrides applied to both).
-CONFIGS = [
-    (
-        "intact",
-        legacy.verify_intact_explorer,
-        verify_intact_explorer,
-        SMALL_INTACT,
-    ),
-    (
-        "r3",
-        legacy.r3_explorer,
-        r3_explorer,
-        {},
-    ),
-    (
-        "r2",
-        legacy.r2_explorer,
-        r2_explorer,
-        # Capped: the full hunt visits >100k states.  Both engines get
-        # the same cap, so the truncated searches must still agree
-        # state for state.
-        dict(max_states=4_000),
-    ),
-    (
-        "overlap",
-        legacy.overlap_explorer,
-        overlap_explorer,
-        dict(max_states=4_000),
-    ),
-    (
-        "insert_btw",
-        legacy.insert_btw_explorer,
-        insert_btw_explorer,
-        {},
-    ),
-]
+from .test_golden import BFS, CONFIGS, FULL_BUDGET, ROWS, SEQUENTIAL, explorer
 
 
-def signature(result):
-    """Everything the acceptance criterion compares."""
-    first = None
-    if result.violations:
-        violation = result.violations[0]
-        first = (
-            tuple(repr(op) for op in violation.trace),
-            tuple(violation.report.all_violations()),
-        )
-    return {
-        "states": result.states_visited,
-        "transitions": result.transitions,
-        "verdict": result.safe,
-        "violations": len(result.violations),
-        "first_violation": first,
-    }
+@pytest.mark.parametrize("name", SEQUENTIAL)
+class TestSequentialParity:
+    def test_matches_seed_engine(self, name):
+        assert signature(explorer(name).run()) == ROWS[name]
 
-
-@pytest.fixture(scope="module")
-def seed_signatures():
-    """Each seed-engine configuration, run once per module."""
-    return {
-        name: signature(seed_factory(**overrides).run())
-        for name, seed_factory, _, overrides in CONFIGS
-    }
+    def test_legacy_dedup_mode_matches_seed_engine(self, name):
+        # fingerprints=False keeps the optimized core but dedups by
+        # exact state equality, exactly like the seed engine did -- the
+        # live collision canary for fingerprint mode.
+        assert signature(explorer(name, fingerprints=False).run()) == ROWS[name]
 
 
 @pytest.mark.parametrize(
-    "name,new_factory,overrides",
-    [(name, new, overrides) for name, _, new, overrides in CONFIGS],
-    ids=[name for name, *_ in CONFIGS],
+    "name", sorted(set(CONFIGS) - set(SEQUENTIAL) - set(FULL_BUDGET))
 )
-class TestSequentialParity:
-    def test_matches_seed_engine(
-        self, seed_signatures, name, new_factory, overrides
-    ):
-        result = new_factory(**overrides).run()
-        assert signature(result) == seed_signatures[name]
-
-    def test_legacy_dedup_mode_matches_seed_engine(
-        self, seed_signatures, name, new_factory, overrides
-    ):
-        # fingerprints=False keeps the optimized core but dedups by
-        # exact state equality, exactly like the seed engine -- the
-        # collision canary for fingerprint mode.
-        result = new_factory(fingerprints=False, **overrides).run()
-        assert signature(result) == seed_signatures[name]
-
-
-BFS_CONFIGS = [
-    (
-        "intact",
-        legacy.verify_intact_explorer,
-        verify_intact_explorer,
-        SMALL_INTACT,
-    ),
-    (
-        "r3-bfs",
-        legacy.r3_explorer,
-        r3_explorer,
-        dict(strategy="bfs", max_states=4_000),
-    ),
-    (
-        "insert_btw",
-        legacy.insert_btw_explorer,
-        insert_btw_explorer,
-        {},  # already bfs; finds a real violation
-    ),
-]
-
-
-@pytest.fixture(scope="module")
-def bfs_seed_signatures():
-    return {
-        name: signature(seed_factory(**overrides).run())
-        for name, seed_factory, _, overrides in BFS_CONFIGS
-    }
+def test_exact_equality_dedup_matches_seed_engine(name):
+    # The capped rows test_golden runs in the default mode.
+    assert signature(explorer(name, fingerprints=False).run()) == ROWS[name]
 
 
 class TestParallelParity:
     """The parallel engine (bfs only) against the sequential seed
-    engine on the same configurations."""
+    engine's answer on the same configurations."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize(
-        "name,new_factory,overrides",
-        [(name, new, overrides) for name, _, new, overrides in BFS_CONFIGS],
-        ids=[name for name, *_ in BFS_CONFIGS],
-    )
-    def test_matches_seed_engine(
-        self, bfs_seed_signatures, name, new_factory, overrides, workers
-    ):
-        result = ParallelExplorer(
-            new_factory(**overrides), workers=workers
-        ).run()
-        assert signature(result) == bfs_seed_signatures[name]
+    @pytest.mark.parametrize("name", BFS)
+    def test_matches_seed_engine(self, name, workers):
+        result = ParallelExplorer(explorer(name), workers=workers).run()
+        assert signature(result) == ROWS[name]
