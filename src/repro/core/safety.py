@@ -698,23 +698,30 @@ class IncrementalTreeChecker:
     (``trim=True``), so a monitor that runs for days holds one tree,
     not its whole history.
 
-    What is still not flat is a *commit marker or configuration entry*
-    under ``trim=True``.  Its check reads the kind partition and the
-    child map, and ``insert_btw`` the child map; a plain entry's check
-    asks for neither, so by the time a marker arrives the previous tree
-    usually never built them and the predecessors that did are
-    released -- each marker then rebuilds both from scratch (one pass
-    over every node each) and re-walks its own root path.  A replica
-    that commits in batches hardly notices; one that reports a commit
-    after *every* entry makes the fold quadratic again: 4,000 entries
-    each followed by its marker take 9.4 s (22.0 s before growth became
-    O(new node)).  Deriving the child map and the kind partition on
-    every tree before ``"prov"`` is dropped, so the next step can
-    extend them, brings that to 3.7 s; carrying the *branch* table
-    forward the same way does not pay -- cubic, 27 s at 2,000 entries
-    and seven times that per doubling -- because ``_inherit_branches``
-    filters every held path at each ``insert_btw``.  Left for a change
-    of its own (ROADMAP item 2).
+    A *commit marker*'s check reads the kind partition and the child
+    map (a configuration entry's the kind partition), and
+    ``insert_btw`` the child map; a plain entry's check asks for
+    neither.  The first marker therefore builds both from scratch
+    (one pass over every node each), and from then on :meth:`_grew`
+    extends them on every tree before ``"prov"`` is dropped -- iff the
+    predecessor holds the child map, so a fold that has met no marker
+    still derives nothing it does not read.  A replica that reports a
+    commit after *every* entry used to rebuild both per marker: 4,000
+    entries each followed by its marker took 11.7-13.6 s, and take
+    4.4-5.1 s now (a marker every 64 entries: 0.22-0.29 s then,
+    0.38-0.45 s now -- each plain entry in between pays one C-level
+    copy of the child map; carrying wins from about one marker per 40
+    entries up).
+
+    What is still not flat is the marker's own root path: the branch
+    table is *not* carried forward the same way -- cubic, 27 s at 2,000
+    entries and seven times that per doubling, because
+    ``_inherit_branches`` filters every held path at each
+    ``insert_btw`` -- so each marker's check walks its path again, one
+    ``list.append`` per ancestor (1.45 M of the 1.76 M calls of 1,200
+    entry + marker pairs; everything else is linear, see
+    ``tests/core/test_tree_growth_cost.py``).  That table wants a
+    different shape first (ROADMAP item 2).
     """
 
     def __init__(
@@ -763,7 +770,9 @@ class IncrementalTreeChecker:
         )
 
     @staticmethod
-    def _cache_for(entry):
+    def _cache_for(entry, frozen_payload):
+        """The cache of ``entry``, whose payload freezes to
+        ``frozen_payload`` (the last field of its :meth:`_entry_key`)."""
         if entry.is_config:
             return RCache(
                 caller=0, time=entry.time, vrsn=entry.vrsn,
@@ -771,7 +780,7 @@ class IncrementalTreeChecker:
             )
         return MCache(
             caller=0, time=entry.time, vrsn=entry.vrsn, conf=None,
-            method=_freeze(entry.payload),
+            method=frozen_payload,
         )
 
     def _grew(self, tree: CacheTree, description: str) -> None:
@@ -785,8 +794,20 @@ class IncrementalTreeChecker:
                 self.violation_event = description
         if self._trim:
             # Drop the provenance chain (it pins every predecessor tree)
-            # and release the superseded tree from the intern table.
-            tree.memo().pop("prov", None)
+            # and release the superseded tree from the intern table --
+            # after extending the two tables a commit marker reads, if
+            # the predecessor holds them: the first marker builds them,
+            # every later one finds them carried here.  Only a marker
+            # asks for the child map, so a fold that has met none pays
+            # nothing (a kind partition some configuration entry built
+            # is not worth a tuple copy per plain entry after it).
+            memo = tree.memo()
+            held = prev.memo()
+            if "children" in held:
+                tree.children(ROOT_CID)
+                if "kinds" in held:
+                    tree.kind_cids("C")
+            memo.pop("prov", None)
             if prev is not tree:
                 forget_tree(prev)
 
@@ -833,13 +854,16 @@ class IncrementalTreeChecker:
             return None
         for offset, entry in enumerate(entries):
             pos = base + offset
-            key = (parent, self._entry_key(entry))
+            entry_key = self._entry_key(entry)
+            key = (parent, entry_key)
             cid = self._edges.get(key)
             if cid is None:
                 attach = self._attach.get(parent, parent)
-                tree, cid = self._tree.add_leaf(attach, self._cache_for(entry))
+                tree, cid = self._tree.add_leaf(
+                    attach, self._cache_for(entry, entry_key[3])
+                )
                 self._edges[key] = cid
-                placed_key = (pos, self._entry_key(entry))
+                placed_key = (pos, entry_key)
                 held = self._placed.get(placed_key)
                 if held is None:
                     self._placed[placed_key] = cid

@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import (
     Callable,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -33,7 +34,7 @@ from typing import (
 )
 
 from ..core.aux import active_cache, r2_holds, r3_holds
-from ..core.cache import Config, NodeId
+from ..core.cache import Cid, Config, NodeId
 from ..core.config import ReconfigScheme
 from ..core.oracle import (
     enumerate_pull_outcomes,
@@ -46,6 +47,54 @@ from ..core.safety import (
 )
 from ..core.semantics import apply_invoke, apply_pull, apply_push, apply_reconfig
 from ..core.state import AdoreState, initial_state
+from ..core.tree import CacheTree
+
+
+def _root_path(tree: CacheTree, cid: Cid) -> Iterator[Cid]:
+    """The strict ancestors of ``cid``, nearest first (parent pointers
+    only: asks the tree for no derived table)."""
+    cid = tree.parent(cid)
+    while cid is not None:
+        yield cid
+        cid = tree.parent(cid)
+
+
+def _build_uncommitted(tree: CacheTree) -> FrozenSet[Cid]:
+    committed = set()
+    for cid in tree.kind_cids("C"):
+        for above in _root_path(tree, cid):
+            if above in committed:
+                break  # the rest of the path was marked from here up
+            committed.add(above)
+    return frozenset(tree.kind_cids("R")).difference(committed)
+
+
+def _extend_uncommitted(
+    tree: CacheTree, base: FrozenSet[Cid], op: str, new_cid: Cid, parent_cid: Cid
+) -> Optional[FrozenSet[Cid]]:
+    kind = tree.cache(new_cid).kind
+    if kind == "C":
+        # As a leaf or between a cache and its children, the new CCache
+        # lies below exactly the caches on its root path.
+        return base.difference(_root_path(tree, new_cid))
+    if kind != "R":
+        return base  # whatever lay below each RCache still does
+    if op == "leaf":
+        return base | {new_cid}
+    return None  # an RCache put above existing caches: look below it
+
+
+def uncommitted_rcaches(tree: CacheTree) -> FrozenSet[Cid]:
+    """The RCaches of ``tree`` with no CCache among their descendants.
+
+    A table derived per (hash-consed) tree from its predecessor's
+    (:meth:`CacheTree.derive`): the guided search asks for every state
+    it ranks, and walking the subtree of every RCache each time also
+    made every tree build a child map and a descendants memo nothing
+    else in the hunt reads.
+    """
+    return tree.derive("uncommitted_r", _extend_uncommitted, _build_uncommitted)
+
 
 #: A single schedule step, for counterexample traces:
 #: ``(op, nid, detail)`` such as ``("pull", 1, "Q={1,2}, t=1")``.
@@ -572,15 +621,7 @@ class Explorer:
         full = check_state(
             state, self.lemma_rdist_bound, only=self.SCENT_LABELS
         )
-        uncommitted_r = sum(
-            1
-            for cid in state.tree.rcaches()
-            if not any(
-                state.tree.cache(d).kind == "C"
-                for d in state.tree.descendants(cid)
-            )
-        )
-        return 3 * full.violation_count() + uncommitted_r
+        return 3 * full.violation_count() + len(uncommitted_rcaches(state.tree))
 
     def guided_priority(self, entry) -> int:
         """The best-first rank of a frontier entry (lower expands first).

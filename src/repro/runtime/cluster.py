@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Dict, List, Optional
 
 from ..core.cache import Config, Method, NodeId
@@ -36,8 +36,8 @@ def _is_hashable(value) -> bool:
     return True
 
 
-def independent_copy(msg: Msg) -> Msg:
-    """A second in-flight copy of ``msg`` that no recipient can corrupt.
+class DuplicateCopier:
+    """Makes second in-flight copies of messages no recipient can corrupt.
 
     The copy is a new message object.  Log entries are frozen, so all a
     handler can mutate through one is a mutable payload or request id;
@@ -46,18 +46,46 @@ def independent_copy(msg: Msg) -> Msg:
     Only entries with unhashable contents are deep-copied -- re-creating
     every entry of a full-log message cost more than anything else the
     simulator did, per duplicate and in proportion to log length.
+
+    That the contents hash is checked, never assumed, but once per
+    entry object: the copier remembers the last log it found hashable
+    throughout, and of a log that starts with the *same entry objects*
+    (one C-level identity pass; equal is not enough, a ``set`` payload
+    equals a ``frozenset`` one) it hashes only the rest.  A leader's
+    successive broadcasts extend one another, so a duplicate costs the
+    entries appended since the last one, not the log.
     """
-    if not isinstance(msg, (ElectReq, CommitReq)):
-        return replace(msg)  # acks carry scalars only
-    log = msg.log
-    try:
-        hash(tuple(map(_contents_of, log)))  # one C-level pass
-    except TypeError:
-        log = tuple(
-            entry if _is_hashable(_contents_of(entry)) else copy.deepcopy(entry)
-            for entry in log
-        )
-    return replace(msg, log=log)
+
+    def __init__(self) -> None:
+        self._hashable: Log = ()
+
+    def copy(self, msg: Msg) -> Msg:
+        if not isinstance(msg, (ElectReq, CommitReq)):
+            return replace(msg)  # acks carry scalars only
+        log = msg.log
+        known = self._hashable
+        done = min(len(log), len(known))
+        if not all(map(is_, log, known)):  # compares the first `done`
+            done = 0
+        try:
+            # one C-level pass over what is not known yet
+            hash(tuple(map(_contents_of, log[done:])))
+        except TypeError:
+            log = tuple(
+                entry
+                if _is_hashable(_contents_of(entry))
+                else copy.deepcopy(entry)
+                for entry in log
+            )
+        else:
+            if len(log) > done:  # not a prefix of what is known already
+                self._hashable = log
+        return replace(msg, log=log)
+
+
+def independent_copy(msg: Msg) -> Msg:
+    """One copy by a :class:`DuplicateCopier` that remembers nothing."""
+    return DuplicateCopier().copy(msg)
 
 
 class LogFold:
@@ -252,6 +280,7 @@ class Cluster:
         self.messages_sent = 0
         self._crashed: set = set()
         self.faults = faults
+        self._copier = DuplicateCopier()
         # -- observability (see repro.obs) -----------------------------
         # The disabled path must stay near-free: one boolean (`_obs`)
         # guards every instrumentation block, and instruments are
@@ -391,7 +420,7 @@ class Cluster:
             # fault-injected duplicates used to alias the *same* Msg, so
             # a handler mutating its received message (e.g. through a
             # mutable payload) corrupted the copy still on the wire.
-            delivery = msg if i == 0 else independent_copy(msg)
+            delivery = msg if i == 0 else self._copier.copy(msg)
             delay = extra_delay + self.latency.sample(
                 self.sim.rng, self._payload_size(msg)
             )

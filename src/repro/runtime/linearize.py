@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from ..core.safety import _freeze
 from .history import History, Operation
 
 
@@ -85,25 +86,53 @@ def check_key(
 ) -> Tuple[bool, int]:
     """Check one key's sub-history; ``(linearizable, states_explored)``.
 
+    A search state is the set of linearized operations (a bit mask over
+    the operations in invocation order) and the register value.  Its
+    candidates are the *minimal* operations: not yet linearized and
+    invoked no later than the earliest response still outstanding.
+    They are found in one walk over the unset bits, lowest first, that
+    keeps the earliest response met so far and stops at the first
+    operation invoked after it: a response never precedes its own
+    invocation, so no operation further on -- all invoked later still --
+    can answer earlier than that, and every operation the walk passed
+    was invoked no later than the final minimum either.  The walk
+    therefore costs the candidates it yields plus one, wherever the
+    linearized prefix ends and however many unknown-outcome operations
+    (which have no response and stay optional to the end) sit before
+    it; it never visits a linearized operation.  DESIGN.md section 8
+    (*The candidate window*) has the argument that this visits the
+    states of the full rescan in the same order.
+
+    Values may be unhashable (a ``put`` of a JSON object): the memo is
+    keyed on their frozen form, and two distinct values that freeze
+    alike (``[1]`` and ``(1,)``) are both explored.
+
     Raises :class:`RuntimeError` if the search exceeds ``max_states``
     (never observed on the nemesis workloads; the bound guards against
-    pathological hand-built histories).
+    pathological hand-built histories), :class:`ValueError` for an
+    operation that responded before it was invoked.
     """
     ordered = sorted(ops, key=lambda o: (o.invoked_ms, o.op_id))
-    n = len(ordered)
-    if n == 0:
+    if not ordered:
         return True, 0
+    invoked = [op.invoked_ms for op in ordered]
+    responses = [
+        op.completed_ms if op.completed else _INFINITY for op in ordered
+    ]
     completed_bits = 0
     for i, op in enumerate(ordered):
         if op.completed:
             completed_bits |= 1 << i
-    responses = [
-        op.completed_ms if op.completed else _INFINITY for op in ordered
-    ]
+            if responses[i] < invoked[i]:
+                raise ValueError(
+                    f"operation responded before its invocation: "
+                    f"{op.describe()}"
+                )
+    every_bit = (1 << len(ordered)) - 1
 
-    start = (0, ABSENT)
-    seen = {start}
-    stack = [start]
+    # (mask, frozen value) -> the value first reached with that key.
+    seen: Dict[Tuple[int, Any], Any] = {(0, ABSENT): ABSENT}
+    stack = [(0, ABSENT)]
     explored = 0
     while stack:
         mask, state = stack.pop()
@@ -117,23 +146,28 @@ def check_key(
             # remaining unknown-outcome operations may simply never
             # have taken effect.
             return True, explored
-        min_response = min(
-            responses[i] for i in range(n) if not mask >> i & 1
-        )
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            op = ordered[i]
-            if op.invoked_ms > min_response:
+        unset = every_bit & ~mask
+        min_response = _INFINITY
+        while unset:
+            bit = unset & -unset
+            unset ^= bit
+            i = bit.bit_length() - 1
+            if invoked[i] > min_response:
                 # ops are sorted by invocation: no later op is minimal.
                 break
-            legal, next_state = _apply(state, op)
+            if responses[i] < min_response:
+                min_response = responses[i]
+            legal, next_state = _apply(state, ordered[i])
             if not legal:
                 continue
-            succ = (mask | 1 << i, next_state)
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
+            succ_mask = mask | bit
+            key = (succ_mask, _freeze(next_state))
+            held = seen.get(key, seen)
+            if held is seen:
+                seen[key] = next_state
+            elif held == next_state:
+                continue
+            stack.append((succ_mask, next_state))
     return False, explored
 
 

@@ -25,12 +25,43 @@ through ``IncrementalTreeChecker        1,632,068               91,917 /
 
 The single-step counts include interning the new cache and hashing its
 entry term: each step starts from a cache no tree has held.
+
+PR 22 (the parent is PR 21), the same fold with a commit marker after
+*every* entry -- and the plain fold again, which now freezes each
+payload once instead of three times:
+
+======================================  ======================  ==========
+                                        parent                  now
+======================================  ======================  ==========
+300 / 600 / 1,200 entry + marker        359,205 / 1,248,956 /   173,499 /
+pairs, all calls                        4,657,856               517,550 /
+                                        (x3.48, x3.73)          1,755,050
+                                                                (x2.98,
+                                                                x3.39)
+... of them outside the marker's        267,705 / 885,956 /     81,999 /
+root-path walk (``_branch_of``)         3,211,856               154,550 /
+                                        (x3.31, x3.63)          309,050
+                                                                (x1.88,
+                                                                x2.00)
+child-map / kind-partition builds       one per marker          1 / 1
+fold 300 / 600 / 1,200 plain entries    45,968 / 91,868 /       34,568 /
+                                        183,668                 69,068 /
+                                                                138,068
+======================================  ======================  ==========
+
+What is left quadratic is the walk itself: each marker's check asks for
+its root path, the branch table is not carried (ROADMAP item 2: doing
+so is cubic), so the path is walked again, one ``list.append`` per
+ancestor -- 1,446,000 of the 1,755,050 calls at 1,200 pairs.
 """
+
+import sys
 
 import pytest
 
+import repro.core.tree as tree_mod
 from repro.core.safety import IncrementalTreeChecker
-from repro.core.tree import ROOT_CID, flush_interned_trees
+from repro.core.tree import ROOT_CID, CacheTree, flush_interned_trees
 
 from ..helpers import NODES3, cc, mc
 from .test_derived_tables import Entry, calls_during, chain
@@ -80,3 +111,42 @@ def fold_cost(entries):
 def test_folding_a_log_of_plain_entries_is_linear_in_its_length():
     half, full = fold_cost(300), fold_cost(600)
     assert full <= 2.2 * half, (half, full)
+
+
+def marker_fold_cost(pairs):
+    """``(calls outside the root-path walk, child-map builds,
+    kind-partition builds)`` of a fold in which the replica reports a
+    commit after every entry."""
+    flush_interned_trees()
+    engine = IncrementalTreeChecker(NODES3, trim=True)
+    log = [Entry(1, vrsn, ("put", "marked", pairs, vrsn)) for vrsn in range(1, pairs + 1)]
+    walk = CacheTree._branch_of.__code__
+    builders = (tree_mod._build_child_map.__code__, tree_mod._build_kind_lists.__code__)
+    calls, builds = 0, [0, 0]
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+            if frame.f_code in builders:
+                builds[builders.index(frame.f_code)] += 1
+        elif event == "c_call" and frame.f_code is not walk:
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        for at, entry in enumerate(log):
+            engine.observe(1, at, [entry], commit_len=at + 1)
+    finally:
+        sys.setprofile(None)
+    assert engine.ok and len(engine.tree) == 2 * pairs + 1
+    return (calls, *builds)
+
+
+def test_a_marker_per_entry_rebuilds_no_table_and_is_linear_but_for_its_path():
+    half, full = marker_fold_cost(300), marker_fold_cost(600)
+    # The first marker builds the child map and the kind partition;
+    # every tree after it extends its predecessor's before the
+    # provenance goes.  The parent built both at every marker.
+    assert half[1:] == full[1:] == (1, 1)
+    assert full[0] <= 2.2 * half[0], (half, full)

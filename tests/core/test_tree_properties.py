@@ -28,6 +28,7 @@ from repro.core.safety import (
     rdist,
 )
 from repro.core.tree import ROOT_CID, _restore_tree, flush_interned_trees
+from repro.mc.explorer import uncommitted_rcaches
 from repro.mc.symmetry import apply_renaming
 
 from ..helpers import NODES3, root
@@ -283,7 +284,18 @@ TOUCHES = {
     "scent": lambda tree, cid: check_state(
         AdoreState(tree, NO_TIMES), only=("safety", "ccache-in-rcache-fork")
     ),
+    "uncommitted_r": lambda tree, cid: uncommitted_rcaches(tree),
 }
+
+
+def rcaches_with_no_ccache_below(tree):
+    """Reference: the subtree walk per RCache that the guided search's
+    ``aux_score`` did for every state before the table was derived."""
+    return {
+        cid
+        for cid in tree.rcaches()
+        if not any(tree.cache(d).kind == "C" for d in tree.descendants(cid))
+    }
 
 
 def grow_mixed_tree(data, max_ops=10):
@@ -349,6 +361,11 @@ def assert_same_derived_tables(tree, direct):
     ]
     for kind in KINDS:
         assert tree.kind_cids(kind) == direct.kind_cids(kind)
+    assert (
+        uncommitted_rcaches(tree)
+        == uncommitted_rcaches(direct)
+        == rcaches_with_no_ccache_below(direct)
+    )
     for only in (None, ("safety",), ("ccache-in-rcache-fork", "election-commit-order")):
         for bound in (1, None):
             got = check_state(AdoreState(tree, NO_TIMES), bound, only=only)

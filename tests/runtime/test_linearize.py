@@ -1,9 +1,19 @@
 """Unit tests for the history recorder and linearizability checker."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.runtime.history import History
-from repro.runtime.linearize import check_history, check_key
+from repro.runtime import fig16_chaos_config, run_nemesis
+from repro.runtime.history import History, Operation
+from repro.runtime.linearize import (
+    _INFINITY,
+    ABSENT,
+    _apply,
+    check_history,
+    check_key,
+)
+
+from ..net.test_node_paths import line_events
 
 
 def h(*ops):
@@ -157,3 +167,180 @@ class TestDecomposition:
         history = h(*ops)
         with pytest.raises(RuntimeError, match="exceeded"):
             check_key(history.operations, max_states=5)
+
+
+class TestValues:
+    def test_json_values_are_register_states_like_any_other(self):
+        # The wire codec and the safety engine admit dict/list payloads;
+        # the search memo used to hash the raw value and raise TypeError.
+        doc = {"a": [1, 2]}
+        history = h(
+            ("put", "k", doc, 0.0, 1.0, True),
+            ("get", "k", None, 2.0, 3.0, {"a": [1, 2]}),
+            ("put", "k", [3], 4.0, 5.0, True),
+            ("get", "k", None, 6.0, 7.0, [3]),
+        )
+        assert check_history(history).ok
+        stale = h(
+            ("put", "k", doc, 0.0, 1.0, True),
+            ("put", "k", {"a": [1]}, 2.0, 3.0, True),
+            ("get", "k", None, 4.0, 5.0, doc),
+        )
+        assert not check_history(stale).ok
+
+    def test_values_that_freeze_alike_stay_distinct_states(self):
+        # [1] and (1,) have one frozen form but are different values to
+        # the read.  Linearizing the tuple's put first ends in a dead
+        # end at (both puts, [1]); the state (both puts, (1,)) reached
+        # the other way round must not be taken for a revisit of it.
+        history = h(
+            ("put", "k", [1], 0.0, 10.0, True),
+            ("put", "k", (1,), 0.0, 10.0, True),
+            ("get", "k", None, 11.0, 12.0, (1,)),
+        )
+        assert check_history(history).ok
+
+    def test_response_before_invocation_is_refused(self):
+        history = h(("put", "k", 1, 5.0, 4.0, True))
+        with pytest.raises(ValueError, match="before its invocation"):
+            check_history(history)
+
+
+# ----------------------------------------------------------------------
+# The candidate walk against the full rescan it replaced
+# ----------------------------------------------------------------------
+
+def rescan_check_key(ops):
+    """Reference: every state recomputes the earliest outstanding
+    response over all operations and scans them all for the minimal
+    ones (``check_key`` up to PR 21; hashable values only)."""
+    ordered = sorted(ops, key=lambda o: (o.invoked_ms, o.op_id))
+    n = len(ordered)
+    if n == 0:
+        return True, 0
+    completed_bits = sum(1 << i for i, op in enumerate(ordered) if op.completed)
+    responses = [
+        op.completed_ms if op.completed else _INFINITY for op in ordered
+    ]
+    start = (0, ABSENT)
+    seen = {start}
+    stack = [start]
+    explored = 0
+    while stack:
+        mask, state = stack.pop()
+        explored += 1
+        if mask & completed_bits == completed_bits:
+            return True, explored
+        min_response = min(
+            responses[i] for i in range(n) if not mask >> i & 1
+        )
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            op = ordered[i]
+            if op.invoked_ms > min_response:
+                break
+            legal, next_state = _apply(state, op)
+            if not legal:
+                continue
+            succ = (mask | 1 << i, next_state)
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False, explored
+
+
+@st.composite
+def key_histories(draw):
+    """Up to 9 operations on one key over a short span, so that many
+    overlap; about a quarter never get a response."""
+    ops = []
+    for op_id in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["put", "add", "delete", "get"]))
+        invoked = draw(st.integers(0, 12))
+        took = draw(st.integers(0, 5))
+        done = draw(st.integers(0, 3)) > 0
+        ops.append(
+            Operation(
+                op_id=op_id,
+                client="c",
+                op=kind,
+                key="k",
+                value=draw(st.integers(0, 2)),
+                invoked_ms=float(invoked),
+                completed_ms=float(invoked + took) if done else None,
+                result=(
+                    draw(st.one_of(st.none(), st.integers(0, 4)))
+                    if kind == "get" and done
+                    else (True if done else None)
+                ),
+            )
+        )
+    return ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(key_histories())
+def test_candidate_walk_visits_the_states_of_the_full_rescan(ops):
+    assert check_key(ops) == rescan_check_key(ops)
+
+
+def sequential_history(n, pending=()):
+    """put 0, get -> 0, put 2, get -> 2, ...: one operation at a time.
+    Those at the ``pending`` indices never get a response (a get there
+    observes nothing; a put there may or may not have applied -- the
+    next get saw the value before it, so it did not)."""
+    ops = []
+    last_put = None
+    for i in range(n):
+        is_put = i % 2 == 0
+        done = i not in pending
+        ops.append(
+            Operation(
+                op_id=i,
+                client="c",
+                op="put" if is_put else "get",
+                key="k",
+                value=i,
+                invoked_ms=2.0 * i,
+                completed_ms=2.0 * i + 1 if done else None,
+                result=(True if is_put else last_put) if done else None,
+            )
+        )
+        if is_put and done:
+            last_put = i
+    return ops
+
+
+class TestWorkCounts:
+    """Deterministic counts: line events in ``check_key``, not seconds."""
+
+    @pytest.mark.parametrize(
+        "pending_at", [None, 0, "middle"], ids=["complete", "first", "middle"]
+    )
+    def test_a_sequential_key_costs_the_same_per_operation_at_any_length(
+        self, pending_at
+    ):
+        # At the parent commit each of the n search states recomputed a
+        # minimum over, and then scanned, all n operations: 2.3 s for
+        # 4,000 of them.  Starting at the lowest unset bit alone is not
+        # enough -- one operation at index 0 that never completes stays
+        # unset for the whole search and pins the scan to the front.
+        per_op = []
+        for n in (500, 4000):
+            pending = {None: (), 0: (0,), "middle": (n // 2,)}[pending_at]
+            ops = sequential_history(n, pending)
+            verdict = []
+            events = line_events(lambda: verdict.extend(check_key(ops)))
+            # The empty state, then one per operation that responded.
+            assert verdict == [True, n + 1 - len(pending)]
+            per_op.append(events / n)
+        small, large = per_op
+        assert abs(large - small) <= 0.1 * small, per_op
+        assert large < 100, per_op
+
+    @pytest.mark.parametrize("seed, states", [(8, 4631), (3, 4655)])
+    def test_fig16_chaos_explores_the_states_it_always_did(self, seed, states):
+        result = run_nemesis(fig16_chaos_config(seed=seed, ops=4000))
+        assert result.ok
+        assert result.linearizability.states_explored == states

@@ -10,6 +10,7 @@ the clock.
 """
 
 import copy
+import dataclasses
 import random
 
 import repro.runtime.kvstore as kvstore_mod
@@ -25,7 +26,11 @@ from repro.runtime import (
     materialize,
     run_nemesis,
 )
-from repro.runtime.cluster import IndexedServer, independent_copy
+from repro.runtime.cluster import (
+    DuplicateCopier,
+    IndexedServer,
+    independent_copy,
+)
 from repro.runtime.kvstore import KVView
 from repro.schemes import RaftSingleNodeScheme
 
@@ -267,6 +272,85 @@ class TestIndependentCopy:
         assert dup.log[0] is shared
         assert dup.log[1] is not mutable
         assert dup.log[1].payload is not mutable.payload
+
+
+class Counted:
+    """A hashable payload that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Counted) and other.value == self.value
+
+    def __hash__(self):
+        Counted.hashed += 1
+        return hash(self.value)
+
+
+def hashes_during(thunk):
+    before = Counted.hashed
+    thunk()
+    return Counted.hashed - before
+
+
+def commit_req(log):
+    return CommitReq(frm=1, to=2, time=1, log=log, commit_len=0)
+
+
+class TestDuplicateCopier:
+    """What one cluster's duplicates remember between them."""
+
+    LOG = tuple(
+        LogEntry(time=1, vrsn=n + 1, payload=Counted(n)) for n in range(40)
+    )
+
+    def test_a_log_extending_the_last_one_verified_costs_its_new_entries(self):
+        copier = DuplicateCopier()
+        log = self.LOG
+        assert hashes_during(lambda: copier.copy(commit_req(log[:30]))) == 30
+        assert hashes_during(lambda: copier.copy(commit_req(log[:30]))) == 0
+        assert hashes_during(lambda: copier.copy(commit_req(log[:37]))) == 7
+        # An older, shorter message is covered and takes nothing back.
+        assert hashes_during(lambda: copier.copy(commit_req(log[:12]))) == 0
+        dup = copier.copy(commit_req(log))
+        assert dup.log is log and dup == commit_req(log)
+        assert hashes_during(lambda: independent_copy(commit_req(log))) == 40
+
+    def test_a_diverging_log_is_verified_in_full(self):
+        copier = DuplicateCopier()
+        log = self.LOG
+        copier.copy(commit_req(log[:30]))
+        # Equal entries are not the verified objects: an equal entry can
+        # carry an unhashable payload (a set equals a frozenset).
+        twin = log[:10] + (dataclasses.replace(log[10]),) + log[11:30]
+        assert twin == log[:30]
+        assert hashes_during(lambda: copier.copy(commit_req(twin))) == 30
+        forked = log[:10] + (put(2, 11, "other"),) + log[11:20]
+        assert hashes_during(lambda: copier.copy(commit_req(forked))) == 19
+        assert hashes_during(lambda: copier.copy(commit_req(log[:30]))) == 30
+
+    def test_an_unhashable_entry_after_a_verified_prefix_is_still_copied(self):
+        copier = DuplicateCopier()
+        log = self.LOG[:5]
+        copier.copy(commit_req(log))
+        mutable = LogEntry(time=1, vrsn=6, payload=["v"])
+        dup = copier.copy(commit_req(log + (mutable,)))
+        assert all(x is y for x, y in zip(dup.log, log))
+        assert dup.log[5] == mutable and dup.log[5] is not mutable
+        # ... and nothing was learnt from the log that held it.
+        again = copier.copy(commit_req(log + (mutable,)))
+        assert again.log[5] is not mutable and again.log[5] is not dup.log[5]
+
+    def test_two_clusters_share_no_memory(self):
+        a, b = Cluster(NODES, SCHEME), Cluster(NODES, SCHEME)
+        assert a._copier is not b._copier
+        log = self.LOG
+        assert hashes_during(lambda: a._copier.copy(commit_req(log))) == 40
+        assert hashes_during(lambda: b._copier.copy(commit_req(log))) == 40
+        assert hashes_during(lambda: a._copier.copy(commit_req(log))) == 0
 
 
 class TestWorkCounts:
