@@ -399,6 +399,12 @@ _CLEAN = SafetyReport()
 _CHECK_CONFIGS: dict = {}
 
 
+#: The invariants that read :func:`rdist`.
+_RDIST_LEMMAS = frozenset(
+    {"leader-time-uniqueness", "election-commit-order", "ccache-in-rcache-fork"}
+)
+
+
 def _delta_clean(
     tree: CacheTree,
     op: str,
@@ -416,7 +422,11 @@ def _delta_clean(
     ancestry, so every previously-checked pair checks identically, and
     (b) the only new pairs involve the new node, which are exactly the
     ones examined here (for ``insert_btw`` also the reparented
-    children's parent-edge conditions).  Any failed or *suspect* delta
+    children's parent-edge conditions).  The one exception to (a) is
+    suspect by rule: a node inserted below an RCache with two or more
+    children takes over from it as their fork point, so every pair
+    across two of them has one RCache fewer between it and may have
+    come within a lemma's reach.  Any failed or *suspect* delta
     returns False and the caller recomputes the full report, so
     violation messages and their order always come from the full
     checkers.  Callers must not use this when inserting an RCache
@@ -428,6 +438,8 @@ def _delta_clean(
     new_is_e = is_ecache(new_cache)
     reparented = tree.children(new_cid) if op == "btw" else ()
 
+    if len(reparented) > 1 and is_rcache(pcache) and wanted & _RDIST_LEMMAS:
+        return False
     if "well-formedness" in wanted:
         if new_is_e and new_cache.vrsn != 0:
             return False
@@ -658,6 +670,10 @@ DEFAULT_LOG_INVARIANTS = (
 
 _NO_TIMES = TimeMap()
 
+#: Entries after a commit marker whose trees still carry the marker
+#: tables (see :class:`IncrementalTreeChecker`).
+_CARRY_RUN = 16
+
 
 class IncrementalTreeChecker:
     """Maintain the Appendix-B invariants over *observed* replica logs.
@@ -701,17 +717,23 @@ class IncrementalTreeChecker:
     A *commit marker*'s check reads the kind partition and the child
     map (a configuration entry's the kind partition), and
     ``insert_btw`` the child map; a plain entry's check asks for
-    neither.  The first marker therefore builds both from scratch
-    (one pass over every node each), and from then on :meth:`_grew`
-    extends them on every tree before ``"prov"`` is dropped -- iff the
-    predecessor holds the child map, so a fold that has met no marker
-    still derives nothing it does not read.  A replica that reports a
-    commit after *every* entry used to rebuild both per marker: 4,000
-    entries each followed by its marker took 11.7-13.6 s, and take
-    4.4-5.1 s now (a marker every 64 entries: 0.22-0.29 s then,
-    0.38-0.45 s now -- each plain entry in between pays one C-level
-    copy of the child map; carrying wins from about one marker per 40
-    entries up).
+    neither.  The first marker therefore builds both from scratch (one
+    pass over every node each), and :meth:`_grew` hands them on from
+    tree to tree (:meth:`CacheTree.release_predecessor`) for the next
+    ``_CARRY_RUN`` entries: a marker that arrives within that run
+    finds them, a later one builds them again, and a fold that has met
+    no marker derives nothing it does not read.  Handing on is one
+    C-level copy of the child map per tree, about a twentieth of a
+    build, so it pays while markers are close and would tax a replica
+    that commits in large batches, hence the bound.  The live monitor
+    folds 1.0 (one client) to 5.8 (16 closed-loop clients) entries per
+    marker, in runs of at most 32, and 16 keeps all that such streams
+    gain (DESIGN.md section 8, ROADMAP item 2: measured at this engine,
+    not assumed).  4,000 entries each followed by its marker took
+    9.8-13.6 s with a rebuild per marker and take 4.4-5.1 s; a marker
+    every 64 entries 0.25-0.28 s then, 0.28-0.31 s now (0.38-0.45 s
+    carried without the bound); a marker every 17-40 entries pays the
+    16 copies and the build, 0.30-0.33 -> 0.39-0.47 s at one per 32.
 
     What is still not flat is the marker's own root path: the branch
     table is *not* carried forward the same way -- cubic, 27 s at 2,000
@@ -754,6 +776,8 @@ class IncrementalTreeChecker:
         self._paths: dict = {}
         #: nid -> highest committed length folded in so far.
         self._commits: dict = {}
+        #: Entries added since the last commit marker.
+        self._run = 0
         self.events = 0
         self.entries_added = 0
         self.gaps = 0
@@ -763,16 +787,13 @@ class IncrementalTreeChecker:
     # -- construction helpers ------------------------------------------
 
     @staticmethod
-    def _entry_key(entry) -> Tuple:
-        return (
-            entry.time, entry.vrsn, bool(entry.is_config),
-            _freeze(entry.payload),
-        )
+    def _entry_key(entry, frozen_payload) -> Tuple:
+        return (entry.time, entry.vrsn, bool(entry.is_config), frozen_payload)
 
     @staticmethod
     def _cache_for(entry, frozen_payload):
         """The cache of ``entry``, whose payload freezes to
-        ``frozen_payload`` (the last field of its :meth:`_entry_key`)."""
+        ``frozen_payload``."""
         if entry.is_config:
             return RCache(
                 caller=0, time=entry.time, vrsn=entry.vrsn,
@@ -795,19 +816,9 @@ class IncrementalTreeChecker:
         if self._trim:
             # Drop the provenance chain (it pins every predecessor tree)
             # and release the superseded tree from the intern table --
-            # after extending the two tables a commit marker reads, if
-            # the predecessor holds them: the first marker builds them,
-            # every later one finds them carried here.  Only a marker
-            # asks for the child map, so a fold that has met none pays
-            # nothing (a kind partition some configuration entry built
-            # is not worth a tuple copy per plain entry after it).
-            memo = tree.memo()
-            held = prev.memo()
-            if "children" in held:
-                tree.children(ROOT_CID)
-                if "kinds" in held:
-                    tree.kind_cids("C")
-            memo.pop("prov", None)
+            # handing on the tables a commit marker reads while markers
+            # are close (see the class docstring).
+            tree.release_predecessor(carry=self._run <= _CARRY_RUN)
             if prev is not tree:
                 forget_tree(prev)
 
@@ -838,7 +849,10 @@ class IncrementalTreeChecker:
         if base > len(path):
             anchored = False
             if anchor_entry is not None and base > 0:
-                cid = self._placed.get((base - 1, self._entry_key(anchor_entry)))
+                anchor_key = self._entry_key(
+                    anchor_entry, _freeze(anchor_entry.payload)
+                )
+                cid = self._placed.get((base - 1, anchor_key))
                 if cid is not None and cid is not _AMBIGUOUS:
                     path.extend([None] * (base - len(path)))
                     path[base - 1] = cid
@@ -854,13 +868,14 @@ class IncrementalTreeChecker:
             return None
         for offset, entry in enumerate(entries):
             pos = base + offset
-            entry_key = self._entry_key(entry)
+            frozen = _freeze(entry.payload)
+            entry_key = self._entry_key(entry, frozen)
             key = (parent, entry_key)
             cid = self._edges.get(key)
             if cid is None:
                 attach = self._attach.get(parent, parent)
                 tree, cid = self._tree.add_leaf(
-                    attach, self._cache_for(entry, entry_key[3])
+                    attach, self._cache_for(entry, frozen)
                 )
                 self._edges[key] = cid
                 placed_key = (pos, entry_key)
@@ -870,6 +885,7 @@ class IncrementalTreeChecker:
                 elif held is not _AMBIGUOUS and held != cid:
                     self._placed[placed_key] = _AMBIGUOUS
                 self.entries_added += 1
+                self._run += 1
                 self._grew(
                     tree,
                     f"S{nid} appended entry #{pos} "
@@ -907,6 +923,7 @@ class IncrementalTreeChecker:
         # attaching them as siblings would put a later commit of the
         # same branch off-branch from this one and fabricate violations.
         self._attach[tip] = marker_cid
+        self._run = 0
         self._grew(tree, f"S{nid} committed through entry #{tip_pos}")
 
     # -- reporting -----------------------------------------------------

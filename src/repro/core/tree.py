@@ -347,6 +347,27 @@ class CacheTree:
             memo = self._memo = {}
         return memo
 
+    def release_predecessor(self, carry: bool = False) -> None:
+        """Forget the growth step that made this tree (``"prov"`` pins
+        the predecessor, and through it every tree before), for a
+        consumer that grows one tree forever and never goes back.
+
+        With ``carry``, first extend the child map the predecessor
+        holds -- and, with it, its kind partition -- so that a later
+        reader finds both here instead of building them from the
+        entries: one C-level dict copy now against one pass over every
+        node then.  A predecessor without a child map hands on nothing.
+        """
+        memo = self.memo()
+        prov = memo.get("prov")
+        if carry and prov is not None:
+            held = prov[0]._memo
+            if held and "children" in held:
+                self._child_map()
+                if "kinds" in held:
+                    self._kind_lists()
+        memo.pop("prov", None)
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

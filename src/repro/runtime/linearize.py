@@ -104,8 +104,9 @@ def check_key(
     states of the full rescan in the same order.
 
     Values may be unhashable (a ``put`` of a JSON object): the memo is
-    keyed on their frozen form, and two distinct values that freeze
-    alike (``[1]`` and ``(1,)``) are both explored.
+    keyed on their frozen form and holds every distinct value reached
+    under it, so two values that freeze alike (``[1]`` and ``(1,)``)
+    are both explored, each once.
 
     Raises :class:`RuntimeError` if the search exceeds ``max_states``
     (never observed on the nemesis workloads; the bound guards against
@@ -130,8 +131,9 @@ def check_key(
                 )
     every_bit = (1 << len(ordered)) - 1
 
-    # (mask, frozen value) -> the value first reached with that key.
-    seen: Dict[Tuple[int, Any], Any] = {(0, ABSENT): ABSENT}
+    # (mask, frozen value) -> the distinct values reached with that key
+    # (one, unless two values freeze alike).
+    seen: Dict[Tuple[int, Any], Tuple[Any, ...]] = {(0, ABSENT): (ABSENT,)}
     stack = [(0, ABSENT)]
     explored = 0
     while stack:
@@ -162,11 +164,10 @@ def check_key(
                 continue
             succ_mask = mask | bit
             key = (succ_mask, _freeze(next_state))
-            held = seen.get(key, seen)
-            if held is seen:
-                seen[key] = next_state
-            elif held == next_state:
+            held = seen.get(key, ())
+            if next_state in held:
                 continue
+            seen[key] = held + (next_state,)
             stack.append((succ_mask, next_state))
     return False, explored
 

@@ -110,6 +110,23 @@ class TestViolations:
             "ccache-in-rcache-fork" in line for line in engine.violations()
         )
 
+    def test_a_marker_under_a_forked_reconfig_brings_the_fork_into_reach(self):
+        # Two reconfigurations fork right below a third: the RCache at
+        # the fork keeps them one apart (rdist 1), outside B.8.  The
+        # commit marker then slides in as their fork point and they are
+        # zero apart with no CCache between -- a change to an *existing*
+        # pair, which the one-node fast path used to wave through.
+        engine = checker()
+        first = E(1, 1, frozenset({2, 3, 4}), True)
+        engine.observe(1, 0, [first, E(1, 2, frozenset({1, 3, 4}), True)], commit_len=0)
+        engine.observe(2, 0, [first, E(1, 2, frozenset({2, 3, 4}), True)], commit_len=0)
+        assert engine.ok
+        report = engine.observe(3, 0, [first], commit_len=1)
+        assert report is not None
+        assert any(
+            "ccache-in-rcache-fork" in line for line in engine.violations()
+        )
+
     def test_checking_freezes_at_first_violation(self):
         engine = checker()
         engine.observe(1, 0, [E(1, 1, "a")], commit_len=1)

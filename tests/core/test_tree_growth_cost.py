@@ -44,10 +44,20 @@ root-path walk (``_branch_of``)         3,211,856               154,550 /
                                                                 (x1.88,
                                                                 x2.00)
 child-map / kind-partition builds       one per marker          1 / 1
+1,280 entries, a marker every 64:       249,031                 192,923
+all calls
+... child-map builds                    20                      20
+... child-map copies (slots copied)     20 (13,650)             324
+                                                                (213,834)
 fold 300 / 600 / 1,200 plain entries    45,968 / 91,868 /       34,568 /
                                         183,668                 69,068 /
                                                                 138,068
 ======================================  ======================  ==========
+
+The tables a marker reads are carried for ``_CARRY_RUN`` (16) entries
+after a marker and no further: a copy is one call but touches every
+slot, and carrying through all 64 entries between two markers would
+make 1,236 copies of 843,570 slots to save 19 builds.
 
 What is left quadratic is the walk itself: each marker's check asks for
 its root path, the branch table is not carried (ROADMAP item 2: doing
@@ -60,7 +70,7 @@ import sys
 import pytest
 
 import repro.core.tree as tree_mod
-from repro.core.safety import IncrementalTreeChecker
+from repro.core.safety import _CARRY_RUN, IncrementalTreeChecker
 from repro.core.tree import ROOT_CID, CacheTree, flush_interned_trees
 
 from ..helpers import NODES3, cc, mc
@@ -113,16 +123,19 @@ def test_folding_a_log_of_plain_entries_is_linear_in_its_length():
     assert full <= 2.2 * half, (half, full)
 
 
-def marker_fold_cost(pairs):
+def marker_fold_cost(entries, every=1):
     """``(calls outside the root-path walk, child-map builds,
-    kind-partition builds)`` of a fold in which the replica reports a
-    commit after every entry."""
+    kind-partition builds, child-map copies, child-map slots copied)``
+    of a fold in which the replica reports a commit after every
+    ``every`` entries.  The slots are the C-level work a call count
+    cannot see: ``dict(base)`` is one call whatever the tree's size."""
     flush_interned_trees()
     engine = IncrementalTreeChecker(NODES3, trim=True)
-    log = [Entry(1, vrsn, ("put", "marked", pairs, vrsn)) for vrsn in range(1, pairs + 1)]
+    log = [Entry(1, vrsn, ("put", "marked", entries, vrsn)) for vrsn in range(1, entries + 1)]
     walk = CacheTree._branch_of.__code__
     builders = (tree_mod._build_child_map.__code__, tree_mod._build_kind_lists.__code__)
-    calls, builds = 0, [0, 0]
+    copier = tree_mod._extend_child_map.__code__
+    calls, builds, copies = 0, [0, 0], [0, 0]
 
     def profiler(frame, event, arg):
         nonlocal calls
@@ -130,17 +143,20 @@ def marker_fold_cost(pairs):
             calls += 1
             if frame.f_code in builders:
                 builds[builders.index(frame.f_code)] += 1
+            elif frame.f_code is copier:
+                copies[0] += 1
+                copies[1] += len(frame.f_locals["base"])
         elif event == "c_call" and frame.f_code is not walk:
             calls += 1
 
     sys.setprofile(profiler)
     try:
-        for at, entry in enumerate(log):
-            engine.observe(1, at, [entry], commit_len=at + 1)
+        for at in range(0, entries, every):
+            engine.observe(1, at, log[at:at + every], commit_len=at + every)
     finally:
         sys.setprofile(None)
-    assert engine.ok and len(engine.tree) == 2 * pairs + 1
-    return (calls, *builds)
+    assert engine.ok and len(engine.tree) == entries + entries // every + 1
+    return (calls, *builds, *copies)
 
 
 def test_a_marker_per_entry_rebuilds_no_table_and_is_linear_but_for_its_path():
@@ -148,5 +164,19 @@ def test_a_marker_per_entry_rebuilds_no_table_and_is_linear_but_for_its_path():
     # The first marker builds the child map and the kind partition;
     # every tree after it extends its predecessor's before the
     # provenance goes.  The parent built both at every marker.
-    assert half[1:] == full[1:] == (1, 1)
+    assert half[1:3] == full[1:3] == (1, 1)
     assert full[0] <= 2.2 * half[0], (half, full)
+
+
+def test_a_marker_every_64_entries_is_not_taxed_for_the_entries_between():
+    # Carrying the child map costs one copy of it per tree, so it stops
+    # _CARRY_RUN entries after a marker: a replica that commits in
+    # batches builds the tables at each marker, as the parent did, and
+    # pays at most _CARRY_RUN + 1 copies beside each build, not one per
+    # entry (1,236 copies of 843,570 slots in all for this log).
+    markers = 1280 // 64
+    calls, child_builds, kind_builds, copies, slots = marker_fold_cost(1280, every=64)
+    assert child_builds == markers
+    assert kind_builds == markers + 1  # the first tree's full check
+    assert copies <= (_CARRY_RUN + 1) * markers, (copies, slots)
+    assert calls < 249_031  # the parent's count for this fold

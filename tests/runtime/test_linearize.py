@@ -200,6 +200,25 @@ class TestValues:
         )
         assert check_history(history).ok
 
+    def test_each_of_the_values_that_freeze_alike_is_explored_once(self):
+        # Both puts and six reads nobody waited for all overlap, and the
+        # last read saw a value nobody wrote, so the search visits every
+        # state.  A memo holding only the first value per frozen form
+        # re-explores (mask, (1,)) once per path reaching it: 5,552
+        # states where 320 do, and factorially more per pending read.
+        def exhausted(second):
+            history = h(
+                ("put", "k", [1], 0.0, 10.0, True),
+                ("put", "k", second, 0.0, 10.0, True),
+                *[("get", "k", None, 0.0, None, None)] * 6,
+                ("get", "k", None, 11.0, 12.0, 99),
+            )
+            return check_key(history.operations)
+
+        colliding, distinct = exhausted((1,)), exhausted((2,))
+        assert colliding == distinct
+        assert not colliding[0] and colliding[1] < 2 * 2 ** 8
+
     def test_response_before_invocation_is_refused(self):
         history = h(("put", "k", 1, 5.0, 4.0, True))
         with pytest.raises(ValueError, match="before its invocation"):
