@@ -16,7 +16,10 @@ its third type, ``Recall``, has no workload here):
 
 The policy is process-global because the tables are: the model-checking
 engines call :func:`bounded` around a run, and worker processes inherit
-the configuration through ``fork``.
+the configuration through ``fork``.  The other process-global memory
+policy lives here for the same reason: :func:`gc_paused`, which turns
+CPython's cycle collector off for the span of a run whose heap cannot
+contain a cycle.
 
 Eviction is always *sound*: these tables memoize pure functions of
 immutable values (canonical instances, fingerprints, derived tables,
@@ -36,6 +39,7 @@ Typical use::
 
 from __future__ import annotations
 
+import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
@@ -112,6 +116,32 @@ def bounded(
         yield policy
     finally:
         _enforce(previous)
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run a block with automatic cycle collection off, then hand it back.
+
+    For the spans that build a large heap which cannot contain a cycle:
+    a model-checking search and a nemesis run allocate immutable values
+    that point only at older values, so reference counting frees
+    everything the collector would, and every collection is a walk over
+    the whole heap that finds nothing (a third of an exhaustive Fig. 4
+    run).  ``tests/mc/test_gc_pause.py`` and
+    ``tests/runtime/test_gc_pause.py`` pin that property; DESIGN.md §17
+    has the argument.
+
+    The collector is re-enabled on exit only if it was enabled on entry,
+    so pauses nest, and a caller who already runs with it off keeps it
+    off.  Usable as a decorator (each call gets its own pause).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _enforce(policy: CachePolicy) -> None:

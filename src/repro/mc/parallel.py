@@ -54,6 +54,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.cachemgr import gc_paused
 from ..core.tree import set_tree_pin_provider
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .checkpoint import discard_checkpoint, load_checkpoint, write_checkpoint
@@ -72,14 +73,23 @@ _SHARED_VISITED_MAX_BYTES = 256 * 1024 * 1024
 #: is running.
 _WORKER_EXPLORER: Optional[Explorer] = None
 _WORKER_VISITED: Optional[FingerprintSet] = None
+#: A worker's own pause, entered for its lifetime and never exited.  The
+#: reference is what keeps it entered: a dropped ``gc_paused()`` is a
+#: closed generator, whose ``finally`` re-enables the collector.
+_WORKER_GC_PAUSE = None
 
 
 def _init_worker(
     explorer: Explorer, shared_visited: Optional[FingerprintSet]
 ) -> None:
-    global _WORKER_EXPLORER, _WORKER_VISITED
+    global _WORKER_EXPLORER, _WORKER_VISITED, _WORKER_GC_PAUSE
     _WORKER_EXPLORER = explorer
     _WORKER_VISITED = shared_visited
+    # A worker builds the same acyclic heap as the master.  It is forked
+    # inside ``search``, so it would inherit the pause anyway; stated
+    # here so that it does not depend on where the pool is created.
+    _WORKER_GC_PAUSE = gc_paused()
+    _WORKER_GC_PAUSE.__enter__()
 
 
 def _expand_batch(items):
@@ -476,6 +486,7 @@ def _add_if_new(visited) -> Callable[[Any], bool]:
     return add_if_new
 
 
+@gc_paused()
 def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
     """The search loop (see the module docstring).
 
@@ -483,6 +494,10 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
     sequential breadth-first search; every other combination of
     strategy, workers, checkpointing and spilling is the same code over
     different parts.
+
+    Automatic cycle collection is paused for the whole call
+    (:func:`~repro.core.cachemgr.gc_paused`): states, trees and traces
+    are immutable and point only at older values.
     """
     explorer = options.explorer
     checkpoint = options.checkpoint

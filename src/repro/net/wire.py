@@ -916,10 +916,27 @@ _DELTA_PLANS = {
 }
 
 
+#: Snapshots a connection keeps installed.  The decoder's window, and
+#: therefore the encoder's memory of what it shipped: an id the decoder
+#: has dropped must be shipped again before it is referenced.
+_MAX_INSTALLED = 4
+
+
+def _install(window: Dict[str, Any], sid: str, value: Any) -> None:
+    """Add ``sid`` to a connection's snapshot window, oldest out.  Both
+    halves of the connection go through here, in the same order, which
+    is what keeps the encoder's window equal to the decoder's."""
+    while len(window) >= _MAX_INSTALLED:
+        del window[next(iter(window))]
+    window[sid] = value
+
+
 def _common_prefix_len(a: Log, b: Log) -> int:
     n = min(len(a), len(b))
     for i in range(n):
-        if a[i] != b[i]:
+        # A log grows by ``log + (entry,)``: shared entries are the same
+        # objects, so identity settles all but a decoded copy.
+        if a[i] is not b[i] and a[i] != b[i]:
             return i
     return n
 
@@ -942,8 +959,9 @@ class DeltaEncoder:
 
     def __init__(self) -> None:
         self._last: Log = ()
-        #: Snapshot ids already shipped on this connection.
-        self._shipped: set = set()
+        #: Snapshot ids shipped on this connection that the decoder
+        #: still holds: the same first-in, first-out window, in step.
+        self._shipped: Dict[str, None] = {}
 
     def encode(self, msg: WireMessage) -> bytes:
         if not isinstance(msg, (ElectReq, CommitReq)):
@@ -958,13 +976,14 @@ class DeltaEncoder:
         }
         if isinstance(log, CompactLog):
             snap = log.snap
-            if snap.sid not in self._shipped:
+            sid = snap.sid
+            if sid not in self._shipped:
                 preamble = b"".join(
                     encode_frame(chunk) for chunk in snapshot_chunks(snap)
                 )
-                self._shipped.add(snap.sid)
+                _install(self._shipped, sid, None)
             if (isinstance(self._last, CompactLog)
-                    and self._last.snap.sid == snap.sid):
+                    and self._last.snap.sid == sid):
                 prefix = snap.base_len + _common_prefix_len(
                     self._last.tail, log.tail
                 )
@@ -972,7 +991,7 @@ class DeltaEncoder:
                 # New snapshot on this connection (or the peer last saw
                 # a plain log): nothing beyond the snapshot is shared.
                 prefix = snap.base_len
-            body["b"] = snap.sid
+            body["b"] = sid
         elif isinstance(self._last, CompactLog):
             # Compact -> plain transition (e.g. a partitioned node that
             # never compacted won an election): full reship.
@@ -1004,9 +1023,8 @@ class DeltaDecoder:
     handlers.
     """
 
-    #: Reassembly buffers / installed snapshots kept per connection.
+    #: Reassembly buffers kept per connection.
     _MAX_PENDING = 2
-    _MAX_INSTALLED = 4
 
     def __init__(self) -> None:
         self._last: Log = ()
@@ -1037,9 +1055,7 @@ class DeltaDecoder:
                 f"snapshot integrity failure: assembled {snap.sid}, "
                 f"declared {chunk.sid}"
             )
-        while len(self._snapshots) >= self._MAX_INSTALLED:
-            self._snapshots.pop(next(iter(self._snapshots)))
-        self._snapshots[chunk.sid] = snap
+        _install(self._snapshots, chunk.sid, snap)
         self.snapshots_installed += 1
 
     def decode(self, payload: bytes) -> Optional[WireMessage]:

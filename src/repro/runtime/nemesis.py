@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.cachemgr import gc_paused
 from ..obs.bundle import write_bundle
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -180,6 +181,7 @@ def duplicate_request_audit(cluster: Cluster) -> List[str]:
     return problems
 
 
+@gc_paused()
 def run_nemesis(config: NemesisConfig) -> NemesisResult:
     """Run one seeded chaos schedule; returns history plus verdicts.
 
@@ -188,6 +190,10 @@ def run_nemesis(config: NemesisConfig) -> NemesisResult:
     identical to an uninstrumented run.  On a failed check the trace,
     metrics, config, and history are persisted as a replayable
     violation bundle when ``config.bundle_dir`` is set.
+
+    Automatic cycle collection is paused for the call
+    (:func:`~repro.core.cachemgr.gc_paused`): logs, messages, history
+    and trace records only ever point at older values.
     """
     plan = FaultPlan(seed=config.seed + 1, conditions=config.conditions)
     tracer = (

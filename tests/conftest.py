@@ -5,7 +5,15 @@ byte-comparison module and nobody saw it land.  Any setup or call phase
 over the ceiling below is listed at the end of the run and turns a
 green session red.  A constant, not an option: a test that needs longer
 belongs in ``benchmarks/`` or the nightly.
+
+The other process-wide thing a test can leak is the collector's state:
+``repro.core.cachemgr.gc_paused`` turns automatic cycle collection off
+for the span of a search or a nemesis run, and a pause that is not
+handed back would show up only as some later test's memory.  A test
+that returns with ``gc.isenabled()`` changed fails here, by name.
 """
+
+import gc
 
 import pytest
 
@@ -14,6 +22,20 @@ import pytest
 PHASE_CEILING_S = 20.0
 
 _TOO_SLOW = pytest.StashKey[list]()
+
+
+@pytest.fixture(autouse=True)
+def _collector_state_is_handed_back():
+    before = gc.isenabled()
+    yield
+    after = gc.isenabled()
+    if after != before:
+        # Put it back first, so one offender fails one test.
+        (gc.enable if before else gc.disable)()
+        pytest.fail(
+            f"gc.isenabled() was {before} before this test and {after} "
+            f"after it: a collector pause (or resume) leaked"
+        )
 
 
 def pytest_configure(config):

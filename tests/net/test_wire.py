@@ -584,3 +584,109 @@ def test_plain_delta_over_snapshotted_connection_state_rejected():
     }).encode()
     with pytest.raises(MalformedFrame):
         decoder.decode(body)
+
+
+def _snapshot_at(base_len):
+    return Snapshot(
+        base_len=base_len,
+        last_entry=LogEntry(time=1, vrsn=base_len, payload=("put", "k", 1)),
+        config=frozenset({1, 2}),
+    )
+
+
+def test_an_evicted_snapshot_is_shipped_again_before_it_is_referenced():
+    """The encoder's memory of what it shipped is the decoder's window.
+    With an unbounded ``_shipped`` the seventh frame referenced the
+    first snapshot without its chunks, four installs after the decoder
+    had dropped it: ``delta references uninstalled snapshot 1.1.1``."""
+    encoder, decoder = DeltaEncoder(), DeltaDecoder()
+    reqs = [
+        CommitReq(frm=1, to=2, time=1, log=CompactLog(_snapshot_at(n), ()),
+                  commit_len=n)
+        for n in range(1, 7)
+    ]
+    for req in reqs:
+        assert _decode_stream(decoder, encoder.encode(req)) == [req]
+    installed = decoder.snapshots_installed
+    assert _decode_stream(decoder, encoder.encode(reqs[0])) == [reqs[0]]
+    assert decoder.snapshots_installed == installed + 1
+    assert len(encoder._shipped) <= 4
+    assert list(encoder._shipped) == list(decoder._snapshots)
+
+
+# ----------------------------------------------------------------------
+# Work counts: the shared prefix of two logs
+# ----------------------------------------------------------------------
+
+
+def _entry_comparisons(monkeypatch, fn):
+    """``LogEntry.__eq__`` calls while ``fn`` runs."""
+    calls = 0
+    real_eq = LogEntry.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return real_eq(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LogEntry, "__eq__", counting_eq)
+        fn()
+    return calls
+
+
+def _tail(n):
+    return tuple(
+        LogEntry(time=1, vrsn=i + 1, payload=("put", f"k{i % 5}", i),
+                 request_id=("c", i))
+        for i in range(n)
+    )
+
+
+def test_an_appended_entry_costs_the_same_comparisons_at_any_tail_length(
+    monkeypatch,
+):
+    """A leader's log grows by ``log + (entry,)``, so the entries it
+    shares with the connection's last log are the same objects.  At the
+    parent commit the encoder compared every one of them field by field
+    (64 and 1,024 ``LogEntry.__eq__`` calls here)."""
+    counts = []
+    for n in (64, 1024):
+        log = _tail(n)
+        encoder = DeltaEncoder()
+        encoder.encode(CommitReq(frm=1, to=2, time=1, log=log, commit_len=n))
+        grown = log + (LogEntry(time=1, vrsn=n + 1, payload=("noop",)),)
+        req = CommitReq(frm=1, to=2, time=1, log=grown, commit_len=n)
+        counts.append(
+            _entry_comparisons(monkeypatch, lambda: encoder.encode(req))
+        )
+    assert counts[0] == counts[1] <= 1
+
+
+def test_an_equal_log_of_other_objects_shares_the_same_prefix():
+    """Identity is a shortcut, not the test: a decoded copy of the last
+    log has none of its objects and all of its prefix."""
+    log = _tail(8)
+    grown = log + (LogEntry(time=1, vrsn=9, payload=("noop",)),)
+    decoder = DeltaDecoder()
+    copy = decoder.decode(
+        DeltaEncoder().encode(
+            CommitReq(frm=1, to=2, time=1, log=grown, commit_len=0)
+        )[4:]
+    ).log
+    assert copy == grown and all(a is not b for a, b in zip(copy, grown))
+
+    by_identity, by_equality = DeltaEncoder(), DeltaEncoder()
+    for encoder in (by_identity, by_equality):
+        encoder.encode(CommitReq(frm=1, to=2, time=1, log=log, commit_len=0))
+    assert by_equality.encode(
+        CommitReq(frm=1, to=2, time=1, log=copy, commit_len=0)
+    ) == by_identity.encode(
+        CommitReq(frm=1, to=2, time=1, log=grown, commit_len=0)
+    )
+    # ... and a copy that differs in its fourth entry shares three.
+    forked = copy[:3] + (LogEntry(time=2, vrsn=1, payload=("noop",)),)
+    frame = by_equality.encode(
+        CommitReq(frm=1, to=2, time=2, log=forked, commit_len=0)
+    )
+    assert json.loads(frame[5:])["p"] == 3
