@@ -1,9 +1,9 @@
 """Bounded-memory model checking: throughput under a fixed RSS cap (ISSUE 10).
 
 Runs the full Fig. 4 intact verification twice -- once unbounded in
-RAM, once inside an ``RLIMIT_AS`` address-space cap with the bounded
-cache policy (tiered eviction) plus the disk-spilled frontier/visited
-set -- and gates on the ratio of their states/second.
+RAM, once inside an ``RLIMIT_AS`` address-space cap with a tree-table
+cap (``Explorer.tree_cap``) plus the disk-spilled frontier/visited set
+-- and gates on the ratio of their states/second.
 
 Measurement protocol:
 
@@ -55,27 +55,21 @@ def _run_mode(bounded, conn):
 
     from repro.core import cachemgr
 
-    flushes = 0
     with tempfile.TemporaryDirectory(prefix="bench-bounded-mc-") as spill_dir:
         if bounded:
             explorer = verify_intact_explorer(
-                spill_dir=spill_dir, spill_window=SPILL_WINDOW
+                spill_dir=spill_dir, spill_window=SPILL_WINDOW,
+                tree_cap=TREE_CAP,
             )
         else:
             explorer = verify_intact_explorer()
+        before = cachemgr.stats()["tree_interns"]["flushes"]
         wall_started = time.monotonic()
         cpu_started = time.process_time()
-        if bounded:
-            with cachemgr.bounded(
-                tree_cap=TREE_CAP, cache_cap=TREE_CAP * 2,
-                wipe=cachemgr.WIPE_SUBNODES,
-            ):
-                result = explorer.run()
-                flushes = cachemgr.stats()["tree_interns"]["flushes"]
-        else:
-            result = explorer.run()
+        result = explorer.run()
         cpu = time.process_time() - cpu_started
         wall = time.monotonic() - wall_started
+        flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
     conn.send({
         "signature": signature(result),
         "elapsed_seconds": wall,

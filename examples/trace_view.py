@@ -167,7 +167,11 @@ def parse_args() -> argparse.Namespace:
 def main(bundle: str = None, replay: bool = True) -> int:
     if bundle is None:
         bundle = make_demo_bundle(tempfile.mkdtemp(prefix="trace-view-"))
-    loaded = load_bundle(bundle)
+    try:
+        loaded = load_bundle(bundle)
+    except ValueError as error:  # another version, or a monitor bundle
+        print(f"trace_view: {error}", file=sys.stderr)
+        return 2
     render_bundle(loaded)
     if not replay:
         return 0

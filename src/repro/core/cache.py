@@ -26,7 +26,7 @@ as :func:`cache_gt` and as the sort key :func:`order_key`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, Tuple, Union
 
 from .fingerprint import canonical_encode, fp128
 
@@ -203,25 +203,21 @@ Cache = Union[ECache, MCache, RCache, CCache]
 #: structural fingerprint, which matters because the successor generator
 #: constructs millions of short-lived candidate caches.  Caches are tiny
 #: and the set of distinct ones a run creates is far smaller than its
-#: set of distinct trees, so a strong table is fine -- but bounded
-#: (:data:`_CACHE_CAP`) so a pathological workload cannot grow it
-#: without limit.
+#: set of distinct trees (253 at the full Fig. 4 budget), so a strong
+#: table is fine.
 _INTERNED: Dict["Cache", "Cache"] = {}
 
-#: Default flush threshold for the cache intern table.  Distinct caches
-#: number in the thousands on real runs, so the default effectively
-#: never flushes; bounded runs lower it via repro.core.cachemgr.
-_DEFAULT_CACHE_CAP = 1 << 20
+#: Flush threshold of the cache intern table: a constant, with no
+#: setter.  No search comes near it; it stays because the long-running
+#: monitor interns one cache per observed log entry.
+_CACHE_CAP = 1 << 20
 
-_CACHE_CAP = _DEFAULT_CACHE_CAP
-
-#: Called (in registration order) every time the intern table is
-#: flushed.  Interned caches are otherwise immortal, which lets
-#: downstream memo tables key on ``id(cache)``; any such table MUST
-#: register a listener that drops its entries, atomically with the
-#: flush, before a recycled id can collide (repro.core.tree registers
-#: its entry-fingerprint memo here).
-_FLUSH_LISTENERS: list = []
+#: Tree-entry fingerprint terms, keyed on ``(cid, parent, id(cache))``
+#: (filled by :func:`repro.core.tree._entry_fp`).  ``id(cache)`` is a
+#: stable key only while the cache is interned, so
+#: :func:`flush_interned_caches` clears this table in the same step --
+#: before a recycled id can alias a dead cache's entry.
+_ENTRY_FPS: Dict[Tuple, int] = {}
 
 _CACHE_STATS: Dict[str, int] = {"flushes": 0, "evicted": 0}
 
@@ -245,38 +241,17 @@ def intern_cache(cache: "Cache") -> "Cache":
 
 
 def flush_interned_caches() -> None:
-    """Flush the cache intern table and fire the flush listeners.
+    """Flush the cache intern table and the id-keyed entry-fingerprint
+    memo with it.
 
     Safe at any point: live caches stay alive through the trees holding
     them and re-intern (as the same object) on next use; only the
-    canonical-instance mapping and the id-keyed downstream memos are
-    dropped.
+    canonical-instance mapping and the memoized terms are dropped.
     """
     _CACHE_STATS["flushes"] += 1
     _CACHE_STATS["evicted"] += len(_INTERNED)
     _INTERNED.clear()
-    for listener in _FLUSH_LISTENERS:
-        listener()
-
-
-def add_cache_flush_listener(listener) -> None:
-    """Register ``listener`` to run on every intern-table flush."""
-    if listener not in _FLUSH_LISTENERS:
-        _FLUSH_LISTENERS.append(listener)
-
-
-def configure_cache_intern(cap: Optional[int] = None) -> None:
-    """Set the cache intern table's flush threshold."""
-    global _CACHE_CAP
-    if cap is not None:
-        if cap < 1:
-            raise ValueError(f"cache intern cap must be >= 1, got {cap}")
-        _CACHE_CAP = cap
-
-
-def cache_intern_policy() -> int:
-    """The current flush threshold of the cache intern table."""
-    return _CACHE_CAP
+    _ENTRY_FPS.clear()
 
 
 def cache_intern_stats() -> Dict[str, int]:

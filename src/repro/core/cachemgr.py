@@ -1,121 +1,36 @@
-"""Bounded, policy-driven management of the hash-consing caches.
+"""What is left of process-global memory policy, and the counters.
 
-PR 5 bought its model-checking speedup with three process-wide strong
-tables -- the tree intern table, the cache intern table, and per-tree
-memo scratch -- whose only bound was a blunt wipe-everything epoch
-flush.  This module is the single knob for all of them, shaped after
-the pydl8.5 tree-search cache (``CacheTrie``/``CacheHash`` with a
-``maxcachesize`` bound and ``WipeType All/Subnodes`` wipe strategies;
-its third type, ``Recall``, has no workload here):
+PR 5 bought its model-checking speedup with process-wide strong tables
+-- the tree intern table, the cache intern table, and per-tree memo
+scratch.  Their bound has one knob, and the search owns it:
+``Explorer.tree_cap`` is applied by :func:`repro.mc.parallel.search`
+for its own span, and a flush keeps the trees of the search's live
+frontier (pydl8.5's ``Subnodes`` wipe; with nothing pinned it clears
+the table).  The cache table's bound is a constant.  DESIGN.md §16 has
+why.
 
-* ``wipe="all"`` -- clear the table at the cap (the old behaviour, now
-  with provenance trimming so flushed ancestors actually die).
-* ``wipe="subnodes"`` -- keep the trees still reachable from the
-  model checker's working set (its in-RAM frontier window); evict the
-  rest.
+This module keeps the pieces that are not a setting:
 
-The policy is process-global because the tables are: the model-checking
-engines call :func:`bounded` around a run, and worker processes inherit
-the configuration through ``fork``.  The other process-global memory
-policy lives here for the same reason: :func:`gc_paused`, which turns
-CPython's cycle collector off for the span of a run whose heap cannot
-contain a cycle.
+* :func:`gc_paused`, which turns CPython's cycle collector off for the
+  span of a run whose heap cannot contain a cycle (DESIGN.md §17);
+* :func:`flush` and :func:`stats` / :func:`export_metrics` over both
+  intern tables.
 
 Eviction is always *sound*: these tables memoize pure functions of
 immutable values (canonical instances, fingerprints, derived tables,
-safety verdicts), so the worst case of any wipe is recomputation, never
-a wrong answer.  Visited-state deduplication lives in
-:class:`repro.mc.fpset.FingerprintSet`, which is never evicted -- see
-DESIGN.md §16 for the full argument.
-
-Typical use::
-
-    from repro.core import cachemgr
-
-    with cachemgr.bounded(tree_cap=1 << 16, wipe="subnodes"):
-        result = explorer.run()
-    print(cachemgr.stats())
+safety verdicts), so the worst case of any flush is recomputation,
+never a wrong answer.  Visited-state deduplication lives in
+:class:`repro.mc.fpset.FingerprintSet`, which is never evicted.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from . import cache as _cache
 from . import tree as _tree
-
-#: The wipe strategies understood by :func:`configure`.
-WIPE_ALL = "all"
-WIPE_SUBNODES = "subnodes"
-
-WIPE_POLICIES = (WIPE_ALL, WIPE_SUBNODES)
-
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """A complete cache-manager configuration.
-
-    ``tree_cap``/``cache_cap`` bound the two intern tables;``wipe``
-    selects the tree-table strategy (the cache table always wipes all:
-    its members are tiny and its flushes must atomically invalidate the
-    id-keyed entry-fingerprint memo anyway).
-    """
-
-    tree_cap: int = _tree._DEFAULT_INTERN_CAP
-    cache_cap: int = _cache._DEFAULT_CACHE_CAP
-    wipe: str = WIPE_ALL
-
-    def __post_init__(self) -> None:
-        if self.wipe not in WIPE_POLICIES:
-            raise ValueError(f"unknown wipe policy {self.wipe!r}")
-        if self.tree_cap < 1 or self.cache_cap < 1:
-            raise ValueError("cache caps must be >= 1")
-
-
-DEFAULT_POLICY = CachePolicy()
-
-
-def configure(policy: CachePolicy) -> None:
-    """Apply ``policy`` process-wide (takes effect at the next flush)."""
-    _tree.configure_tree_cache(cap=policy.tree_cap, wipe=policy.wipe)
-    _cache.configure_cache_intern(cap=policy.cache_cap)
-
-
-def current_policy() -> CachePolicy:
-    """The policy currently in force."""
-    tree_cap, wipe = _tree.tree_cache_policy()
-    return CachePolicy(tree_cap=tree_cap, cache_cap=_cache.cache_intern_policy(), wipe=wipe)
-
-
-@contextmanager
-def bounded(
-    tree_cap: Optional[int] = None,
-    cache_cap: Optional[int] = None,
-    wipe: str = WIPE_ALL,
-) -> Iterator[CachePolicy]:
-    """Run a block under a bounded cache policy, then restore.
-
-    ``None`` caps keep their current values.  A table already over its
-    new cap is flushed on entry (an intern *hit* never triggers a flush,
-    so a warm process whose run only re-derives known trees would
-    otherwise stay over the cap throughout); on exit the previous policy
-    is restored and the tables are flushed down to it, so a bounded run
-    cannot leave an oversized table behind either.
-    """
-    previous = current_policy()
-    policy = CachePolicy(
-        tree_cap=previous.tree_cap if tree_cap is None else tree_cap,
-        cache_cap=previous.cache_cap if cache_cap is None else cache_cap,
-        wipe=wipe,
-    )
-    _enforce(policy)
-    try:
-        yield policy
-    finally:
-        _enforce(previous)
 
 
 @contextmanager
@@ -144,17 +59,8 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _enforce(policy: CachePolicy) -> None:
-    """Apply ``policy`` and flush whichever table already exceeds it."""
-    configure(policy)
-    if len(_tree._INTERNED_TREES) > policy.tree_cap:
-        _tree.flush_interned_trees()
-    if len(_cache._INTERNED) > policy.cache_cap:
-        _cache.flush_interned_caches()
-
-
 def flush() -> None:
-    """Force both intern tables through a policy flush now."""
+    """Force both intern tables through a flush now."""
     _tree.flush_interned_trees()
     _cache.flush_interned_caches()
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .cache import (
+    _ENTRY_FPS,
     Cache,
     Cid,
     NodeId,
-    add_cache_flush_listener,
     intern_cache,
     is_ccache,
     is_committable,
@@ -60,8 +60,9 @@ def _entry_fp(cid: Cid, parent: Optional[Cid], cache: Cache) -> int:
 
     Memoized per ``(cid, parent, interned cache)``: the same few slots
     recur across millions of candidate successors.  The cache is
-    interned first -- interned caches are immortal (strong intern
-    table), so ``id(cache)`` is a stable memo key.
+    interned first, so ``id(cache)`` is a stable memo key for as long
+    as the memo lives: it sits beside the cache intern table and is
+    cleared by the same flush.
     """
     cache = intern_cache(cache)
     key = (cid, parent, id(cache))
@@ -74,39 +75,26 @@ def _entry_fp(cid: Cid, parent: Optional[Cid], cache: Cache) -> int:
     return term
 
 
-_ENTRY_FPS: Dict[Tuple, int] = {}
-
-# The table above keys on id(cache), which is stable only while the
-# cache intern table keeps its members immortal.  A cache-table flush
-# breaks that, so it must drop this memo in the same step -- before any
-# recycled id can alias a dead cache's entry.
-add_cache_flush_listener(_ENTRY_FPS.clear)
-
-
 #: Per-process hash-consing table: tree fingerprint -> the one shared
 #: instance.  Deliberately *strong*: the model checker generates each
 #: distinct successor tree a dozen times on average, and with weak
 #: values the discarded duplicates die before the next occurrence can
 #: hit the table, defeating hash-consing exactly where it pays.  Bounded
-#: by a policy-driven epoch flush (:func:`_flush_interned_trees`) so
-#: pathological runs cannot grow it without limit -- a flush only costs
-#: subsequent re-interning.  Configure via
-#: :mod:`repro.core.cachemgr` / :func:`configure_tree_cache`.
+#: by an epoch flush (:func:`flush_interned_trees`) so pathological
+#: runs cannot grow it without limit -- a flush only costs subsequent
+#: re-interning.  A search sets the bound for its own span
+#: (``Explorer.tree_cap``, :func:`set_tree_cap`).
 _INTERNED_TREES: Dict[int, "CacheTree"] = {}
 
-#: Default epoch-flush threshold for the tree intern table.
-_DEFAULT_INTERN_CAP = 1 << 19
+#: The tree table's bound outside any search, and ``Explorer.tree_cap``'s
+#: default.
+DEFAULT_TREE_CAP = 1 << 19
 
-#: Current cap (mutable via :func:`configure_tree_cache`).
-_INTERN_CAP = _DEFAULT_INTERN_CAP
+#: Current cap (set by :func:`set_tree_cap`).
+_INTERN_CAP = DEFAULT_TREE_CAP
 
-#: Wipe strategy applied at the cap (the pydl8.5 ``WipeType`` shape):
-#: ``"all"`` clears the table, ``"subnodes"`` keeps trees a pin provider
-#: (typically: the explorer's in-RAM frontier) names as reachable.
-_WIPE = "all"
-
-#: Callable yielding tree fingerprints the ``"subnodes"`` policy must
-#: keep (set by the model-checking engines to their live frontier).
+#: Callable yielding the fingerprints of trees a flush must keep (set by
+#: the search loop and its pool workers to their live frontier).
 _PIN_PROVIDER: Optional[Callable[[], Iterable[int]]] = None
 
 #: Effective flush trigger.  Normally ``_INTERN_CAP``; raised after a
@@ -119,23 +107,24 @@ _FLUSH_AT = _INTERN_CAP
 _TREE_STATS: Dict[str, int] = {"flushes": 0, "evicted": 0, "survivors": 0, "prov_trimmed": 0}
 
 
-def _flush_interned_trees() -> None:
-    """Apply the configured wipe policy to the tree intern table.
+def flush_interned_trees() -> None:
+    """Empty the tree intern table of every tree the pin provider does
+    not name (all of them when none is installed).
 
-    Whatever the policy, every table member -- evicted *and* surviving
-    -- has its ``"prov"`` memo entry dropped: provenance tuples hold a
-    strong reference to the parent tree, so an untrimmed chain would
-    pin every flushed ancestor of a live frontier tree in memory for
-    the rest of the run (provenance only exists to give
-    :meth:`CacheTree.derive` *one* predecessor to extend tables from; a
-    tree without it builds them from scratch, and new successors of
-    live trees re-establish it immediately).
+    Every table member -- evicted *and* surviving -- has its ``"prov"``
+    memo entry dropped: provenance tuples hold a strong reference to
+    the parent tree, so an untrimmed chain would pin every flushed
+    ancestor of a live frontier tree in memory for the rest of the run
+    (provenance only exists to give :meth:`CacheTree.derive` *one*
+    predecessor to extend tables from; a tree without it builds them
+    from scratch, and new successors of live trees re-establish it
+    immediately).
     """
     global _FLUSH_AT
     table = _INTERNED_TREES
     before = len(table)
     survivors: List["CacheTree"] = []
-    if _WIPE == "subnodes" and _PIN_PROVIDER is not None:
+    if _PIN_PROVIDER is not None:
         pinned = set(_PIN_PROVIDER())
         if pinned:
             survivors = [tree for fp, tree in table.items() if fp in pinned]
@@ -162,33 +151,24 @@ def _flush_interned_trees() -> None:
 
 def _intern_tree(fp: int, tree: "CacheTree") -> "CacheTree":
     if len(_INTERNED_TREES) >= _FLUSH_AT:
-        _flush_interned_trees()
+        flush_interned_trees()
     return _INTERNED_TREES.setdefault(fp, tree)
 
 
-def configure_tree_cache(cap: Optional[int] = None, wipe: Optional[str] = None) -> None:
-    """Set the tree intern table's bound and wipe policy.
+def set_tree_cap(cap: int) -> int:
+    """Make ``cap`` the tree intern table's bound; returns the previous
+    one (the search loop's enter/restore pair).
 
-    ``cap`` is the flush threshold (``None`` leaves it unchanged);
-    ``wipe`` is ``"all"`` or ``"subnodes"``.  Prefer the
-    :mod:`repro.core.cachemgr` facade, which configures both intern
-    tables together and restores defaults on exit.
+    A table already over ``cap`` is flushed at once: an intern *hit*
+    never flushes, so a run in a warm process that only re-derives
+    known trees would otherwise stay over the cap throughout.
     """
-    global _INTERN_CAP, _WIPE, _FLUSH_AT
-    if cap is not None:
-        if cap < 1:
-            raise ValueError(f"tree cache cap must be >= 1, got {cap}")
-        _INTERN_CAP = cap
-        _FLUSH_AT = cap
-    if wipe is not None:
-        if wipe not in ("all", "subnodes"):
-            raise ValueError(f"unknown wipe policy {wipe!r}")
-        _WIPE = wipe
-
-
-def tree_cache_policy() -> Tuple[int, str]:
-    """The current ``(cap, wipe)`` of the tree intern table."""
-    return _INTERN_CAP, _WIPE
+    global _INTERN_CAP, _FLUSH_AT
+    previous = _INTERN_CAP
+    _INTERN_CAP = _FLUSH_AT = cap
+    if len(_INTERNED_TREES) > cap:
+        flush_interned_trees()
+    return previous
 
 
 def tree_cache_stats() -> Dict[str, int]:
@@ -202,7 +182,7 @@ def tree_cache_stats() -> Dict[str, int]:
 def set_tree_pin_provider(
     provider: Optional[Callable[[], Iterable[int]]],
 ) -> Optional[Callable[[], Iterable[int]]]:
-    """Install the ``"subnodes"`` pin provider; returns the previous one.
+    """Install the flush's pin provider; returns the previous one.
 
     The provider is consulted only at flush time and must yield the
     fingerprints of trees that stay reachable from the caller's working
@@ -212,11 +192,6 @@ def set_tree_pin_provider(
     previous = _PIN_PROVIDER
     _PIN_PROVIDER = provider
     return previous
-
-
-def flush_interned_trees() -> None:
-    """Force an epoch flush now (tests and the cachemgr facade)."""
-    _flush_interned_trees()
 
 
 class CacheTree:

@@ -1,8 +1,9 @@
 """Bounded-memory model-checking harness: ``python -m repro.mc.bounded_cli``.
 
 Runs the Fig. 4 intact verification twice -- once unbounded in RAM,
-once under an address-space rlimit with the bounded cache policy and
-the disk-spilled frontier/visited set -- and asserts the two runs agree
+once under an address-space rlimit with a tree-table cap
+(``Explorer.tree_cap``) and the disk-spilled frontier/visited set --
+and asserts the two runs agree
 exactly (states, transitions, verdict, first violation).  This is the
 CI gate proving that bounding memory changes *resource usage only*,
 never the answer.
@@ -111,26 +112,24 @@ def _bounded_leg(args, overrides) -> tuple:
     address-space cap must be applied before the process grows.
     """
     capped = args.limit_mb > 0 and apply_address_space_cap(args.limit_mb)
+    # The counter is process-cumulative: count this run's flushes only.
+    before = cachemgr.stats()["tree_interns"]["flushes"]
     with tempfile.TemporaryDirectory(prefix="bounded-mc-") as spill_dir:
-        with cachemgr.bounded(
+        explorer = verify_intact_explorer(
+            spill_dir=spill_dir,
+            spill_window=args.window,
             tree_cap=args.tree_cap,
-            cache_cap=max(args.tree_cap * 2, 64),
-            wipe=args.wipe,
-        ):
-            explorer = verify_intact_explorer(
-                spill_dir=spill_dir,
-                spill_window=args.window,
-                **overrides,
-            )
-            result = explore(explorer, workers=args.workers)
-            stats = cachemgr.stats()
+            **overrides,
+        )
+        result = explore(explorer, workers=args.workers)
+    flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
     try:
         import resource
 
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     except ImportError:
         rss_kb = None
-    return signature(result), stats["tree_interns"]["flushes"], rss_kb, capped
+    return signature(result), flushes, rss_kb, capped
 
 
 def _in_child(leg, args, overrides, what):
@@ -184,11 +183,6 @@ def main(argv=None) -> int:
         "0 disables the cap, e.g. when embedding in a larger process)",
     )
     parser.add_argument(
-        "--wipe", choices=sorted(cachemgr.WIPE_POLICIES),
-        default=cachemgr.WIPE_SUBNODES,
-        help="cache eviction policy for the bounded run",
-    )
-    parser.add_argument(
         "--tree-cap", type=int, default=4096,
         help="interned-tree cache cap for the bounded run (default: 4096)",
     )
@@ -222,7 +216,6 @@ def main(argv=None) -> int:
     bounded, cache_flushes, peak_rss_kb, capped = payload
     summary = {
         "budget": args.budget,
-        "wipe": args.wipe,
         "tree_cap": args.tree_cap,
         "window": args.window,
         "workers": args.workers,

@@ -47,7 +47,7 @@ from ..core.safety import (
 )
 from ..core.semantics import apply_invoke, apply_pull, apply_push, apply_reconfig
 from ..core.state import AdoreState, initial_state
-from ..core.tree import CacheTree
+from ..core.tree import DEFAULT_TREE_CAP, CacheTree
 
 
 def _root_path(tree: CacheTree, cid: Cid) -> Iterator[Cid]:
@@ -282,6 +282,7 @@ class Explorer:
         fingerprints: bool = True,
         spill_dir: Optional[str] = None,
         spill_window: int = 4096,
+        tree_cap: int = DEFAULT_TREE_CAP,
     ) -> None:
         self.scheme = scheme
         self.conf0 = conf0
@@ -348,6 +349,13 @@ class Explorer:
         if spill_window < 1:
             raise ValueError(f"spill window must be >= 1, got {spill_window}")
         self.spill_window = spill_window
+        #: The tree intern table's bound for the span of a search (the
+        #: one memory knob, DESIGN.md §16).  A flush only costs
+        #: re-interning, so like the spill settings it is not part of
+        #: :meth:`config_fingerprint`.
+        if tree_cap < 1:
+            raise ValueError(f"tree cap must be >= 1, got {tree_cap}")
+        self.tree_cap = tree_cap
         self._sym_group = None
         self._sym_reducer = None
         if symmetry:

@@ -46,6 +46,7 @@ speedup is lost.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import sys
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cachemgr import gc_paused
-from ..core.tree import set_tree_pin_provider
+from ..core.tree import set_tree_cap, set_tree_pin_provider
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .checkpoint import discard_checkpoint, load_checkpoint, write_checkpoint
 from .explorer import ExplorationResult, Explorer, OpBudget, Violation
@@ -73,23 +74,19 @@ _SHARED_VISITED_MAX_BYTES = 256 * 1024 * 1024
 #: is running.
 _WORKER_EXPLORER: Optional[Explorer] = None
 _WORKER_VISITED: Optional[FingerprintSet] = None
-#: A worker's own pause, entered for its lifetime and never exited.  The
-#: reference is what keeps it entered: a dropped ``gc_paused()`` is a
-#: closed generator, whose ``finally`` re-enables the collector.
-_WORKER_GC_PAUSE = None
 
 
 def _init_worker(
     explorer: Explorer, shared_visited: Optional[FingerprintSet]
 ) -> None:
-    global _WORKER_EXPLORER, _WORKER_VISITED, _WORKER_GC_PAUSE
+    global _WORKER_EXPLORER, _WORKER_VISITED
     _WORKER_EXPLORER = explorer
     _WORKER_VISITED = shared_visited
-    # A worker builds the same acyclic heap as the master.  It is forked
-    # inside ``search``, so it would inherit the pause anyway; stated
-    # here so that it does not depend on where the pool is created.
-    _WORKER_GC_PAUSE = gc_paused()
-    _WORKER_GC_PAUSE.__enter__()
+    # A worker builds the same acyclic heap as the master, for its whole
+    # life.  It is forked inside ``search``, so it would inherit the
+    # pause anyway; stated here so that it does not depend on where the
+    # pool is created.
+    gc.disable()
 
 
 def _expand_batch(items):
@@ -124,9 +121,9 @@ def _expand_batch(items):
     batch_seen = set()
     produced = 0
     results = []
-    # Under the "subnodes" wipe policy (inherited through fork) a cache
-    # flush inside this batch must keep the trees the batch is working
-    # from; the provider is consulted only at flush time.
+    # A flush inside this batch (the cap is inherited through fork) must
+    # keep the trees the batch is working from; the provider is
+    # consulted only at flush time.
     previous_provider = set_tree_pin_provider(
         lambda: [state.tree.fingerprint() for state, _ in items]
     )
@@ -498,6 +495,12 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
     Automatic cycle collection is paused for the whole call
     (:func:`~repro.core.cachemgr.gc_paused`): states, trees and traces
     are immutable and point only at older values.
+
+    The search owns the tree intern table's memory policy for its span:
+    on entry it makes ``explorer.tree_cap`` the bound (flushing a table
+    already over it) and installs a pin provider naming its working
+    set, so a flush keeps every tree it will expand; on every way out
+    it restores both and flushes down to the previous bound.
     """
     explorer = options.explorer
     checkpoint = options.checkpoint
@@ -540,9 +543,8 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
         )
         stats.checkpoints_written += 1
 
-    # Under the "subnodes" wipe policy a cache flush evicts trees
-    # unreachable from the engine's working set: the window being
-    # expanded and the frontier's in-RAM entries.
+    # A flush evicts the trees unreachable from the engine's working
+    # set: the window being expanded and the frontier's in-RAM entries.
     window: Sequence[Entry] = ()
 
     def pinned_tree_fps():
@@ -552,6 +554,8 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
 
     frontier = explorer.new_frontier()
     visited = executor = None
+    # The cap first: its entry flush keeps an enclosing search's frontier.
+    previous_cap = set_tree_cap(explorer.tree_cap)
     previous_provider = set_tree_pin_provider(pinned_tree_fps)
     try:
         loaded = None
@@ -678,6 +682,7 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
         return result(exhausted=exhausted and frontier.exhaustive)
     finally:
         set_tree_pin_provider(previous_provider)
+        set_tree_cap(previous_cap)
         if executor is not None:
             executor.close()
         # Working spill files are scratch: checkpointed state lives in

@@ -41,6 +41,10 @@ MANIFEST_FILE = "manifest.json"
 TRACE_FILE = "trace.jsonl"
 HISTORY_FILE = "history.jsonl"
 
+#: The manifest ``kind`` of the bundles this module writes; a monitor
+#: bundle (:mod:`repro.monitor.bundle`) shares the layout but not the kind.
+NEMESIS_BUNDLE_KIND = "nemesis-violation"
+
 
 # ----------------------------------------------------------------------
 # NemesisConfig <-> JSON
@@ -206,7 +210,7 @@ def write_bundle(directory: str, result) -> str:
     os.makedirs(path, exist_ok=True)
     manifest = {
         "version": BUNDLE_VERSION,
-        "kind": "nemesis-violation",
+        "kind": NEMESIS_BUNDLE_KIND,
         "seed": result.config.seed,
         "config": nemesis_config_to_dict(result.config),
         "verdict": {
@@ -244,6 +248,12 @@ def load_bundle(path: str) -> ViolationBundle:
         raise ValueError(
             f"bundle {path!r} has version {version!r}, "
             f"expected {BUNDLE_VERSION}"
+        )
+    kind = manifest.get("kind")
+    if kind != NEMESIS_BUNDLE_KIND:
+        raise ValueError(
+            f"bundle {path!r} is a {kind!r} bundle, not a nemesis run's; "
+            "audit a monitor bundle with `python -m repro.monitor check`"
         )
     events = load_jsonl(os.path.join(path, TRACE_FILE))
     rows: List[Dict] = []

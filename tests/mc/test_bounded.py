@@ -1,24 +1,35 @@
-"""Bounded-memory engine parity (ISSUE 10 acceptance).
+"""Bounded-memory engine parity (ISSUE 10 acceptance) and the contract
+of the one memory setting (ISSUE 26).
 
 Cache eviction and disk spilling only discard *recomputable* memoized
 state (interned trees/caches, memo scratch) or move *exact* data
-structures to disk (the visited table, the frontier).  Therefore every
-wipe policy and the spill mode must reproduce the seed engine's recorded
-answer (``ROWS`` in :mod:`tests.mc.test_golden`) bit for bit: same
-state count, same transition count, same verdict, same first violation
--- on the intact configuration and all four ablations, sequentially and
+structures to disk (the visited table, the frontier).  Therefore a tree
+cap and the spill mode must reproduce the seed engine's recorded answer
+(``ROWS`` in :mod:`tests.mc.test_golden`) bit for bit: same state
+count, same transition count, same verdict, same first violation -- on
+the intact configuration and all four ablations, sequentially and
 through the parallel engine.
 
 Caps here are deliberately tiny so every run actually flushes and
 spills many times; the unbounded runs in ``tests/mc/test_parity.py``
 stay the baseline for the unbounded engine.
+
+``Explorer.tree_cap`` is applied by ``search`` for its own span, beside
+the pin provider naming its frontier: ``TestTheSearchOwnsTheBound`` pins
+that a flush keeps every tree the search will expand, and that the cap
+is not part of a checkpoint's identity.
 """
+
+import os
+import warnings
 
 import pytest
 
 from repro.core import cachemgr
+from repro.core import tree as core_tree
 from repro.mc import ParallelExplorer
 from repro.mc.bounded_cli import signature
+from repro.mc.explorer import Explorer
 
 from .test_golden import BFS, ROWS, SEQUENTIAL, explorer
 
@@ -33,18 +44,20 @@ def tree_cap(name):
     return min(512, ROWS[name]["states"] // 4)
 
 
-@pytest.mark.parametrize("name", SEQUENTIAL)
-class TestWipePolicyParity:
-    """Every eviction policy, tiny cap, no spill: exact seed parity."""
+def tree_flushes():
+    # The counter is process-cumulative and entering the bound may
+    # itself flush: callers count one run's flushes as a difference.
+    return cachemgr.stats()["tree_interns"]["flushes"]
 
-    @pytest.mark.parametrize("wipe", sorted(cachemgr.WIPE_POLICIES))
-    def test_matches_seed_engine(self, name, wipe):
-        with cachemgr.bounded(tree_cap=tree_cap(name), wipe=wipe):
-            # The counter is process-cumulative and entering the bound
-            # may itself flush: count this run's flushes only.
-            before = cachemgr.stats()["tree_interns"]["flushes"]
-            result = explorer(name).run()
-            flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
+
+@pytest.mark.parametrize("name", SEQUENTIAL)
+class TestTreeCapParity:
+    """A tiny tree cap, no spill: exact seed parity."""
+
+    def test_matches_seed_engine(self, name):
+        before = tree_flushes()
+        result = explorer(name, tree_cap=tree_cap(name)).run()
+        flushes = tree_flushes() - before
         assert signature(result) == ROWS[name]
         assert flushes > 0, "cap never hit: the test is not exercising eviction"
 
@@ -63,22 +76,68 @@ class TestSpillParity:
 
 
 class TestParallelSpillParity:
-    """Spilled frontier/visited through the parallel engine: the
-    fork-shared mmap visited table and the windowed level merge must
-    not change the answer for any worker count."""
+    """Spilled frontier/visited plus a tiny tree cap through the parallel
+    engine: the fork-shared mmap visited table and the windowed level
+    merge must not change the answer for any worker count."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("name", BFS)
     def test_matches_seed_engine(self, name, workers, tmp_path):
         spilled = explorer(
-            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW
+            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW,
+            tree_cap=tree_cap(name),
         )
-        with cachemgr.bounded(
-            tree_cap=tree_cap(name), wipe=cachemgr.WIPE_SUBNODES
-        ):
-            result = ParallelExplorer(spilled, workers=workers).run()
+        result = ParallelExplorer(spilled, workers=workers).run()
         assert signature(result) == ROWS[name]
         assert not list(tmp_path.iterdir())
+
+
+# ----------------------------------------------------------------------
+# The contract: the search owns the bound for its span
+# ----------------------------------------------------------------------
+
+class TestTheSearchOwnsTheBound:
+    """What the bound a search applies for its span promises (the
+    hand-back on every way out is ``tests/core/test_cachemgr.py``'s
+    ``TestPolicyFacade``)."""
+
+    def test_a_flush_keeps_every_frontier_tree(self, monkeypatch):
+        """In the default configuration -- nothing set but the cap --
+        every tree the search expands is still the table's own instance,
+        however many flushes happened since it was queued."""
+        real_expand = Explorer.expand
+        stale = []
+
+        def expand(self, state, budget):
+            tree = state.tree
+            # The initial tree (one cache) is built, never interned.
+            if len(tree) > 1 and (
+                core_tree._INTERNED_TREES.get(tree.fingerprint()) is not tree
+            ):
+                stale.append(tree)
+            return real_expand(self, state, budget)
+
+        monkeypatch.setattr(Explorer, "expand", expand)
+        before = tree_flushes()
+        result = explorer("intact", tree_cap=tree_cap("intact")).run()
+        assert tree_flushes() > before
+        assert signature(result) == ROWS["intact"]
+        assert stale == []
+
+    def test_a_checkpoint_resumes_under_another_cap(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        sliced = ParallelExplorer(
+            explorer("intact", tree_cap=64), workers=1, checkpoint=path,
+            max_levels=2, checkpoint_interval=0,
+        ).run()
+        assert sliced.interrupted and os.path.exists(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "fingerprint mismatch"
+            resumed = ParallelExplorer(
+                explorer("intact", tree_cap=4096), workers=1, checkpoint=path
+            ).run()
+        assert signature(resumed) == ROWS["intact"]
+        assert not os.path.exists(path)
 
 
 class TestBoundedCli:
@@ -104,3 +163,4 @@ class TestBoundedCli:
         assert code == 0
         assert summary["parity"] is True
         assert summary["cache_flushes"] > 0
+        assert "wipe" not in summary

@@ -123,3 +123,17 @@ class TestBundleEdges:
 
     def test_find_bundles_on_missing_directory(self, tmp_path):
         assert find_bundles(str(tmp_path / "nope")) == []
+
+    def test_a_monitor_bundle_is_named_not_crashed_on(self, tmp_path):
+        """``find_bundles`` lists monitor bundles too (same manifest,
+        same version); loading one used to die on its missing
+        ``history.jsonl`` instead of saying what it is."""
+        from repro.monitor.bundle import write_monitor_bundle
+
+        event = {"kind": "log_advance", "t_ms": 1.0, "node": 1, "lamport": 1}
+        path = write_monitor_bundle(
+            str(tmp_path), {1, 2, 3}, {1, 2, 3}, [event], 0, "S1", ["x"]
+        )
+        assert find_bundles(str(tmp_path)) == [path]
+        with pytest.raises(ValueError, match="'monitor'.*repro.monitor check"):
+            load_bundle(path)
