@@ -648,7 +648,18 @@ def _freeze(value):
     The engine keys its trie -- and builds hash-consed caches -- on
     payloads, so they must hash; identical payloads must freeze
     identically regardless of dict insertion order.
+
+    A value that hashes already is its own frozen form (it is equal to,
+    and hashes as, the tuple/frozenset rebuild of it), so only
+    unhashable containers are walked: a plain command costs one
+    ``hash``, not a call per element.
     """
+    try:
+        hash(value)
+    except TypeError:
+        pass
+    else:
+        return value
     if isinstance(value, dict):
         return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):

@@ -13,7 +13,7 @@ transport, with client histories checked for linearizability
 """
 
 from .autonomous import AutonomousCluster, LeaderChange
-from .cluster import Cluster, RequestRecord
+from .cluster import Cluster, RequestRecord, SharedLog
 from .driver import ElectionDriver, TimingConfig
 from .failover import FailoverDriver, FailoverEvent
 from .history import History, Operation
@@ -66,6 +66,7 @@ __all__ = [
     "Partition",
     "ReplicatedKV",
     "RequestRecord",
+    "SharedLog",
     "Simulator",
     "TimingConfig",
     "apply_command",

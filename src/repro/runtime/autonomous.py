@@ -40,7 +40,7 @@ from ..core.cache import Config, Method, NodeId
 from ..core.config import ReconfigScheme
 from ..raft.messages import CommitReq, ElectReq, Msg
 from ..raft.server import LEADER
-from .cluster import IndexedServer
+from .cluster import IndexedServer, SharedLog
 from .driver import ElectionDriver, TimingConfig
 from .simnet import LatencyModel, Simulator
 
@@ -76,7 +76,8 @@ class AutonomousCluster:
         self.processing_ms = processing_ms
         nodes = set(scheme.members(conf0)) | set(extra_nodes)
         self.servers: Dict[NodeId, IndexedServer] = {
-            nid: IndexedServer(nid=nid, conf0=conf0) for nid in sorted(nodes)
+            nid: IndexedServer(nid=nid, conf0=conf0, log=SharedLog())
+            for nid in sorted(nodes)
         }
         self._crashed: set = set()
         self._last_heartbeat: Dict[NodeId, float] = {

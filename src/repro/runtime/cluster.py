@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import attrgetter, is_
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..core.cache import Config, Method, NodeId
 from ..core.config import ReconfigScheme
@@ -36,6 +37,112 @@ def _is_hashable(value) -> bool:
     return True
 
 
+class SharedLog:
+    """A log that is a prefix of an append-only buffer: ``(buffer, length)``.
+
+    The specification hands whole logs around -- every ``CommitReq``
+    carries one, a follower adopts it, a leader appends with
+    ``log + (entry,)`` -- and as tuples each append copied the log and
+    each "is what I folded a prefix of this log?" compared the two entry
+    by entry.  A ``SharedLog`` is a view of the first ``length`` entries
+    of a list that is only ever appended to:
+
+    * ``len``, indexing (negative too), iteration and ``reversed`` stop
+      at the view's length, so an entry appended to the buffer later is
+      invisible to it: a view never changes;
+    * ``log[:k]`` is a view of the same buffer; any other slice is a
+      plain tuple, as :class:`repro.net.snapshot.CompactLog` does it;
+    * ``log + entries`` appends in place when the view is its buffer's
+      tip and otherwise *forks*, copying its own prefix into a new
+      buffer, so a buffer is never truncated or rewritten.  A leader
+      extends one buffer for its term, a follower that adopts its
+      ``CommitReq`` holds that buffer, and a new leader whose log stops
+      short of its buffer's end copies once;
+    * two views of one buffer are equal iff their lengths are; any other
+      pair, and a view and a tuple, compare entry by entry; ``hash`` is
+      the hash of the equal tuple.
+
+    So every prefix test between views of one buffer is a length
+    comparison, with no change to the code that asks it:
+    :meth:`LogFold.follow`, :meth:`Cluster.check_safety`'s committed
+    prefixes, the nemesis' reads of ``log[:index]``.  The simulated
+    clusters seed each server with an empty one; :mod:`repro.raft` is
+    the unchanged spec code, handed this log instead of a tuple.
+    """
+
+    __slots__ = ("_buf", "_len")
+
+    def __init__(self, entries: Iterable[LogEntry] = ()) -> None:
+        self._buf: List[LogEntry] = list(entries)
+        self._len = len(self._buf)
+
+    @classmethod
+    def _view(cls, buf: List[LogEntry], length: int) -> "SharedLog":
+        view = cls.__new__(cls)
+        view._buf, view._len = buf, length
+        return view
+
+    def _entries(self) -> List[LogEntry]:
+        """The view's entries as a list, to compare (never mutated)."""
+        buf = self._buf
+        return buf if len(buf) == self._len else buf[: self._len]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._len)
+            if start == 0 and step == 1:
+                return self if stop == self._len else self._view(self._buf, stop)
+            return tuple(map(self._buf.__getitem__, range(start, stop, step)))
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("log index out of range")
+        return self._buf[index]
+
+    def __iter__(self) -> Iterator[LogEntry]:
+        return islice(self._buf, self._len)
+
+    def __add__(self, entries):
+        if not isinstance(entries, tuple):
+            return NotImplemented
+        buf = self._buf
+        if len(buf) != self._len:
+            buf = buf[: self._len]  # fork: a longer view reads past us
+        buf.extend(entries)
+        return self._view(buf, len(buf))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SharedLog):
+            if other._buf is self._buf:
+                return other._len == self._len
+            return (
+                other._len == self._len
+                and other._entries() == self._entries()
+            )
+        if isinstance(other, tuple):
+            return len(other) == self._len and list(other) == self._entries()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"SharedLog({tuple(self)!r})"
+
+
+def _one_buffer(a, b) -> bool:
+    """Whether ``a`` and ``b`` are views of one buffer, which hold the
+    same entry *objects* at every position both reach."""
+    return (
+        isinstance(a, SharedLog)
+        and isinstance(b, SharedLog)
+        and a._buf is b._buf
+    )
+
+
 class DuplicateCopier:
     """Makes second in-flight copies of messages no recipient can corrupt.
 
@@ -50,7 +157,8 @@ class DuplicateCopier:
     That the contents hash is checked, never assumed, but once per
     entry object: the copier remembers the last log it found hashable
     throughout, and of a log that starts with the *same entry objects*
-    (one C-level identity pass; equal is not enough, a ``set`` payload
+    (one C-level identity pass, or none for two views of one
+    :class:`SharedLog` buffer; equal is not enough, a ``set`` payload
     equals a ``frozenset`` one) it hashes only the rest.  A leader's
     successive broadcasts extend one another, so a duplicate costs the
     entries appended since the last one, not the log.
@@ -65,18 +173,19 @@ class DuplicateCopier:
         log = msg.log
         known = self._hashable
         done = min(len(log), len(known))
-        if not all(map(is_, log, known)):  # compares the first `done`
-            done = 0
+        if not _one_buffer(log, known) and not all(map(is_, log, known)):
+            done = 0  # the pass compares the first `done`
         try:
             # one C-level pass over what is not known yet
             hash(tuple(map(_contents_of, log[done:])))
         except TypeError:
-            log = tuple(
+            entries = tuple(
                 entry
                 if _is_hashable(_contents_of(entry))
                 else copy.deepcopy(entry)
                 for entry in log
             )
+            log = SharedLog(entries) if isinstance(log, SharedLog) else entries
         else:
             if len(log) > done:  # not a prefix of what is known already
                 self._hashable = log
@@ -95,8 +204,9 @@ class LogFold:
     log extends the one folded so far, only the new entries are folded,
     so a consumer that asks once per operation pays for that
     operation's entries, not for the whole log again.  That the old log
-    *is* a prefix of the new one is checked, never assumed -- one tuple
-    comparison in C, which compares shared entries by identity -- and
+    *is* a prefix of the new one is checked, never assumed -- a length
+    comparison for two views of one :class:`SharedLog` buffer, else one
+    tuple comparison in C, which compares shared entries by identity -- and
     when it is not (a follower adopted a diverging log, a failover moved
     the question to another server) the state is refolded from scratch.
     The result therefore always equals a fresh fold of the log given.
@@ -274,7 +384,8 @@ class Cluster:
         self.processing_ms = processing_ms
         nodes = set(scheme.members(conf0)) | set(extra_nodes)
         self.servers: Dict[NodeId, IndexedServer] = {
-            nid: IndexedServer(nid=nid, conf0=conf0) for nid in sorted(nodes)
+            nid: IndexedServer(nid=nid, conf0=conf0, log=SharedLog())
+            for nid in sorted(nodes)
         }
         self.records: List[RequestRecord] = []
         self.messages_sent = 0

@@ -208,20 +208,18 @@ class FaultPlan:
         )
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-
-
 class Simulator:
-    """A minimal discrete-event loop with a virtual millisecond clock."""
+    """A minimal discrete-event loop with a virtual millisecond clock.
+
+    The heap holds plain ``(time, seq, action)`` tuples, ordered in C:
+    ``seq`` is unique, so ties on time go to the earlier ``schedule``
+    and ``action`` is never compared.
+    """
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: List[_Event] = []
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self.events_processed = 0
 
@@ -230,15 +228,14 @@ class Simulator:
         if delay_ms < 0:
             raise ValueError(f"negative delay {delay_ms}")
         self._seq += 1
-        heapq.heappush(self._heap, _Event(self.now + delay_ms, self._seq, action))
+        heapq.heappush(self._heap, (self.now + delay_ms, self._seq, action))
 
     def step(self) -> bool:
         """Process one event; returns False when the heap is empty."""
         if not self._heap:
             return False
-        event = heapq.heappop(self._heap)
-        self.now = event.time
-        event.action()
+        self.now, _, action = heapq.heappop(self._heap)
+        action()
         self.events_processed += 1
         return True
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.safety import _freeze
 from repro.runtime import fig16_chaos_config, run_nemesis
 from repro.runtime.history import History, Operation
 from repro.runtime.linearize import (
@@ -187,6 +188,18 @@ class TestValues:
             ("get", "k", None, 4.0, 5.0, doc),
         )
         assert not check_history(stale).ok
+
+    def test_a_hashable_value_is_its_own_frozen_form(self):
+        # Only unhashable containers are walked; the rest is returned as
+        # it is, equal to and hashing as the rebuild it used to be.
+        doc = {"a": [1, {2}]}
+        built = (("a", (1, frozenset({2}))),)
+        assert _freeze(doc) == _freeze(built) == built
+        assert hash(_freeze(doc)) == hash(_freeze(built))
+        command = ("put", "k", 3)
+        assert _freeze(built) is built and _freeze(command) is command
+        unhashable = ("put", "k", [1, {2}])
+        assert _freeze(unhashable) == ("put", "k", (1, frozenset({2})))
 
     def test_values_that_freeze_alike_stay_distinct_states(self):
         # [1] and (1,) have one frozen form but are different values to

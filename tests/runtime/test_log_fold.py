@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import random
 
+import repro.runtime.cluster as cluster_mod
 import repro.runtime.kvstore as kvstore_mod
 import repro.runtime.nemesis as nemesis_mod
 from repro.raft.messages import CommitReq, LogEntry
@@ -22,6 +23,7 @@ from repro.runtime import (
     NemesisConfig,
     NetworkConditions,
     ReplicatedKV,
+    SharedLog,
     fig16_chaos_config,
     materialize,
     run_nemesis,
@@ -153,19 +155,32 @@ class TestRequestIndex:
         assert stranger.find_request(("c", 0)) == 1
 
     def test_random_log_histories_match_the_scan(self):
+        # Tuples, fresh views, and views that extend or fork the one
+        # held, mixed: whatever the fold followed last, it answers what
+        # a fresh fold of the current log answers.
         rng = random.Random(20220613)
         cluster = Cluster(NODES, SCHEME)
         server = cluster.servers[1]
+        applied = KVView()
         rids = [("c", n) for n in range(8)]
         for _ in range(300):
-            log = list(server.log)
+            log = server.log
             if log and rng.random() < 0.3:
-                del log[rng.randrange(len(log)) :]  # diverge: cut a suffix
-            for _ in range(rng.randrange(4)):
-                rid = rng.choice(rids + [None])
-                log.append(put(1, len(log) + 1, rng.randrange(3), rid))
-            server.log = tuple(log)
+                log = log[: rng.randrange(len(log))]  # diverge: cut a suffix
+            new = tuple(
+                put(1, len(log) + n, rng.randrange(3), rng.choice(rids + [None]))
+                for n in range(1, rng.randrange(4) + 1)
+            )
+            form = rng.random()
+            if form < 0.2:
+                log = tuple(log) + new
+            elif form < 0.4:
+                log = SharedLog(tuple(log) + new)
+            else:
+                log = log + new
+            server.log = log
             assert_index_matches_scan(server, rids + [None])
+            assert applied.state_of(log) == materialize(log)
 
     def test_retry_barrier_decision_matches_the_term_scan(self):
         # The retry path lays a no-op barrier iff the log holds no entry
@@ -343,6 +358,30 @@ class TestDuplicateCopier:
         # ... and nothing was learnt from the log that held it.
         again = copier.copy(commit_req(log + (mutable,)))
         assert again.log[5] is not mutable and again.log[5] is not dup.log[5]
+
+    def test_views_of_one_buffer_skip_the_identity_pass(self, monkeypatch):
+        compared = []
+        monkeypatch.setattr(
+            cluster_mod, "is_", lambda a, b: compared.append(1) or a is b
+        )
+        copier = DuplicateCopier()
+        log = SharedLog(self.LOG)
+        assert hashes_during(lambda: copier.copy(commit_req(log[:30]))) == 30
+        assert hashes_during(lambda: copier.copy(commit_req(log[:37]))) == 7
+        assert hashes_during(lambda: copier.copy(commit_req(log[:12]))) == 0
+        assert copier.copy(commit_req(log)).log is log
+        assert compared == []
+        # Another buffer holding the same objects is checked by identity.
+        fork = log[:20] + (self.LOG[20],)
+        assert hashes_during(lambda: copier.copy(commit_req(fork))) == 0
+        assert len(compared) == 21
+
+    def test_a_view_with_a_mutable_entry_is_copied_into_a_view(self):
+        mutable = LogEntry(time=1, vrsn=2, payload=["v"])
+        log = SharedLog((put(1, 1, "a"), mutable))
+        dup = DuplicateCopier().copy(commit_req(log))
+        assert isinstance(dup.log, SharedLog) and dup.log == log
+        assert dup.log[0] is log[0] and dup.log[1] is not mutable
 
     def test_two_clusters_share_no_memory(self):
         a, b = Cluster(NODES, SCHEME), Cluster(NODES, SCHEME)
