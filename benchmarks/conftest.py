@@ -1,30 +1,14 @@
-"""Shared helpers for the benchmark/experiment harness.
+"""Shared helper for the experiment suite.
 
-Each benchmark regenerates one table or figure of the paper's
-evaluation (see DESIGN.md's experiment index) and prints the
-reproduced artifact directly to the terminal (bypassing capture), so
-``pytest benchmarks/ --benchmark-only`` output contains both the
-timing table and the reproduced rows/series.
-
-Alongside the human-readable table, every benchmark writes its numbers
-to ``BENCH_<name>.json`` (one file per module, one key per test) via
-the :func:`bench_json` fixture, so downstream tooling can diff runs
-without scraping terminal output.  Files land in
-``benchmarks/results/`` unless ``REPRO_BENCH_DIR`` says otherwise.
+Each module regenerates one table or figure of the paper's evaluation
+(see DESIGN.md's experiment index) or holds one within-run bound, and
+prints what it reproduces directly to the terminal (bypassing capture),
+so ``python -m pytest benchmarks/ -q -s`` output contains the
+reproduced rows and series.  Every check is an assertion in the test
+that makes the measurement.
 """
 
-import json
-import os
-import time
-
 import pytest
-
-
-def _bench_dir() -> str:
-    return os.environ.get(
-        "REPRO_BENCH_DIR",
-        os.path.join(os.path.dirname(os.path.abspath(__file__)), "results"),
-    )
 
 
 @pytest.fixture
@@ -37,77 +21,3 @@ def report(capfd):
                 print(line)
 
     return emit
-
-
-def _resource_snapshot():
-    """Peak-RSS and intern-cache occupancy at emit time.
-
-    Attached to every dict payload so ``compare.py`` can track memory
-    trajectory (warn-only: absolute KB is hardware/allocator
-    dependent) alongside the timing numbers.
-    """
-    snapshot = {}
-    try:
-        import resource
-
-        snapshot["peak_rss_kb"] = resource.getrusage(
-            resource.RUSAGE_SELF
-        ).ru_maxrss
-    except ImportError:
-        pass
-    try:
-        from repro.core import cachemgr
-
-        stats = cachemgr.stats()
-        snapshot["cache_occupancy"] = {
-            "trees": stats["tree_interns"]["occupancy"],
-            "caches": stats["cache_interns"]["occupancy"],
-            "tree_flushes": stats["tree_interns"]["flushes"],
-        }
-    except ImportError:
-        pass
-    return snapshot
-
-
-@pytest.fixture
-def bench_json(request):
-    """Record this test's machine-readable result.
-
-    ``bench_json(payload)`` merges ``{test_name: payload}`` into the
-    module's ``BENCH_<name>.json`` (name = module minus the ``test_``
-    prefix).  Dict payloads are additionally annotated with the
-    process's peak RSS and the intern-cache occupancy (see
-    :func:`_resource_snapshot`); explicit keys of the same name win.
-    Values that JSON cannot express (frozensets, tuples as keys, ...)
-    are stringified rather than rejected.  Returns the path.
-    """
-    module = request.node.module.__name__
-    name = module[len("test_"):] if module.startswith("test_") else module
-    path = os.path.join(_bench_dir(), f"BENCH_{name}.json")
-
-    def emit(payload, test=None):
-        os.makedirs(_bench_dir(), exist_ok=True)
-        if isinstance(payload, dict):
-            merged = _resource_snapshot()
-            merged.update(payload)
-            payload = merged
-        data = {}
-        if os.path.exists(path):
-            with open(path) as handle:
-                try:
-                    data = json.load(handle)
-                except ValueError:
-                    data = {}
-        data[test or request.node.name] = payload
-        data["_meta"] = {"module": module, "updated_unix": time.time()}
-        with open(path, "w") as handle:
-            json.dump(data, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-        return path
-
-    return emit
-
-
-def full_scale() -> bool:
-    """Heavy hunts (minutes) run only when REPRO_FULL=1."""
-    return os.environ.get("REPRO_FULL", "") == "1"

@@ -11,7 +11,7 @@ Measurement protocol:
   clean per-run high-water mark and the rlimit applies only to that
   child.
 * The ratio uses **CPU time** (``time.process_time``), so a noisy CI
-  neighbour cannot swing it; wall-clock is reported alongside.
+  neighbour cannot swing it.
 * Runs are interleaved (unbounded/bounded/unbounded/bounded) and each
   mode is scored by its best run.
 
@@ -19,8 +19,6 @@ Acceptance: the bounded run, capped at three quarters of the unbounded
 peak RSS (192 MiB vs ~260 MiB observed in a pytest process), must
 sustain >= 0.8x the unbounded states/second, with exact parity on the
 verification answer.
-
-Results land in ``BENCH_bounded_mc.json`` via ``bench_json``.
 """
 
 import multiprocessing
@@ -64,16 +62,12 @@ def _run_mode(bounded, conn):
         else:
             explorer = verify_intact_explorer()
         before = cachemgr.stats()["tree_interns"]["flushes"]
-        wall_started = time.monotonic()
         cpu_started = time.process_time()
         result = explorer.run()
         cpu = time.process_time() - cpu_started
-        wall = time.monotonic() - wall_started
         flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
     conn.send({
         "signature": signature(result),
-        "elapsed_seconds": wall,
-        "cpu_seconds": cpu,
         "states_per_second": result.states_visited / cpu if cpu else 0.0,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "cache_flushes": flushes,
@@ -98,7 +92,7 @@ def best_of(payloads):
     return max(payloads, key=lambda p: p["states_per_second"])
 
 
-def test_bounded_vs_unbounded(report, bench_json):
+def test_bounded_vs_unbounded(report):
     if sys.platform == "win32":
         import pytest
 
@@ -128,28 +122,6 @@ def test_bounded_vs_unbounded(report, bench_json):
         if unbounded["states_per_second"]
         else float("inf")
     )
-    row = {
-        "limit_mb": LIMIT_MB,
-        "tree_cap": TREE_CAP,
-        "spill_window": SPILL_WINDOW,
-        "runs_per_mode": len(bounded_runs),
-        "states": bounded["signature"]["states"],
-        "transitions": bounded["signature"]["transitions"],
-        "unbounded": {
-            "elapsed_seconds": unbounded["elapsed_seconds"],
-            "cpu_seconds": unbounded["cpu_seconds"],
-            "states_per_second": unbounded["states_per_second"],
-            "peak_rss_kb": unbounded["peak_rss_kb"],
-        },
-        "bounded": {
-            "elapsed_seconds": bounded["elapsed_seconds"],
-            "cpu_seconds": bounded["cpu_seconds"],
-            "states_per_second": bounded["states_per_second"],
-            "peak_rss_kb": bounded["peak_rss_kb"],
-            "cache_flushes": bounded["cache_flushes"],
-        },
-        "throughput_ratio": throughput_ratio,
-    }
 
     report(
         "",
@@ -167,7 +139,6 @@ def test_bounded_vs_unbounded(report, bench_json):
         f"{bounded['cache_flushes']:>8}",
         f"throughput ratio (bounded/unbounded): {throughput_ratio:.2f}x",
     )
-    bench_json(row)
 
     # The acceptance bar: a fixed cap well under the unbounded peak
     # costs at most 20% of throughput.

@@ -11,14 +11,11 @@ and MongoDB logless explore the *same* reachable-state space intact
 their within-run throughputs isolates the cost of the richer
 ``LoglessConfig`` representation -- (version, term, members) tuples,
 coercion, and the gated candidate generator -- independent of the
-runner's hardware.  Per-scheme absolute states/second land as warn
-metrics to track the trajectory.
+runner's hardware.
 
 Each scheme is measured over CPU time (``time.process_time``), best of
 ``REPEATS`` interleaved rounds, after one untimed warm-up, so a noisy
 neighbour during a single run cannot swing the gate.
-
-Results land in ``BENCH_differential.json`` via ``bench_json``.
 """
 
 import time
@@ -32,8 +29,9 @@ REPEATS = 2
 
 #: The intact state spaces raft and logless explore are identical, so
 #: their throughput ratio is a pure representation-overhead measure.
-#: 3.0 is a generous ceiling; the committed baseline tracks the real
-#: value and compare.py gates on 20% drift from it.
+#: 3.0 is a ceiling, not a tolerance: the ratio (~1.1x) of two
+#: best-of-2 runs of ~0.1 s each reads 0.84-1.71 across runs of one
+#: commit, so a bound near the typical value would gate noise.
 OVERHEAD_CEILING = 3.0
 
 
@@ -43,22 +41,18 @@ def _measure(scenario):
         strategy="bfs",
     )
     cpu_started = time.process_time()
-    wall_started = time.monotonic()
     result = explorer.run()
-    wall = time.monotonic() - wall_started
     cpu = time.process_time() - cpu_started
     assert result.safe, f"{scenario.name} violated intact on the smoke budget"
     assert result.exhausted, f"{scenario.name} truncated at {MAX_STATES}"
     return {
         "states": result.states_visited,
-        "transitions": result.transitions,
         "cpu_seconds": cpu,
-        "elapsed_seconds": wall,
         "states_per_second": result.states_visited / cpu if cpu else 0.0,
     }
 
 
-def test_differential_throughput(report, bench_json):
+def test_differential_throughput(report):
     scenarios = default_scenarios()
     _measure(scenarios[0])  # warm-up: intern tables, imports, caches
 
@@ -98,17 +92,6 @@ def test_differential_throughput(report, bench_json):
     lines.append(f"logless overhead ratio (raft st/s / logless st/s): "
                  f"{overhead:.2f}")
     report(*lines)
-
-    bench_json({
-        "budget": {
-            "pulls": BUDGET.pulls, "invokes": BUDGET.invokes,
-            "reconfigs": BUDGET.reconfigs, "pushes": BUDGET.pushes,
-        },
-        "max_states": MAX_STATES,
-        "repeats": REPEATS,
-        "per_scheme": per_scheme,
-        "logless_overhead_ratio": overhead,
-    })
 
     assert overhead <= OVERHEAD_CEILING, (
         f"LoglessConfig costs {overhead:.2f}x raft's frozenset configs "

@@ -22,15 +22,8 @@ from repro.analysis import (
 )
 
 
-def test_effort_table(benchmark, report, bench_json):
-    breakdown = benchmark.pedantic(effort_breakdown, rounds=1, iterations=1)
-    bench_json({
-        "subsystems": {
-            m.name: {"files": m.files, "code": m.code, "total": m.total}
-            for m in breakdown
-        },
-        "paper_coq_loc": dict(PAPER_COQ_LOC),
-    })
+def test_effort_table(report):
+    breakdown = effort_breakdown()
 
     rows = [
         (m.name, m.files, m.code, m.docs_and_comments, m.total)

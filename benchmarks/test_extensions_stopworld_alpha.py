@@ -31,15 +31,8 @@ def check_both():
     return hot, stop
 
 
-def test_stop_the_world_model_checked(benchmark, report, bench_json):
-    hot, stop = benchmark.pedantic(check_both, rounds=1, iterations=1)
-    bench_json({
-        "hot": {"states": hot.states_visited, "transitions": hot.transitions,
-                "safe": hot.safe, "exhausted": hot.exhausted},
-        "stop_world": {"states": stop.states_visited,
-                       "transitions": stop.transitions,
-                       "safe": stop.safe, "exhausted": stop.exhausted},
-    })
+def test_stop_the_world_model_checked(report):
+    hot, stop = check_both()
     report(
         "",
         "=" * 72,
@@ -67,7 +60,7 @@ def test_stop_the_world_model_checked(benchmark, report, bench_json):
     assert stop.states_visited <= hot.states_visited
 
 
-def test_alpha_machine_behaviour(benchmark, report, bench_json):
+def test_alpha_machine_behaviour(report):
     """The two α-sketch requirements, demonstrated on one schedule."""
 
     def run():
@@ -88,17 +81,7 @@ def test_alpha_machine_behaviour(benchmark, report, bench_json):
         election = machine.pull(2)                 # quorum vs *effective* cfg
         return machine, blocked, full, election
 
-    machine, blocked, full, election = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    bench_json({
-        "alpha": 2,
-        "blocked_reason": full.reason,
-        "election_ok": election.ok,
-        "election_config": sorted(
-            machine.state.tree.cache(election.new_cid).conf
-        ),
-    })
+    machine, blocked, full, election = run()
     rows = [
         ("uncommitted RCache is inert",
          f"post-RCache MCache carries config "

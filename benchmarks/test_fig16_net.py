@@ -29,10 +29,8 @@ from repro.net.client import ClientTimeout
 from repro.net.procs import LocalCluster
 from repro.runtime.linearize import check_history
 
-from conftest import full_scale
-
 NIDS = (1, 2, 3, 4, 5)
-#: Requests per phase (x3 under REPRO_FULL=1).
+#: Requests per phase.
 OPS_PER_PHASE = 100
 #: Kill the leader this many requests into the 3-node phase.
 KILL_AFTER = 30
@@ -74,8 +72,6 @@ def _settle_ms(cluster, client, members, deadline_s: float = 30.0) -> float:
 
 
 def run_experiment():
-    scale = 3 if full_scale() else 1
-    ops = OPS_PER_PHASE * scale
     out = {
         "latencies_ms": [],      # one entry per ordinary request
         "phase_slices": [],      # (start, end) into latencies_ms
@@ -126,7 +122,7 @@ def run_experiment():
                         "settle_ms": settle,
                     })
                 begin = len(out["latencies_ms"])
-                for i in range(ops):
+                for i in range(OPS_PER_PHASE):
                     if phase == 2 and i == KILL_AFTER and killed is None:
                         killed = cluster.wait_for_leader()
                         down_at = _now_ms()
@@ -166,8 +162,8 @@ def run_experiment():
     return out
 
 
-def test_fig16_over_real_sockets(benchmark, report, bench_json):
-    out = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig16_over_real_sockets(report):
+    out = run_experiment()
     latencies = out["latencies_ms"]
     phase_medians = [
         statistics.median(latencies[lo:hi])
@@ -220,25 +216,6 @@ def test_fig16_over_real_sockets(benchmark, report, bench_json):
         f"{out['unknown_ops']} unknown outcomes",
         f"history: {out['verdict'].describe()}",
     )
-
-    bench_json({
-        "requests": len(latencies),
-        "phase_sizes": out["phase_sizes"],
-        "phase_medians_ms": phase_medians,
-        "steady_median_ms": steady_median,
-        "reconfigs": [
-            {k: v for k, v in r.items()} for r in out["reconfigs"]
-        ],
-        "grow_cost_ms": grow_cost,
-        "shrink_cost_ms": shrink_cost,
-        "failover_ms": out["failover_ms"],
-        "killed_leader": out["killed"],
-        "retries": out["retries"],
-        "unknown_ops": out["unknown_ops"],
-        "linearizable": out["verdict"].ok,
-        "checked_ops": out["verdict"].checked_ops,
-        "prefix_agreement": out["prefix_agreement"],
-    })
 
     # --- The paper's shape claims, on real sockets ---
 

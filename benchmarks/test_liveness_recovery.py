@@ -55,17 +55,8 @@ def measure_liveness():
     return results
 
 
-def test_liveness_recovery(benchmark, report, bench_json):
-    results = benchmark.pedantic(measure_liveness, rounds=1, iterations=1)
-    bench_json({
-        f"{size}_nodes": {
-            "cold_start_mean_ms": statistics.mean(cold),
-            "cold_start_max_ms": max(cold),
-            "recovery_mean_ms": statistics.mean(recovery),
-            "recovery_max_ms": max(recovery),
-        }
-        for size, (cold, recovery) in sorted(results.items())
-    })
+def test_liveness_recovery(report):
+    results = measure_liveness()
     rows = []
     for size, (cold, recovery) in sorted(results.items()):
         cold_stats = summarize(cold)
@@ -99,7 +90,7 @@ def test_liveness_recovery(benchmark, report, bench_json):
         assert statistics.mean(recovery) < 8 * TIMING.election_timeout_max_ms
 
 
-def test_recovery_with_node_replacement(benchmark, report, bench_json):
+def test_recovery_with_node_replacement(report):
     """Crash -> failover -> reconfigure the dead node out and a fresh
     one in -- while measuring the total disruption."""
 
@@ -136,14 +127,8 @@ def test_recovery_with_node_replacement(benchmark, report, bench_json):
             out.append(cluster.sim.now - crash_at)
         return out
 
-    durations = benchmark.pedantic(run, rounds=1, iterations=1)
+    durations = run()
     stats = summarize(durations)
-    bench_json({
-        "disruption_mean_ms": stats.mean,
-        "disruption_p99_ms": stats.p99,
-        "disruption_max_ms": stats.maximum,
-        "seeds": stats.count,
-    })
     report(
         "",
         "E7 / full replacement story (crash -> failover -> remove dead "

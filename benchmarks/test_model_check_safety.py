@@ -11,10 +11,8 @@ reproduction substitutes bounded exhaustive model checking:
   OVERLAP guarantee of R1⁺, or the insertBtw commit placement -- yields
   a concrete counterexample schedule, found automatically.
 
-The heavier R2/R3/OVERLAP hunts run at full scale only with
-``REPRO_FULL=1``; by default this module runs the positive
-verifications, the insertBtw ablation, and a capped R3 hunt (which
-still finds the Fig. 4-class violation).
+Every hunt runs uncapped, and the depth of each first violation is
+pinned.
 """
 
 import os
@@ -32,8 +30,6 @@ from repro.mc import (
     verify_intact_explorer,
 )
 from repro.schemes import RaftSingleNodeScheme
-
-from conftest import full_scale
 
 
 def positive_runs():
@@ -80,14 +76,8 @@ def positive_runs():
     return results
 
 
-def test_safety_verification(benchmark, report, bench_json):
-    results = benchmark.pedantic(positive_runs, rounds=1, iterations=1)
-    bench_json({
-        name: {"states": res.states_visited, "transitions": res.transitions,
-               "depth": res.max_depth, "safe": res.safe,
-               "exhausted": res.exhausted}
-        for name, res in results
-    })
+def test_safety_verification(report):
+    results = positive_runs()
     rows = [
         (
             name,
@@ -119,30 +109,13 @@ def test_safety_verification(benchmark, report, bench_json):
         assert res.exhausted, name
 
 
-def test_ablation_counterexamples(benchmark, report, bench_json):
-    def hunt():
-        results = [("insertBtw -> addLeaf", ablate_insert_btw())]
-        if full_scale():
-            results.append(("no R3 (pre-fix Raft)", ablate_r3()))
-            results.append(("no R2", ablate_r2()))
-            results.append(("no OVERLAP", ablate_overlap()))
-        else:
-            results.append(
-                ("no R3 (pre-fix Raft)", ablate_r3(max_states=30_000))
-            )
-            results.append(("no OVERLAP", ablate_overlap(max_states=30_000)))
-        return results
-
-    results = benchmark.pedantic(hunt, rounds=1, iterations=1)
-    bench_json({
-        name: {
-            "states": res.states_visited,
-            "depth": len(res.violations[0].trace) if res.violations else None,
-            "elapsed_s": res.elapsed_seconds,
-            "found": bool(res.violations),
-        }
-        for name, res in results
-    })
+def test_ablation_counterexamples(report):
+    results = [
+        ("insertBtw -> addLeaf", ablate_insert_btw()),
+        ("no R3 (pre-fix Raft)", ablate_r3()),
+        ("no R2", ablate_r2()),
+        ("no OVERLAP", ablate_overlap()),
+    ]
     rows = []
     for name, res in results:
         first = res.violations[0] if res.violations else None
@@ -161,27 +134,23 @@ def test_ablation_counterexamples(benchmark, report, bench_json):
              "result"],
             rows,
         ),
-        ""
-        if full_scale()
-        else "(set REPRO_FULL=1 for the R2 hunt; it takes ~1 minute)",
     )
     for name, res in results:
         assert not res.safe, f"{name}: expected a violation"
 
-    # The paper's counterexample shapes.
+    # The paper's counterexample shapes: each first violation's depth.
     by_name = dict(results)
     assert len(by_name["insertBtw -> addLeaf"].violations[0].trace) == 5
     assert len(by_name["no R3 (pre-fix Raft)"].violations[0].trace) == 8
-    if full_scale():
-        assert len(by_name["no R2"].violations[0].trace) == 10
+    assert len(by_name["no R2"].violations[0].trace) == 10
+    assert len(by_name["no OVERLAP"].violations[0].trace) == 9
 
 
 #: The schedule class the engine-comparison benchmark certifies.
 PARALLEL_BENCH_BUDGET = OpBudget(pulls=2, invokes=2, reconfigs=1, pushes=2)
 
 
-def test_parallel_engine_equivalence_and_speedup(benchmark, report,
-                                                 bench_json):
+def test_parallel_engine_equivalence_and_speedup(report):
     """The parallel work-queue engine vs the sequential explorer.
 
     Both engines run the same ``expand`` step semantics, so on the same
@@ -199,23 +168,13 @@ def test_parallel_engine_equivalence_and_speedup(benchmark, report,
         par = verify_intact(budget=PARALLEL_BENCH_BUDGET, workers=workers)
         return seq, par
 
-    seq, par = benchmark.pedantic(measure, rounds=1, iterations=1)
+    seq, par = measure()
     speedup = (
         seq.elapsed_seconds / par.elapsed_seconds
         if par.elapsed_seconds > 0
         else float("inf")
     )
     cpus = os.cpu_count() or 1
-    bench_json({
-        "sequential": {"states": seq.states_visited,
-                       "states_per_s": seq.states_per_second,
-                       "elapsed_s": seq.elapsed_seconds},
-        "parallel": {"workers": workers, "states": par.states_visited,
-                     "states_per_s": par.states_per_second,
-                     "elapsed_s": par.elapsed_seconds},
-        "speedup": speedup,
-        "cpus": cpus,
-    })
     report(
         "",
         "E5 / parallel model-checking engine (level-synchronized BFS):",
@@ -247,8 +206,7 @@ def test_parallel_engine_equivalence_and_speedup(benchmark, report,
         )
 
 
-def test_parallel_engine_resumes_from_checkpoint(benchmark, report, tmp_path,
-                                                 bench_json):
+def test_parallel_engine_resumes_from_checkpoint(report, tmp_path):
     """A time-sliced run plus its resume certify the same space as one
     uninterrupted run (the CI-time-slice scenario)."""
     path = str(tmp_path / "bench-checkpoint.pkl")
@@ -268,13 +226,7 @@ def test_parallel_engine_resumes_from_checkpoint(benchmark, report, tmp_path,
         whole = verify_intact_explorer(budget).run()
         return slice1, resumed, whole
 
-    slice1, resumed, whole = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_json({
-        "slice1_states": slice1.states_visited,
-        "resumed_states": resumed.states_visited,
-        "whole_states": whole.states_visited,
-        "resumed_exhausted": resumed.exhausted,
-    })
+    slice1, resumed, whole = measure()
     report(
         "",
         "E5 / checkpoint-resume (interrupted after 3 BFS levels):",
@@ -298,7 +250,7 @@ def test_parallel_engine_resumes_from_checkpoint(benchmark, report, tmp_path,
     assert resumed.exhausted == whole.exhausted
 
 
-def test_adore_vs_cado_checking_cost(benchmark, report, bench_json):
+def test_adore_vs_cado_checking_cost(report):
     """The paper: adding reconfiguration to CADO took 3 more
     person-weeks on top of 2 (and 4.5k vs 1.3k Coq lines).  Analogue:
     the state-space cost reconfiguration adds at identical budgets."""
@@ -314,12 +266,7 @@ def test_adore_vs_cado_checking_cost(benchmark, report, bench_json):
         ).run()
         return cado, adore
 
-    cado, adore = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_json({
-        "cado_states": cado.states_visited,
-        "adore_states": adore.states_visited,
-        "ratio": adore.states_visited / max(1, cado.states_visited),
-    })
+    cado, adore = measure()
     report(
         "",
         "E5 / CADO vs Adore verification cost (same non-reconfig budget):",

@@ -99,7 +99,7 @@ def measure(factories) -> dict:
     return best
 
 
-def test_disabled_observability_overhead(benchmark, report, bench_json):
+def test_disabled_observability_overhead(report):
     latency = LatencyModel(jitter=0.0, spike_prob=0.0)
     factories = {
         "bare": lambda: BareCluster(NODES, SCHEME, seed=11, latency=latency),
@@ -115,19 +115,9 @@ def test_disabled_observability_overhead(benchmark, report, bench_json):
     }
     assert len(set(sim_times.values())) == 1
 
-    best = benchmark.pedantic(
-        measure, args=(factories,), rounds=1, iterations=1
-    )
+    best = measure(factories)
     disabled_ratio = best["disabled"] / best["bare"]
     enabled_ratio = best["enabled"] / best["bare"]
-    bench_json({
-        "bare_ms": best["bare"] * 1e3,
-        "disabled_ms": best["disabled"] * 1e3,
-        "enabled_ms": best["enabled"] * 1e3,
-        "disabled_ratio": disabled_ratio,
-        "enabled_ratio": enabled_ratio,
-        "bound": DISABLED_OVERHEAD_BOUND,
-    })
     report(
         "",
         "=" * 72,

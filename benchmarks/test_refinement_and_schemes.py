@@ -63,21 +63,8 @@ def check_all():
     return good, bad
 
 
-def test_scheme_instantiations(benchmark, report, bench_json):
-    good, bad = benchmark.pedantic(check_all, rounds=1, iterations=1)
-    bench_json({
-        **{
-            scheme.name: {
-                "configs": rep.configs_checked,
-                "quorum_pairs": rep.quorum_pairs_checked,
-                "ok": rep.ok,
-            }
-            for scheme, rep in good
-        },
-        "unsafe_multi_node": {
-            "ok": bad.ok, "overlap_violations": len(bad.overlap_violations),
-        },
-    })
+def test_scheme_instantiations(report):
+    good, bad = check_all()
     rows = [
         (
             scheme.name,
@@ -154,19 +141,12 @@ def refinement_pipeline(n_traces: int = 25):
     return stats
 
 
-def test_trace_transformations(benchmark, report, bench_json):
-    stats = benchmark.pedantic(refinement_pipeline, rounds=1, iterations=1)
+def test_trace_transformations(report):
+    stats = refinement_pipeline()
     total_events = sum(s[1] for s in stats)
     total_deliveries = sum(s[2] for s in stats)
     total_dropped = sum(s[3] for s in stats)
     total_rounds = sum(s[4] for s in stats)
-    bench_json({
-        "traces": len(stats),
-        "events": total_events,
-        "deliveries": total_deliveries,
-        "invalid_dropped": total_dropped,
-        "atomic_rounds": total_rounds,
-    })
     report(
         "",
         "=" * 72,
@@ -217,17 +197,9 @@ def lockstep_simulation(steps: int = 120, seed: int = 7, checker=None):
     return sim, mirrored
 
 
-def test_sraft_adore_simulation(benchmark, report, bench_json):
-    sim, mirrored = benchmark.pedantic(
-        lockstep_simulation, rounds=1, iterations=1
-    )
+def test_sraft_adore_simulation(report):
+    sim, mirrored = lockstep_simulation()
     ok_steps = sum(1 for s in sim.steps if s.ok)
-    bench_json({
-        "rounds_mirrored": mirrored,
-        "ok_steps": ok_steps,
-        "total_steps": len(sim.steps),
-        "relation_held": sim.ok,
-    })
     report(
         "",
         "E6 / Lemma C.1 -- SRaft -> Adore lockstep simulation:",
@@ -240,25 +212,16 @@ def test_sraft_adore_simulation(benchmark, report, bench_json):
     assert mirrored >= 100
 
 
-def test_spaxos_adore_simulation(benchmark, report, bench_json):
+def test_spaxos_adore_simulation(report):
     """The same refinement relation over the multi-Paxos variant --
     the paper: "this relation can be proved for many protocols,
     including various Paxos variants and Raft"."""
     from repro.refinement import PaxosSimulationChecker
 
-    sim, mirrored = benchmark.pedantic(
-        lockstep_simulation,
-        rounds=1,
-        iterations=1,
-        kwargs={"checker": PaxosSimulationChecker, "seed": 11},
+    sim, mirrored = lockstep_simulation(
+        checker=PaxosSimulationChecker, seed=11
     )
     ok_steps = sum(1 for s in sim.steps if s.ok)
-    bench_json({
-        "rounds_mirrored": mirrored,
-        "ok_steps": ok_steps,
-        "total_steps": len(sim.steps),
-        "relation_held": sim.ok,
-    })
     report(
         "",
         "E6 / multi-Paxos variant -> Adore lockstep simulation:",
