@@ -15,8 +15,8 @@ Measurement protocol:
 * Runs are interleaved (unbounded/bounded/unbounded/bounded) and each
   mode is scored by its best run.
 
-Acceptance: the bounded run, capped at three quarters of the unbounded
-peak RSS (192 MiB vs ~260 MiB observed in a pytest process), must
+Acceptance: the bounded run, capped at about 0.8x the unbounded peak
+RSS (192 MiB vs ~234 MiB observed in a pytest process), must
 sustain >= 0.8x the unbounded states/second, with exact parity on the
 verification answer.
 """
@@ -31,10 +31,10 @@ from repro.mc.ablations import verify_intact_explorer
 from repro.mc.bounded_cli import signature
 
 #: The fixed address-space cap for the bounded run.  The unbounded
-#: Fig. 4 intact run peaks around 260 MiB here (forked from pytest);
-#: 192 MiB is under 0.75x of that and forces the bounded engine to
-#: actually evict and spill (it peaks at ~176 MiB, and under a 184 MiB
-#: cap the forked child dies of MemoryError).
+#: Fig. 4 intact run peaks around 234 MiB here (forked from pytest);
+#: 192 MiB is about 0.8x of that and forces the bounded engine to
+#: actually evict and spill (it peaks at ~164 MiB, flushing its tree
+#: table four times).
 LIMIT_MB = 192
 #: Intern-table cap and frontier RAM window sized for LIMIT_MB: small
 #: enough that eviction fires several times per run, large enough that

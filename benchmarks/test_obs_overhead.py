@@ -13,16 +13,21 @@ two things (DESIGN.md §9):
 
 The baseline is a ``Cluster`` subclass whose transport methods are the
 pre-observability implementations (no ``_obs`` test at all), so the
-comparison isolates exactly the cost the obs layer added.  Timing uses
-interleaved min-of-N wall-clock samples of an identical seeded
-workload; identical seeds also let the benchmark assert the
-instrumented runs are *bit-identical* in simulated time -- the parity
-contract -- before comparing wall clocks.
+comparison isolates exactly the cost the obs layer added.  Timing takes
+interleaved wall-clock samples of an identical seeded workload with the
+cycle collector paused (as ``timeit`` does), and a ratio is the median
+of the per-round ratios: each round times every variant back to back,
+so drift that spans a round cancels, and the median ignores the rounds
+a neighbour disturbed.  Identical seeds also let the benchmark assert
+the instrumented runs are *bit-identical* in simulated time -- the
+parity contract -- before comparing wall clocks.
 """
 
 import copy
+import statistics
 import time
 
+from repro.core import cachemgr
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime import Cluster, LatencyModel
 from repro.schemes import RaftSingleNodeScheme
@@ -30,7 +35,7 @@ from repro.schemes import RaftSingleNodeScheme
 NODES = frozenset({1, 2, 3})
 SCHEME = RaftSingleNodeScheme()
 OPS = 120
-ROUNDS = 7
+ROUNDS = 51
 #: The DESIGN.md §9 contract: disabled-path slowdown stays under 5%.
 DISABLED_OVERHEAD_BOUND = 1.05
 
@@ -89,14 +94,20 @@ def time_factory(factory) -> float:
 
 
 def measure(factories) -> dict:
-    """Interleaved min-of-N timing: one sample of every variant per
-    round, so drift (CPU frequency, cache warmth) hits all variants
-    alike; min-of-rounds discards scheduler noise."""
-    best = {name: float("inf") for name in factories}
-    for _ in range(ROUNDS):
-        for name, factory in factories.items():
-            best[name] = min(best[name], time_factory(factory))
-    return best
+    """``ROUNDS`` interleaved samples of every variant, by name."""
+    samples = {name: [] for name in factories}
+    with cachemgr.gc_paused():
+        for _ in range(ROUNDS):
+            for name, factory in factories.items():
+                samples[name].append(time_factory(factory))
+    return samples
+
+
+def paired_ratio(samples, name) -> float:
+    """Median over rounds of ``name``'s time over the bare time."""
+    return statistics.median(
+        t / bare for t, bare in zip(samples[name], samples["bare"])
+    )
 
 
 def test_disabled_observability_overhead(report):
@@ -115,19 +126,20 @@ def test_disabled_observability_overhead(report):
     }
     assert len(set(sim_times.values())) == 1
 
-    best = measure(factories)
-    disabled_ratio = best["disabled"] / best["bare"]
-    enabled_ratio = best["enabled"] / best["bare"]
+    samples = measure(factories)
+    median = {name: statistics.median(ts) for name, ts in samples.items()}
+    disabled_ratio = paired_ratio(samples, "disabled")
+    enabled_ratio = paired_ratio(samples, "enabled")
     report(
         "",
         "=" * 72,
         "E9 (extension) -- observability overhead "
-        f"({OPS} requests, min of {ROUNDS})",
+        f"({OPS} requests, median of {ROUNDS} rounds)",
         "=" * 72,
-        f"  bare (no hooks):          {best['bare'] * 1e3:8.2f} ms",
-        f"  instrumented, disabled:   {best['disabled'] * 1e3:8.2f} ms "
+        f"  bare (no hooks):          {median['bare'] * 1e3:8.2f} ms",
+        f"  instrumented, disabled:   {median['disabled'] * 1e3:8.2f} ms "
         f"({disabled_ratio:.3f}x)",
-        f"  instrumented, enabled:    {best['enabled'] * 1e3:8.2f} ms "
+        f"  instrumented, enabled:    {median['enabled'] * 1e3:8.2f} ms "
         f"({enabled_ratio:.3f}x)",
         f"  contract: disabled <= {DISABLED_OVERHEAD_BOUND:.2f}x",
     )
