@@ -1,7 +1,9 @@
 """The monitor process: trace streams in, safety verdicts out.
 
-One asyncio TCP server accepts two kinds of connections on the same
-port, distinguished by their first frame:
+One asyncio TCP server (the node's own :class:`~repro.net.node.Inbound`
+protocol: frames handled as ``data_received`` cuts them) accepts two
+kinds of connections on the same port, distinguished by their first
+frame:
 
 * **Nodes** send :class:`~repro.net.wire.MonitorHello` and then a
   stream of :class:`~repro.net.wire.TraceBatch` frames (the node side
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.safety import IncrementalTreeChecker
-from ..net.node import option, serve_until_signalled
+from ..net.node import Inbound, option, serve_until_signalled
 from ..net.wire import (
     MonitorHello,
     MonitorStatusRequest,
@@ -37,7 +39,6 @@ from ..net.wire import (
     TraceBatch,
     decode_message,
     encode_frame,
-    read_frame,
     recv_frame,
     unpack_entry,
 )
@@ -99,6 +100,8 @@ class Monitor:
         self.nodes_seen: set = set()
         self.verdict: Optional[_Verdict] = None
         self._tcp_server: Optional[asyncio.base_events.Server] = None
+        #: Accepted connections still open.
+        self._connections: set = set()
         self._stopping = asyncio.Event()
 
     # -- event path ----------------------------------------------------
@@ -158,8 +161,8 @@ class Monitor:
     # -- transport -----------------------------------------------------
 
     async def start(self) -> None:
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            self._accept, self.config.host, self.config.port
         )
         log.info(
             "monitor listening on %s:%d (conf0=%s)",
@@ -178,42 +181,42 @@ class Monitor:
         self._stopping.set()
         if self._tcp_server is not None:
             self._tcp_server.close()
+            for transport in list(self._connections):
+                transport.close()
             await self._tcp_server.wait_closed()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> Inbound:
+        """The protocol of one accepted connection: a node's trace
+        stream or a status probe.  A bad length prefix or body, or an
+        unexpected frame, drops the connection."""
         nid: Optional[int] = None
-        try:
-            while True:
-                payload = await read_frame(reader)
-                try:
-                    msg = decode_message(payload)
-                except ProtocolError as exc:
-                    log.warning("dropping connection: %s", exc)
-                    return
-                if isinstance(msg, MonitorHello):
-                    nid = msg.nid
-                    self.nodes_seen.add(nid)
-                    log.info("S%d connected", nid)
-                elif isinstance(msg, TraceBatch):
-                    self.nodes_seen.add(msg.nid)
-                    for event in msg.events:
-                        self.on_event(msg.nid, event)
-                elif isinstance(msg, MonitorStatusRequest):
-                    writer.write(encode_frame(self.status()))
-                    await writer.drain()
-                else:
-                    log.warning("unexpected %s frame", type(msg).__name__)
-                    return
-        except (
-            asyncio.IncompleteReadError, ConnectionError, ProtocolError, OSError
-        ):
-            pass  # a bad length prefix drops the connection like a bad body
-        finally:
+
+        def on_frame(payload: bytes, transport) -> None:
+            nonlocal nid
+            try:
+                msg = decode_message(payload)
+            except ProtocolError as exc:
+                log.warning("dropping connection: %s", exc)
+                raise
+            if isinstance(msg, TraceBatch):
+                self.nodes_seen.add(msg.nid)
+                for event in msg.events:
+                    self.on_event(msg.nid, event)
+            elif isinstance(msg, MonitorHello):
+                nid = msg.nid
+                self.nodes_seen.add(nid)
+                log.info("S%d connected", nid)
+            elif isinstance(msg, MonitorStatusRequest):
+                transport.write(encode_frame(self.status()))
+            else:
+                log.warning("unexpected %s frame", type(msg).__name__)
+                raise ProtocolError(f"unexpected {type(msg).__name__}")
+
+        def on_lost() -> None:
             if nid is not None:
                 log.info("S%d disconnected", nid)
-            writer.close()
+
+        return Inbound(self._connections, on_frame, on_lost=on_lost)
 
 
 def _observe(engine: IncrementalTreeChecker, nid: int, event: Dict):

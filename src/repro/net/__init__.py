@@ -22,9 +22,11 @@ the simulator uses.
   handlers keep operating on (absolute indices, loud failure on any
   elided access);
 * :mod:`repro.net.node` -- one asyncio event loop per process hosting
-  one ``Server``: per-peer outbound connections with reconnect,
-  capped exponential backoff and bounded outboxes, plus the shared
-  election driver on wall-clock timers;
+  one ``Server``: ``asyncio.Protocol`` connections that handle each
+  frame as it is read and write what a tick queued at its end, per-peer
+  outbound links with reconnect, capped exponential backoff and
+  bounded outboxes, plus the shared election driver on wall-clock
+  timers;
 * :mod:`repro.net.client` -- blocking-socket client with leader
   discovery, NotLeader redirects, ``(client_id, seq)`` at-most-once
   request ids, and :class:`repro.runtime.history.History` recording;

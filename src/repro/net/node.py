@@ -12,16 +12,24 @@ network:
   (identical policy to the simulator) armed against the asyncio clock
   (``loop.call_later``), so election timeouts and heartbeat chains run
   on wall-clock milliseconds.
-* **Transport**: one listening socket; per-peer *outbound* connections
-  (one loop, :meth:`NetNode._outbound`, shared with the monitor feed)
-  with reconnect, capped exponential backoff, and a bounded outbox.
-  Replication ``CommitReq``\\ s are coalesced latest-wins (each carries
-  the full state, so an unsent older one is strictly superseded), and
-  the peer loop drains a bounded window of messages per socket write
-  -- pipelined AppendEntries without waiting for acks.  Log-carrying
-  messages travel through the per-connection delta layer
-  (:mod:`repro.net.wire`); a reconnect resets that state, which *is*
-  the rewind path when a peer's view diverges.
+* **Transport**: two ``asyncio.Protocol`` classes, shared with the
+  monitor.  :class:`Inbound` is one accepted connection: the
+  :class:`~repro.net.wire.Framer` cuts frames out of ``data_received``
+  and each is handled before the call returns.  :class:`Link` is one
+  outbound connection (to each peer, and to the monitor), re-established
+  with capped exponential backoff.  Whatever a tick queued for a peer
+  -- a read, the batched broadcast, a timer -- is written with one
+  ``transport.write`` at that tick's end; ``pause_writing`` /
+  ``resume_writing`` are the flow control.  No task, event or
+  ``drain()`` per frame, and no Nagle delay (asyncio's TCP transports
+  set ``TCP_NODELAY`` themselves).  The outbox is bounded: replication
+  ``CommitReq``\\ s are coalesced latest-wins (each carries the full
+  state, so an unsent older one is strictly superseded), and a write
+  carries a bounded window of messages -- pipelined AppendEntries
+  without waiting for acks.  Log-carrying messages travel through the
+  per-connection delta layer (:mod:`repro.net.wire`); a reconnect
+  resets that state, which *is* the rewind path when a peer's view
+  diverges.
 * **Snapshots**: once the committed prefix outgrows
   ``snapshot_threshold``, the leader folds it
   (:mod:`repro.net.snapshot`); followers adopt the compact log through
@@ -55,7 +63,6 @@ import asyncio
 import logging
 import random
 import signal
-import socket
 import time
 from collections import deque
 from dataclasses import MISSING, dataclass, field
@@ -73,6 +80,7 @@ from .wire import (
     ClientResponse,
     DeltaDecoder,
     DeltaEncoder,
+    Framer,
     LogRequest,
     LogResponse,
     MonitorHello,
@@ -92,7 +100,6 @@ from .wire import (
     encode_frame,
     hash_key,
     pack_entry,
-    read_frame,
 )
 
 log = logging.getLogger("repro.net.node")
@@ -163,17 +170,6 @@ def now_ms() -> float:
     return time.monotonic() * 1000.0
 
 
-def _set_nodelay(writer: asyncio.StreamWriter) -> None:
-    """Disable Nagle: the traffic is small latency-sensitive frames
-    (acks, probes, responses), exactly what delayed coalescing hurts."""
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - non-TCP transports
-            pass
-
-
 def option(help: str, default=MISSING, **metadata):
     """A field of a config dataclass: ``help`` is its flag's help text;
     pass ``flag=`` when the flag is not spelled like the field and
@@ -237,7 +233,7 @@ class _PendingRequest:
 
     request: ClientRequest
     target_len: int
-    writer: asyncio.StreamWriter
+    writer: asyncio.Transport
     invoked_ms: float
 
 
@@ -251,7 +247,7 @@ class _ReadBatch:
     index: int
     born_ms: float
     acked: set
-    reads: List[Tuple[ClientRequest, asyncio.StreamWriter, float]]
+    reads: List[Tuple[ClientRequest, asyncio.Transport, float]]
 
 
 class _Outbox:
@@ -261,9 +257,9 @@ class _Outbox:
     oldest-message shedding under overload.  Replication
     ``CommitReq``\\ s get a dedicated latest-wins slot: the spec's
     messages carry the entire log and commit index, so a newer one
-    strictly supersedes an unsent older one -- under load the peer
-    loop naturally sends one fresh AppendEntries per drain instead of
-    a backlog of stale ones.
+    strictly supersedes an unsent older one -- a peer whose link is
+    paused gets one fresh AppendEntries when it resumes instead of a
+    backlog of stale ones.
     """
 
     #: Control messages held per peer; beyond this the oldest is shed.
@@ -272,12 +268,12 @@ class _Outbox:
     #: (in-flight, un-acked frames per connection).
     WINDOW = 32
 
-    __slots__ = ("misc", "commit", "event", "m_shed", "m_coalesced")
+    __slots__ = ("misc", "commit", "m_shed", "m_coalesced")
 
     def __init__(self, m_shed, m_coalesced) -> None:
-        self.misc: deque = deque()
+        #: Full, it drops its oldest message to take a new one.
+        self.misc: deque = deque(maxlen=self.LIMIT)
         self.commit: Optional[CommitReq] = None
-        self.event = asyncio.Event()
         self.m_shed = m_shed
         self.m_coalesced = m_coalesced
 
@@ -287,11 +283,9 @@ class _Outbox:
                 self.m_coalesced.inc()
             self.commit = msg
         else:
-            if len(self.misc) >= self.LIMIT:
-                self.misc.popleft()
+            if len(self.misc) == self.LIMIT:
                 self.m_shed.inc()
             self.misc.append(msg)
-        self.event.set()
 
     def pop_batch(self) -> List[Msg]:
         """Up to ``WINDOW`` messages for one pipelined socket write."""
@@ -301,9 +295,110 @@ class _Outbox:
         if self.commit is not None and len(out) < self.WINDOW:
             out.append(self.commit)
             self.commit = None
-        if not self.misc and self.commit is None:
-            self.event.clear()
         return out
+
+
+class Inbound(asyncio.Protocol):
+    """One accepted connection.
+
+    Every complete frame is handed to ``on_frame(body, transport)``
+    inside ``data_received``, in arrival order.  A
+    :class:`~repro.net.wire.ProtocolError` -- a bad length prefix, or
+    one ``on_frame`` raises -- drops the connection with the rest of
+    that read.  ``end_tick()`` runs after each read, so what its frames
+    queued goes out before the loop moves on.  ``live`` holds the open
+    transports, for shutdown to close."""
+
+    def __init__(self, live: set, on_frame, end_tick=None, on_lost=None):
+        self.live = live
+        self.on_frame = on_frame
+        self.end_tick = end_tick
+        self.on_lost = on_lost
+        self.framer = Framer()
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.live.add(transport)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for body in self.framer.feed(data):
+                self.on_frame(body, self.transport)
+        except ProtocolError:
+            self.transport.close()
+        if self.end_tick is not None:
+            self.end_tick()
+
+    def connection_lost(self, exc) -> None:
+        self.live.discard(self.transport)
+        if self.on_lost is not None:
+            self.on_lost()
+
+
+class Link(asyncio.Protocol):
+    """One outbound connection, kept up for its owner's lifetime.
+
+    :meth:`run` connects with capped exponential backoff and starts over
+    whenever the connection drops.  Each connection opens with
+    ``hello``; ``connected()`` runs once per connection and returns that
+    connection's ``next_batch`` -- whatever the sender keeps *per
+    connection* starts fresh there.  :meth:`ship` writes
+    ``next_batch()`` until it returns nothing or the transport pushes
+    back (``pause_writing``); ``resume_writing`` ships the rest."""
+
+    def __init__(self, address, hello, connected) -> None:
+        self.address = address
+        self.hello = hello
+        self.connected = connected
+        self.transport: Optional[asyncio.Transport] = None
+        self.paused = False
+        self.next_batch = None
+        self._lost: Optional[asyncio.Future] = None
+
+    async def run(self, stopping: asyncio.Event) -> None:
+        loop = asyncio.get_running_loop()
+        backoff_ms = RECONNECT_MIN_MS
+        while not stopping.is_set():
+            self._lost = loop.create_future()
+            try:
+                transport, _ = await loop.create_connection(
+                    lambda: self, *self.address
+                )
+            except OSError:
+                await asyncio.sleep(backoff_ms / 1000.0)
+                backoff_ms = min(backoff_ms * 2, RECONNECT_MAX_MS)
+                continue
+            backoff_ms = RECONNECT_MIN_MS
+            try:
+                await self._lost  # the other end went away: reconnect
+            finally:
+                transport.close()
+
+    def connection_made(self, transport) -> None:
+        self.transport, self.paused = transport, False
+        transport.write(encode_frame(self.hello))
+        self.next_batch = self.connected()
+        self.ship()
+
+    def connection_lost(self, exc) -> None:
+        self.transport = None
+        if self._lost is not None and not self._lost.done():
+            self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.ship()
+
+    def ship(self) -> None:
+        while self.transport is not None and not self.paused:
+            data = self.next_batch()
+            if not data:
+                return
+            self.transport.write(data)
 
 
 class NetNode:
@@ -327,10 +422,9 @@ class NetNode:
         #: only exists (and only costs) when a monitor is configured.
         self._export_enabled = config.monitor is not None
         self._export_q: deque = deque()
-        #: Events of the batch last handed to the monitor socket: lost
-        #: if that connection turns out dead.
+        #: Events of the batch last handed to the monitor socket while
+        #: it pushed back: lost if that connection turns out dead.
         self._export_in_flight = 0
-        self._export_event: Optional[asyncio.Event] = None
         #: Absolute-indexed shadow of the entries already exported
         #: (None marks positions elided before export could see them).
         self._shadow: List[Any] = []
@@ -362,8 +456,13 @@ class NetNode:
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._outboxes: Dict[int, _Outbox] = {}
         #: The outbound connections: one per peer, one to the monitor.
+        self._links: List[Link] = []
         self._link_tasks: List[asyncio.Task] = []
+        #: Something was queued for a link since the last ship.
+        self._queued = False
         self._tcp_server: Optional[asyncio.base_events.Server] = None
+        #: Accepted connections still open.
+        self._connections: set = set()
         self._pending: List[_PendingRequest] = []
         self._leader_hint: Optional[int] = None
         self._stopping = asyncio.Event()
@@ -406,24 +505,18 @@ class NetNode:
             is_active=lambda: not self._stopping.is_set(),
             on_leader=self._on_leader,
         )
-        for nid in self.config.peers:
-            if nid == self.config.nid:
-                continue
-            outbox = _Outbox(self._m_shed, self._m_coalesced)
-            self._outboxes[nid] = outbox
-            self._link_tasks.append(
-                asyncio.ensure_future(self._peer_link(nid, outbox))
-            )
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        for nid, address in self.config.peers.items():
+            if nid != self.config.nid:
+                self._add_peer(nid, address)
         if self._export_enabled:
-            self._export_event = asyncio.Event()
-            if self._export_q:
-                self._export_event.set()
-            self._link_tasks.append(
-                asyncio.ensure_future(self._monitor_link())
-            )
+            self._links.append(self._monitor_link())
+        self._tcp_server = await self.loop.create_server(
+            self._accept, self.config.host, self.config.port
+        )
+        self._link_tasks = [
+            asyncio.ensure_future(link.run(self._stopping))
+            for link in self._links
+        ]
         self.driver.arm()
         log.info(
             "S%d listening on %s:%d (conf0=%s)",
@@ -446,6 +539,8 @@ class NetNode:
             handle.cancel()
         if self._tcp_server is not None:
             self._tcp_server.close()
+            for transport in list(self._connections):
+                transport.close()
             await self._tcp_server.wait_closed()
         for task in self._link_tasks:
             task.cancel()
@@ -457,7 +552,7 @@ class NetNode:
     # ------------------------------------------------------------------
 
     def _schedule(self, delay_ms: float, fn) -> None:
-        handle = self.loop.call_later(delay_ms / 1000.0, fn)
+        handle = self.loop.call_later(delay_ms / 1000.0, self._timer, fn)
         # Keep handles so close() can cancel outstanding timers; prune
         # opportunistically to stay O(live timers).
         self._timer_handles.append(handle)
@@ -466,6 +561,11 @@ class NetNode:
                 h for h in self._timer_handles if not h.cancelled()
                 and h.when() > self.loop.time()
             ]
+
+    def _timer(self, fn) -> None:
+        """A driver timer firing: what it sends goes out in its tick."""
+        fn()
+        self._ship()
 
     def _on_leader(self, term: int) -> None:
         self._leader_hint = self.config.nid
@@ -497,6 +597,7 @@ class NetNode:
             if outbox is None:
                 continue
             outbox.put(msg)
+            self._queued = True
 
     def _read_probes(self) -> List[Msg]:
         """Outstanding ReadIndex probes, re-sent with every replication
@@ -583,50 +684,33 @@ class NetNode:
             )
         return out
 
-    async def _outbound(self, address, hello, connected) -> None:
-        """Own one outbound connection: connect with capped exponential
-        backoff, say ``hello``, then write whatever ``next_batch()``
-        returns, one ``drain()`` per batch, until the connection drops;
-        then start over.  ``connected()`` runs once per established
-        connection and returns that connection's ``next_batch``:
-        whatever the sender keeps *per connection* starts fresh there."""
-        backoff_ms = RECONNECT_MIN_MS
-        while not self._stopping.is_set():
-            try:
-                reader, writer = await asyncio.open_connection(*address)
-            except OSError:
-                await asyncio.sleep(backoff_ms / 1000.0)
-                backoff_ms = min(backoff_ms * 2, RECONNECT_MAX_MS)
-                continue
-            backoff_ms = RECONNECT_MIN_MS
-            _set_nodelay(writer)
-            try:
-                writer.write(encode_frame(hello))
-                next_batch = connected()
-                while True:
-                    writer.write(await next_batch())
-                    await writer.drain()
-            except (OSError, asyncio.IncompleteReadError):
-                pass  # the other end went away: reconnect
-            finally:
-                writer.close()
+    def _ship(self) -> None:
+        """End of a tick: write what it queued, link by link.  A link
+        that is down or paused keeps its queue until it connects or
+        resumes, and ships it then."""
+        if self._queued:
+            self._queued = False
+            for link in self._links:
+                link.ship()
 
-    def _peer_link(self, nid: int, outbox: _Outbox):
-        """The outbound connection to one peer.  Each batch is a bounded
-        *window* of ready messages shipped in one pipelined write -- no
-        per-message ack wait, no per-message drain -- through a delta
-        encoder that lives as long as the connection: a drop resets the
-        delta/snapshot state, which is the rewind (the next frame
-        re-ships from the last point the fresh state supports)."""
+    def _add_peer(self, nid: int, address) -> Link:
+        """The outbound connection to one peer.  Each write is a bounded
+        *window* of queued messages -- no per-message ack wait --
+        through a delta encoder that lives as long as the connection: a
+        drop resets the delta/snapshot state, which is the rewind (the
+        next frame re-ships from the last point the fresh state
+        supports)."""
+        outbox = self._outboxes[nid] = _Outbox(self._m_shed, self._m_coalesced)
 
         def connected():
             encoder = DeltaEncoder()
             self._m_reconnects.inc()
 
-            async def next_batch() -> bytes:
-                await outbox.event.wait()
+            def next_batch() -> bytes:
                 msgs = outbox.pop_batch()
-                data = b"".join(encoder.encode(msg) for msg in msgs)
+                if not msgs:
+                    return b""
+                data = b"".join(map(encoder.encode, msgs))
                 self._n_bytes_sent += len(data)
                 self._m_sent.inc(len(msgs))
                 if self._obs:
@@ -640,84 +724,71 @@ class NetNode:
 
             return next_batch
 
-        return self._outbound(
-            self.config.peers[nid], PeerHello(nid=self.config.nid), connected
-        )
+        link = Link(address, PeerHello(nid=self.config.nid), connected)
+        self._links.append(link)
+        return link
 
     # ------------------------------------------------------------------
     # Inbound transport
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        _set_nodelay(writer)
+    def _accept(self) -> Inbound:
+        """The protocol of one accepted connection, with its own delta
+        decoder: frames are handled as they are cut, and what they
+        queued for peers goes out at the end of the read."""
         decoder = DeltaDecoder()
-        peer_nid: Optional[int] = None
         snapshots_seen = 0
-        try:
-            while True:
-                payload = await read_frame(reader)
-                try:
-                    msg = decoder.decode(payload)
-                except ProtocolError as exc:
-                    # Malformed input never crashes the node: log,
-                    # count, drop the connection (its delta state can
-                    # no longer be trusted).
-                    self._m_protocol_errors.inc()
-                    log.warning(
-                        "S%d dropping connection after protocol error: %s",
-                        self.config.nid, exc,
-                    )
-                    return
-                if decoder.snapshots_installed > snapshots_seen:
-                    delta = decoder.snapshots_installed - snapshots_seen
-                    snapshots_seen = decoder.snapshots_installed
-                    self._n_snapshots_in += delta
-                    self._m_snapshots_in.inc(delta)
-                if msg is None:
-                    continue  # a snapshot chunk, absorbed by the decoder
-                if isinstance(msg, PeerHello):
-                    peer_nid = msg.nid
-                elif isinstance(msg, _PEER_TYPES):
-                    # Peer traffic is what a partition cuts (clients
-                    # and admin frames still get through).
-                    if self._blocked and msg.frm in self._blocked:
-                        self._m_partition_dropped.inc()
-                    elif isinstance(msg, ReadProbe):
-                        self._on_read_probe(msg)
-                    elif isinstance(msg, ReadProbeAck):
-                        self._on_read_probe_ack(msg)
-                    else:
-                        self._deliver(msg)
-                elif isinstance(msg, PartitionRequest):
-                    writer.write(encode_frame(self._set_partition(msg)))
-                elif isinstance(msg, ShardOwnershipRequest):
-                    writer.write(
-                        encode_frame(self._set_shard_ownership(msg))
-                    )
-                elif isinstance(msg, ShardDumpRequest):
-                    writer.write(encode_frame(self._shard_dump(msg)))
-                elif isinstance(msg, StatusRequest):
-                    writer.write(encode_frame(self._status()))
-                elif isinstance(msg, LogRequest):
-                    writer.write(encode_frame(self._committed_tail()))
-                elif isinstance(msg, ClientRequest):
-                    self._handle_client_request(msg, writer)
-                else:  # a response type arriving where none belongs
-                    self._m_protocol_errors.inc()
-                    return
-        except (
-            asyncio.IncompleteReadError, ConnectionError, ProtocolError, OSError
-        ):
-            pass
-        finally:
-            if peer_nid is not None:
-                log.debug(
-                    "S%d lost inbound connection from S%s",
-                    self.config.nid, peer_nid,
+
+        def on_frame(payload: bytes, transport) -> None:
+            nonlocal snapshots_seen
+            try:
+                msg = decoder.decode(payload)
+            except ProtocolError as exc:
+                # Malformed input never crashes the node: log, count,
+                # drop the connection (its delta state can no longer be
+                # trusted).
+                self._m_protocol_errors.inc()
+                log.warning(
+                    "S%d dropping connection after protocol error: %s",
+                    self.config.nid, exc,
                 )
-            writer.close()
+                raise
+            if decoder.snapshots_installed > snapshots_seen:
+                delta = decoder.snapshots_installed - snapshots_seen
+                snapshots_seen = decoder.snapshots_installed
+                self._n_snapshots_in += delta
+                self._m_snapshots_in.inc(delta)
+            if msg is None:
+                return  # a snapshot chunk, absorbed by the decoder
+            if isinstance(msg, _PEER_TYPES):
+                # Peer traffic is what a partition cuts (clients and
+                # admin frames still get through).
+                if self._blocked and msg.frm in self._blocked:
+                    self._m_partition_dropped.inc()
+                elif isinstance(msg, ReadProbe):
+                    self._on_read_probe(msg)
+                elif isinstance(msg, ReadProbeAck):
+                    self._on_read_probe_ack(msg)
+                else:
+                    self._deliver(msg)
+            elif isinstance(msg, ClientRequest):
+                self._handle_client_request(msg, transport)
+            elif isinstance(msg, PartitionRequest):
+                transport.write(encode_frame(self._set_partition(msg)))
+            elif isinstance(msg, ShardOwnershipRequest):
+                transport.write(encode_frame(self._set_shard_ownership(msg)))
+            elif isinstance(msg, ShardDumpRequest):
+                transport.write(encode_frame(self._shard_dump(msg)))
+            elif isinstance(msg, StatusRequest):
+                transport.write(encode_frame(self._status()))
+            elif isinstance(msg, LogRequest):
+                transport.write(encode_frame(self._committed_tail()))
+            elif not isinstance(msg, PeerHello):
+                # A response type arriving where none belongs.
+                self._m_protocol_errors.inc()
+                raise ProtocolError(f"unexpected {type(msg).__name__}")
+
+        return Inbound(self._connections, on_frame, self._ship)
 
     def _committed_tail(self) -> LogResponse:
         """The committed log for cross-node safety checks: the entries
@@ -846,8 +917,7 @@ class NetNode:
             self._resync_export(lost=len(q))
             q.clear()
         q.append(event.to_dict())
-        if self._export_event is not None:
-            self._export_event.set()
+        self._queued = True
 
     def _resync_export(self, lost: int = 0) -> None:
         """Forget what was exported, so the next ``log_advance`` carries
@@ -919,22 +989,21 @@ class NetNode:
         self._exported_commit = commit_len
         self.tracer.record("log_advance", now_ms(), self.config.nid, **data)
 
-    def _monitor_link(self):
+    def _monitor_link(self) -> Link:
         """The outbound connection to the monitor: queued trace events
         as :class:`TraceBatch` frames.  Fire-and-forget -- the monitor
         never replies on this connection, and a dead monitor costs the
-        node nothing but the reconnect backoff timer.  Whatever was in
-        flight when a connection died is counted lost, and every new
-        connection (the monitor may be a fresh process) starts from a
-        full re-ship."""
+        node nothing but the reconnect backoff timer.  Whatever was
+        handed to a connection that pushed back and then died is counted
+        lost, and every new connection (the monitor may be a fresh
+        process) starts from a full re-ship."""
 
-        async def next_batch() -> bytes:
-            self._export_in_flight = 0  # the previous batch drained
-            await self._export_event.wait()
+        def next_batch() -> bytes:
+            self._export_in_flight = 0  # the previous batch went out
             q = self._export_q
-            events = tuple(q.popleft() for _ in range(min(len(q), 256)))
             if not q:
-                self._export_event.clear()
+                return b""
+            events = tuple(q.popleft() for _ in range(min(len(q), 256)))
             self._export_in_flight = len(events)
             return encode_frame(TraceBatch(nid=self.config.nid, events=events))
 
@@ -942,7 +1011,7 @@ class NetNode:
             self._resync_export(lost=self._export_in_flight)
             return next_batch
 
-        return self._outbound(
+        return Link(
             self.config.monitor, MonitorHello(nid=self.config.nid), connected
         )
 
@@ -1062,7 +1131,7 @@ class NetNode:
         return _reply(request, True, result=result)
 
     @staticmethod
-    def _write(writer: asyncio.StreamWriter, frame) -> None:
+    def _write(writer: asyncio.Transport, frame) -> None:
         """Answer on a client connection that may be gone by now."""
         try:
             writer.write(encode_frame(frame))
@@ -1074,7 +1143,7 @@ class NetNode:
     # ------------------------------------------------------------------
 
     def _register_read(
-        self, request: ClientRequest, writer: asyncio.StreamWriter
+        self, request: ClientRequest, writer: asyncio.Transport
     ) -> None:
         """Queue a linearizable read without appending to the log.
 
@@ -1202,6 +1271,7 @@ class NetNode:
             for batch in list(self._read_batches.values()):
                 self._maybe_complete_read(batch)
         self._after_progress()
+        self._ship()
 
     # ------------------------------------------------------------------
     # Client requests
@@ -1229,7 +1299,7 @@ class NetNode:
         )
 
     def _handle_client_request(
-        self, request: ClientRequest, writer: asyncio.StreamWriter
+        self, request: ClientRequest, writer: asyncio.Transport
     ) -> None:
         self._m_requests.inc()
         if self._obs:

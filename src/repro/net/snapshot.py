@@ -68,6 +68,7 @@ state plus the live tail instead of replaying the full history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from ..raft.messages import Log, LogEntry
@@ -109,11 +110,12 @@ class Snapshot:
     #: removal entry after it has been compacted away.
     config_history: Tuple[Tuple[int, frozenset], ...] = ()
 
-    @property
+    @cached_property
     def sid(self) -> str:
         """Stable identity: a snapshot is determined by its log
         position (log matching), so ``(base_len, last time, last
-        vrsn)`` identifies the content across the cluster."""
+        vrsn)`` identifies the content across the cluster.  Built once:
+        every delta encode and every ``==`` / ``hash`` reads it."""
         return f"{self.base_len}.{self.last_entry.time}.{self.last_entry.vrsn}"
 
     def __eq__(self, other) -> bool:

@@ -40,8 +40,9 @@ subclass of :class:`ProtocolError` (truncated, oversized, garbage
 bytes, unknown kinds, version skew), which connection handlers catch
 and turn into a dropped connection.  Anything else escaping the
 decoder is a bug.  The length prefix is read off a socket in exactly
-two places, both here -- :func:`read_frame` (asyncio) and
-:func:`recv_frame` (blocking) -- and both bound it *before* buffering.
+two places, both here -- the :class:`Framer` (fed by the asyncio
+protocols of :mod:`repro.net.node`) and :func:`recv_frame` (blocking)
+-- and both bound it *before* buffering the body.
 
 **Log-delta layer.**  The specification ships *full logs* in every
 ``ElectReq``/``CommitReq`` (being a spec, messages carry values, not
@@ -95,8 +96,7 @@ from ..raft.messages import (
 )
 from .snapshot import CompactLog, Snapshot
 
-if TYPE_CHECKING:  # the two frame readers' parameter types, nothing more
-    import asyncio
+if TYPE_CHECKING:  # recv_frame's parameter type, nothing more
     import socket
 
 #: Bumped on any incompatible frame/body change.
@@ -809,12 +809,36 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[WireMessage, int]:
     return decode_message(payload), header_end + length
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame body from a stream; raises :class:`FrameTooLarge`
-    on a bad prefix (before buffering anything), ``IncompleteReadError``
-    / ``ConnectionError`` when the peer goes away."""
-    header = await reader.readexactly(_LENGTH.size)
-    return await reader.readexactly(_checked_length(_LENGTH.unpack(header)[0]))
+class Framer:
+    """Cuts frame bodies out of a byte stream that arrives in pieces of
+    any size (an ``asyncio.Protocol``'s ``data_received``).  Each length
+    is bounded as soon as its 4 bytes are in: a bad prefix raises
+    :class:`FrameTooLarge` before any of the body it declares is
+    waited for."""
+
+    __slots__ = ("_held", "_need")
+
+    def __init__(self) -> None:
+        self._held = bytearray()
+        #: What ``_held`` must reach for the next cut: a length prefix,
+        #: or a prefix and the body it declares.
+        self._need = _LENGTH.size
+
+    def feed(self, data: bytes) -> List[bytearray]:
+        """The bodies of the frames ``data`` completes, in order."""
+        held = self._held
+        held += data
+        need = self._need
+        bodies = []
+        while len(held) >= need:
+            if need == _LENGTH.size:
+                need += _checked_length(_LENGTH.unpack_from(held)[0])
+            else:
+                bodies.append(held[_LENGTH.size:need])
+                del held[:need]
+                need = _LENGTH.size
+        self._need = need
+        return bodies
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
@@ -829,7 +853,9 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket) -> bytes:
-    """:func:`read_frame` for a blocking socket."""
+    """Read one frame body from a blocking socket; raises
+    :class:`FrameTooLarge` on a bad prefix (before reading on),
+    ``ConnectionError`` when the peer goes away mid-frame."""
     header = _recv_exactly(sock, _LENGTH.size)
     return _recv_exactly(sock, _checked_length(_LENGTH.unpack(header)[0]))
 
@@ -933,12 +959,12 @@ def _install(window: Dict[str, Any], sid: str, value: Any) -> None:
 
 def _common_prefix_len(a: Log, b: Log) -> int:
     n = min(len(a), len(b))
-    for i in range(n):
-        # A log grows by ``log + (entry,)``: shared entries are the same
-        # objects, so identity settles all but a decoded copy.
-        if a[i] is not b[i] and a[i] != b[i]:
-            return i
-    return n
+    # A log grows by ``log + (entry,)``: shared entries are the same
+    # objects, so one C-level tuple comparison (identity first) settles
+    # the common case; only a pair that differs is walked in Python.
+    if a[:n] == b[:n]:
+        return n
+    return next(i for i in range(n) if a[i] is not b[i] and a[i] != b[i])
 
 
 class DeltaEncoder:

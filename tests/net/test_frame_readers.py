@@ -1,8 +1,8 @@
 """The two frame readers in ``repro.net.wire`` -- the only places the
-served tier reads a length prefix off a socket -- and the callers that
-used to carry their own copies."""
+served tier reads a length prefix off a socket: the :class:`Framer` the
+asyncio protocols feed and the blocking :func:`recv_frame` -- and the
+callers that used to carry their own copies."""
 
-import asyncio
 import socket
 import struct
 import threading
@@ -15,12 +15,14 @@ from repro.monitor.service import monitor_status
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     FrameTooLarge,
+    Framer,
     StatusRequest,
     decode_message,
     encode_frame,
-    read_frame,
     recv_frame,
 )
+
+from .test_wire_golden import _body, _load_golden
 
 BAD_PREFIXES = [
     struct.pack(">I", 0),
@@ -65,16 +67,34 @@ def test_recv_frame_reports_a_peer_closing_mid_frame():
 
 @pytest.mark.parametrize("prefix", BAD_PREFIXES)
 def test_read_frame_rejects_a_bad_prefix(prefix):
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(prefix)
-        with pytest.raises(FrameTooLarge):
-            await read_frame(reader)
-        reader = asyncio.StreamReader()
-        reader.feed_data(encode_frame(StatusRequest()))
-        assert decode_message(await read_frame(reader)) == StatusRequest()
+    """The framer raises on the 4 header bytes alone: it never waits
+    for, or buffers, the body a bad prefix declares."""
+    with pytest.raises(FrameTooLarge):
+        Framer().feed(prefix)
+    framer = Framer()
+    assert framer.feed(prefix[:3]) == []
+    with pytest.raises(FrameTooLarge):
+        framer.feed(prefix[3:])
+    bodies = Framer().feed(encode_frame(StatusRequest()))
+    assert [decode_message(body) for body in bodies] == [StatusRequest()]
 
-    asyncio.run(scenario())
+
+def test_the_framer_cuts_the_same_frames_however_the_stream_is_split():
+    # The recorded delta/snapshot conversation as it crosses a socket.
+    bodies = [_body(text) for text in _load_golden()["delta_stream"]]
+    stream = b"".join(struct.pack(">I", len(body)) + body for body in bodies)
+    assert len(bodies) > 5
+
+    def cut(pieces):
+        framer, out = Framer(), []
+        for piece in pieces:
+            out.extend(framer.feed(piece))
+        return out
+
+    assert cut([stream]) == bodies
+    assert cut([stream[i : i + 1] for i in range(len(stream))]) == bodies
+    for split in range(len(stream) + 1):
+        assert cut([stream[:split], stream[split:]]) == bodies, split
 
 
 def test_monitor_status_survives_a_hostile_length_prefix():

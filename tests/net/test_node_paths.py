@@ -13,7 +13,11 @@ trace export can be pinned down without a cluster:
   its log, instead of streaming deltas the monitor can no longer place;
 * what the node derives from its log is folded once: a put costs the
   same at any tail length, a command is applied once, the spec's own
-  log walk is never reached, and a replica asked nothing folds nothing.
+  log walk is never reached, and a replica asked nothing folds nothing;
+* the transport writes in the tick that made a frame -- the leader's
+  broadcast at the end of the flush, a follower's ack before
+  ``data_received`` returns -- and a link that pushes back holds one
+  coalesced ``CommitReq`` and a bounded backlog until it resumes.
 """
 
 import sys
@@ -21,8 +25,17 @@ import sys
 from repro.monitor.service import Monitor, MonitorConfig
 from repro.net import node as node_module
 from repro.net import snapshot as snapshot_module
-from repro.net.node import NetNode, NodeConfig
-from repro.net.wire import ClientRequest, ReadProbeAck, decode_message
+from repro.net.node import NetNode, NodeConfig, _Outbox
+from repro.net.wire import (
+    ClientRequest,
+    DeltaDecoder,
+    DeltaEncoder,
+    Framer,
+    PeerHello,
+    ReadProbe,
+    ReadProbeAck,
+    decode_message,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.raft.messages import CommitAck, CommitReq, ElectAck, LogEntry
 from repro.raft import server as server_module
@@ -310,3 +323,95 @@ def test_a_follower_that_is_asked_nothing_folds_nothing(monkeypatch):
     assert follower.server.commit_len == 9 and absorbed == []
     follower._status()  # asks for the configuration
     assert len(absorbed) == 10
+
+
+# ----------------------------------------------------------------------
+# The transport: a frame is written in the tick that made it
+# ----------------------------------------------------------------------
+
+
+class _Transport:
+    """A connected socket that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def get_extra_info(self, name):
+        return None
+
+
+def connect(node, nid):
+    """``node``'s link to peer ``nid``, up over a fake transport."""
+    link = node._add_peer(nid, None)
+    transport = _Transport()
+    link.connection_made(transport)
+    return link, transport
+
+
+def received(transport):
+    """What the peer decodes, write by write."""
+    framer, decoder = Framer(), DeltaDecoder()
+    return [
+        [decoder.decode(body) for body in framer.feed(data)]
+        for data in transport.writes
+    ]
+
+
+def test_a_leader_writes_its_broadcast_in_the_flush_that_made_it():
+    node = make_leader()
+    links = {nid: connect(node, nid)[1] for nid in (2, 3)}
+    ask(node, 0, "put", "x", 1)
+    assert [len(t.writes) for t in links.values()] == [1, 1]  # hellos
+    node.loop.tick()
+    for nid, transport in links.items():
+        hello, (req,) = received(transport)
+        assert hello == [PeerHello(nid=1)]
+        assert isinstance(req, CommitReq) and req.to == nid
+        assert req.log == node.server.log
+    assert all(
+        not outbox.misc and outbox.commit is None
+        for outbox in node._outboxes.values()
+    )
+
+
+def test_a_follower_has_acked_when_data_received_returns():
+    node = make_node(2)
+    _, leader = connect(node, 1)
+    inbound = node._accept()
+    inbound.connection_made(_Transport())
+    req = replication_stream(3)[-1]
+    inbound.data_received(DeltaEncoder().encode(req))
+    hello, (ack,) = received(leader)
+    assert ack == CommitAck(frm=2, to=1, time=1, acked_len=3)
+
+
+def test_a_paused_link_holds_one_commit_and_a_bounded_backlog():
+    node = make_leader()
+    link, transport = connect(node, 2)
+    coalesced = node.metrics.counter("net.commit_coalesced")
+    shed = node.metrics.counter("net.outbox_shed")
+    link.pause_writing()
+    for seq in range(3):
+        ask(node, seq, "put", "x", seq)
+        node.loop.tick()
+    assert coalesced.value == 2
+    node._send_all([
+        ReadProbe(frm=1, to=2, probe=i, time=node.server.time)
+        for i in range(70)
+    ])
+    node._ship()
+    assert shed.value == 6
+    assert len(transport.writes) == 1  # the hello
+    link.resume_writing()
+    _, *batches = received(transport)
+    assert [len(batch) for batch in batches] == [
+        _Outbox.WINDOW, _Outbox.WINDOW, _Outbox.LIMIT - 2 * _Outbox.WINDOW + 1
+    ]
+    *backlog, (req,) = batches
+    assert [msg.probe for batch in backlog for msg in batch] == list(
+        range(6, 70)
+    )
+    assert isinstance(req, CommitReq) and req.log == node.server.log
