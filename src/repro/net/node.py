@@ -44,8 +44,10 @@ network:
   (``get``) skip the log entirely via ReadIndex: the leader records
   its commit index, confirms its leadership with a
   :class:`~repro.net.wire.ReadProbe` quorum round, and serves from the
-  incrementally-applied committed state.  Non-leaders answer
-  ``not-leader`` with their best hint.
+  incrementally-applied committed state.  A tick that only reads sends
+  each follower that round's probe and nothing else: a ``CommitReq``
+  goes out only when the term, log or commit point moved since the
+  last one.  Non-leaders answer ``not-leader`` with their best hint.
 
 There is one transport, not a family of them: batching, pipelining and
 ReadIndex are how the node works, not switches, and
@@ -473,6 +475,9 @@ class NetNode:
         self._read_batches: Dict[int, _ReadBatch] = {}
         self._open_probe: Optional[int] = None
         self._probe_counter = 0
+        #: ``_replication_key()`` at the last ``CommitReq`` broadcast
+        #: queued: a flush that would repeat it sends only probes.
+        self._broadcast_key: Optional[Tuple[int, int, int]] = None
         #: Shard ownership, pushed by a sharding manager
         #: (:class:`repro.shard.manager.ShardedCluster`): at routing
         #: table version ``_shard_version`` this node's group owns
@@ -586,8 +591,11 @@ class NetNode:
             for m in msgs
         ):
             # A replication broadcast (the driver's heartbeat chain
-            # included) carries two riders.
-            msgs = msgs + self._courtesy_heartbeats() + self._read_probes()
+            # included) carries two riders, and is what a flush with
+            # nothing new to replicate compares against.
+            self._broadcast_key = self._replication_key()
+            msgs = msgs + self._courtesy_heartbeats() + self._read_probes(
+                self._read_batches.values())
         blocked = self._blocked
         for msg in msgs:
             if blocked and msg.to in blocked:
@@ -599,25 +607,31 @@ class NetNode:
             outbox.put(msg)
             self._queued = True
 
-    def _read_probes(self) -> List[Msg]:
-        """Outstanding ReadIndex probes, re-sent with every replication
-        broadcast: a follower that was behind on the term when first
-        probed re-acks on the next round, so no read round can starve
-        on one stale ack."""
-        if not self._read_batches:
+    def _read_probes(self, batches) -> List[Msg]:
+        """One current-term :class:`ReadProbe` per member peer for each
+        of ``batches``.  A flush probes the round it closes; every
+        replication broadcast re-probes all outstanding rounds, so a
+        follower that was behind on the term when first probed re-acks
+        at the next heartbeat and no round starves on one stale ack."""
+        if not batches:
             return []
         server = self.server
-        members = self.scheme.members(server.config())
+        members = sorted(self.scheme.members(server.config()))
         return [
             ReadProbe(
                 frm=self.config.nid, to=peer,
                 probe=batch.probe, time=server.time,
             )
-            for batch in self._read_batches.values()
+            for batch in batches
             if batch.term == server.time
-            for peer in sorted(members)
+            for peer in members
             if peer != self.config.nid
         ]
+
+    def _replication_key(self) -> Tuple[int, int, int]:
+        """What a ``CommitReq`` broadcast now would tell a follower."""
+        server = self.server
+        return server.time, len(server.log), server.commit_len
 
     def _courtesy_heartbeats(self) -> List[Msg]:
         """Replication for peers the configuration just dropped.
@@ -1148,8 +1162,8 @@ class NetNode:
         """Queue a linearizable read without appending to the log.
 
         The read joins the tick's open batch (one quorum round serves
-        every read registered in the same tick); the probes go out at
-        flush time alongside the batched broadcast."""
+        every read registered in the same tick); its probes go out at
+        flush time, with the batched broadcast if there is one."""
         server = self.server
         batch = (
             self._read_batches.get(self._open_probe)
@@ -1262,10 +1276,18 @@ class NetNode:
         self._flush_scheduled = False
         server = self.server
         if server.role == LEADER:
-            # Close the tick's read batch: new reads start a new round
-            # (this round's probes ride along with the broadcast).
+            # Close the tick's read batch: new reads start a new round.
+            closing = self._read_batches.get(self._open_probe)
             self._open_probe = None
-            self._send_all(server.broadcast_commit(self.scheme))
+            # Called even when nothing is new: it also advances the
+            # commit point under single-member quorums.
+            broadcast = server.broadcast_commit(self.scheme)
+            if self._replication_key() != self._broadcast_key:
+                self._send_all(broadcast)  # probes ride along
+            elif closing is not None:
+                # A read-only tick: followers have nothing to learn, so
+                # the closing round's probes go out alone.
+                self._send_all(self._read_probes([closing]))
             # Single-member quorums (and the degenerate single-node
             # cluster) need no remote acks to confirm leadership.
             for batch in list(self._read_batches.values()):

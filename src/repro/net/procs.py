@@ -86,13 +86,29 @@ def _format_addr(addr: Tuple[str, int]) -> str:
     return f"{addr[0]}:{addr[1]}"
 
 
+def _escape_text(text: str) -> str:
+    """``text`` as a flag value argparse hands back unchanged.
+
+    argparse drops a bare ``"--"`` even from ``--flag=--``, so a value
+    of backslashes then ``"--"`` gains one more backslash;
+    :func:`_unescape_text` takes it off.  Every other value is written
+    as is."""
+    return "\\" + text if text.lstrip("\\") == "--" else text
+
+
+def _unescape_text(text: str) -> str:
+    if text.startswith("\\") and text.lstrip("\\") == "--":
+        return text[1:]
+    return text
+
+
 #: How each field type is written on a command line: annotation ->
 #: (parse, format).  ``Optional[X]`` is written like ``X``; ``None`` is
 #: the flag's absence.
 _TEXT = {
     int: (int, str),
     float: (float, repr),
-    str: (str, str),
+    str: (_unescape_text, _escape_text),
     frozenset: (parse_conf, lambda v: ",".join(map(str, sorted(v)))),
     Tuple[str, int]: (_parse_addr, _format_addr),
     Dict[int, Tuple[str, int]]: (parse_peers, lambda v: ",".join(
@@ -363,14 +379,13 @@ class LocalCluster:
         )
 
     def wait_healthy(self, timeout_s: Optional[float] = None) -> None:
-        """Block until the monitor (if any) and every spawned node
-        answer a status probe; ``timeout_s`` defaults to the cluster's
-        ``startup_timeout_s``."""
+        """Block until every spawned node answers a status probe and the
+        monitor (if any) has heard from every live one; ``timeout_s``
+        defaults to the cluster's ``startup_timeout_s``.  A node that
+        came up before the monitor listened sits in its export link's
+        reconnect backoff (up to 2 s) before the monitor sees it."""
         if timeout_s is None:
             timeout_s = self.startup_timeout_s
-        deadline = time.monotonic() + timeout_s
-        if self.monitor_handle is not None:
-            poll(lambda: self.monitor_status(timeout_s=0.5), timeout_s)
         pending = set(self.nids)
 
         def sweep() -> Optional[bool]:
@@ -384,14 +399,26 @@ class LocalCluster:
                     )
                 if probe.status(nid) is not None:
                     pending.discard(nid)
-            return None if pending else True
+            return None if pending or not self._monitor_heard_all() else True
 
         with self.client(client_id="health-check") as probe:
-            poll(sweep, deadline - time.monotonic())
+            healthy = poll(sweep, timeout_s)
         if pending:
             raise RuntimeError(
                 f"nodes {sorted(pending)} not healthy within deadline"
             )
+        if healthy is None:
+            raise RuntimeError(
+                "the monitor has not heard from every node within deadline"
+            )
+
+    def _monitor_heard_all(self) -> bool:
+        """No monitor, or one whose status names every live node."""
+        if self.monitor_handle is None:
+            return True
+        status = self.monitor_status(timeout_s=0.5)
+        live = {nid for nid, handle in self.handles.items() if handle.alive}
+        return status is not None and live <= set(status.nodes)
 
     def client(self, **kwargs) -> NetClient:
         return NetClient(self.addresses, **kwargs)

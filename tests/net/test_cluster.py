@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.net import allocate_ports
-from repro.net.client import ClientTimeout, NetClient
+from repro.net.client import ClientTimeout, NetClient, merge_histories
 from repro.net.procs import LocalCluster
 from repro.net.wire import ClientRequest, ClientResponse, encode_frame
 from repro.runtime.linearize import check_history
@@ -90,6 +90,46 @@ def test_kill_the_leader_history_still_linearizes():
             verdict = check_history(client.history)
             assert verdict.ok, verdict.describe()
             _committed_prefixes_agree(cluster, client)
+
+
+def test_a_deposed_leader_never_serves_a_stale_read():
+    """A leader cut off from its peers keeps believing it leads.  Once
+    the others elected a successor and wrote through it, a ``get`` at
+    the old leader must not return the old value.  The old leader is
+    reconnected to the successor's follower before it is asked, so its
+    ReadIndex round *is* answered -- by a newer term, which must not
+    count."""
+    with LocalCluster(nids=(1, 2, 3), seed=16) as cluster:
+        old = cluster.wait_for_leader()
+        peers = [nid for nid in cluster.nids if nid != old]
+        with cluster.client(client_id="c0") as client:
+            client.put("x", "old")
+            assert client.get("x") == "old"  # a current-term commit
+            client.partition(old, peers)
+            for nid in peers:
+                client.partition(nid, [old])
+            new = cluster.wait_for_leader(exclude=(old,))
+            with NetClient(
+                {nid: cluster.addresses[nid] for nid in peers},
+                client_id="c1",
+            ) as writer:
+                writer.put("x", "new")
+            follower, = set(peers) - {new}
+            client.partition(old, [new])
+            client.partition(follower, [])
+            try:
+                reply = client.request_direct(old, ("get", "x"), timeout_s=1.0)
+            except OSError:
+                pass  # no same-term quorum answered: a timeout is safe
+            else:
+                assert not reply.ok and reply.error in ("retry", "not-leader")
+            for nid in cluster.nids:
+                client.partition(nid, [])
+            assert client.get("x") == "new"
+            verdict = check_history(
+                merge_histories([client.history, writer.history])
+            )
+            assert verdict.ok, verdict.describe()
 
 
 def test_reconfiguration_trajectory_under_load():

@@ -17,7 +17,11 @@ trace export can be pinned down without a cluster:
 * the transport writes in the tick that made a frame -- the leader's
   broadcast at the end of the flush, a follower's ack before
   ``data_received`` returns -- and a link that pushes back holds one
-  coalesced ``CommitReq`` and a bounded backlog until it resumes.
+  coalesced ``CommitReq`` and a bounded backlog until it resumes;
+* a ReadIndex round costs one probe per follower: a tick that only
+  reads sends no ``CommitReq``, one with something new to replicate
+  (an append, a commit advance) still does, and the heartbeat chain
+  always does, re-probing every outstanding round.
 """
 
 import sys
@@ -415,3 +419,120 @@ def test_a_paused_link_holds_one_commit_and_a_bounded_backlog():
         range(6, 70)
     )
     assert isinstance(req, CommitReq) and req.log == node.server.log
+
+
+# ----------------------------------------------------------------------
+# ReadIndex frames: a read round is a probe and an ack per follower
+# ----------------------------------------------------------------------
+
+
+def quiet_leader():
+    """A leader linked to 2 and 3 whose followers know everything it
+    does: a put committed, and a heartbeat told them the commit."""
+    node = make_leader()
+    links = {nid: connect(node, nid)[1] for nid in (2, 3)}
+    ask(node, 0, "put", "x", 41)
+    ack_everything(node)
+    node.driver._heartbeat(node.server.time)
+    node._ship()
+    return node, links
+
+
+def sent_after(links, fn):
+    """What each follower decodes from the writes ``fn`` causes."""
+    before = {nid: len(t.writes) for nid, t in links.items()}
+    fn()
+    return {
+        nid: [msg for batch in received(t)[before[nid]:] for msg in batch]
+        for nid, t in links.items()
+    }
+
+
+def probes(node, batch):
+    return {
+        nid: [ReadProbe(frm=1, to=nid, probe=batch.probe,
+                        time=node.server.time)]
+        for nid in (2, 3)
+    }
+
+
+def read_tick(node, seq):
+    """A ``get`` and the end of its tick; returns the round it opened."""
+    get = ask(node, seq, "get", "x")
+    node.loop.tick()
+    return get, node._read_batches[node._probe_counter]
+
+
+def test_a_read_only_tick_sends_each_follower_one_probe():
+    node, links = quiet_leader()
+    rounds = []
+    sent = sent_after(links, lambda: rounds.append(read_tick(node, 1)[1]))
+    assert sent == probes(node, rounds[0])
+    # The first round is still unacked: the second tick probes only
+    # its own round, and still replicates nothing.
+    sent = sent_after(links, lambda: rounds.append(read_tick(node, 2)[1]))
+    assert sent == probes(node, rounds[1])
+    assert len(node._read_batches) == 2
+
+
+def test_a_tick_that_appends_and_reads_sends_one_of_each():
+    node, links = quiet_leader()
+    rounds = []
+
+    def put_and_get():
+        ask(node, 1, "put", "y", 1)
+        rounds.append(read_tick(node, 2)[1])
+
+    for nid, msgs in sent_after(links, put_and_get).items():
+        probe, req = msgs
+        assert probe == probes(node, rounds[0])[nid][0]
+        assert isinstance(req, CommitReq) and req.log == node.server.log
+
+
+def test_a_read_only_tick_after_a_commit_advance_replicates_it():
+    node, links = quiet_leader()
+    ask(node, 1, "put", "y", 1)
+    ack_everything(node)  # the ack advances commit_len past the broadcast
+    commit_len = node.server.commit_len
+    for msgs in sent_after(links, lambda: read_tick(node, 2)).values():
+        probe, req = msgs
+        assert isinstance(probe, ReadProbe)
+        assert isinstance(req, CommitReq) and req.commit_len == commit_len
+
+
+def test_a_heartbeat_replicates_even_when_nothing_changed():
+    node, links = quiet_leader()
+
+    def heartbeat():
+        node.driver._heartbeat(node.server.time)
+        node._ship()
+
+    for msgs in sent_after(links, heartbeat).values():
+        req, = msgs
+        assert isinstance(req, CommitReq)
+        assert req.commit_len == node.server.commit_len
+
+
+def test_a_round_acked_at_a_stale_term_completes_after_the_reprobe():
+    node, links = quiet_leader()
+    term = node.server.time
+    get, batch = read_tick(node, 1)
+    # Follower 2 was probed while it was behind on the term.
+    node._on_read_probe_ack(ReadProbeAck(
+        frm=2, to=1, probe=batch.probe, time=term - 1
+    ))
+    assert get.replies == []
+
+    def heartbeat():
+        node.driver._heartbeat(term)
+        node._ship()
+
+    for nid, msgs in sent_after(links, heartbeat).items():
+        probe, req = msgs
+        assert probe == probes(node, batch)[nid][0]
+        assert isinstance(req, CommitReq)
+    node._on_read_probe_ack(ReadProbeAck(
+        frm=2, to=1, probe=batch.probe, time=term
+    ))
+    reply, = get.replies
+    assert (reply.ok, reply.result) == (True, 41)
