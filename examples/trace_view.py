@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
 """Render a violation bundle: timeline, message flow, replayed verdict.
 
-A failed nemesis run (``NemesisConfig(bundle_dir=...)``) leaves a
-*violation bundle* on disk -- the serialized chaos config, both
-checkers' verdicts, the metrics snapshot, the full typed event trace,
-and the client history.  This viewer turns that directory back into an
-explanation:
+Both runtime checkers leave a *violation bundle* on disk when they find
+a violation, in one format (``repro.obs.bundle``):
+
+* a failed nemesis run (``NemesisConfig(bundle_dir=...)``) writes the
+  serialized chaos config, both checkers' verdicts, the metrics
+  snapshot, the full typed event trace, and the client history;
+* the live safety monitor (``python -m repro.monitor serve
+  --bundle-dir ...``) writes every trace event it journaled and the
+  verdict naming the offending event.
+
+This viewer turns either back into an explanation:
 
 * the **timeline**: elections, leader changes, crashes/restarts,
-  partitions, reconfigurations, and commit milestones, in simulated
-  time with Lamport stamps;
+  partitions, reconfigurations, and commit milestones, with Lamport
+  stamps;
 * the **message flow**: per-link sent/dropped/duplicated totals, which
-  shows *where* the network was torn;
-* the **replayed verdict**: every stochastic input is part of the
-  bundled config, so re-running it must reproduce the identical
-  violation (same seed ⇒ same violation) -- the viewer replays and
-  checks.
+  shows *where* the network was torn (a nemesis trace; the monitor
+  is not streamed transport events);
+* the **replayed verdict**: the bundle's verdict re-derived -- a
+  nemesis run re-run from its config (same seed ⇒ same violation), a
+  monitor journal re-folded through a fresh checker -- and compared
+  with the recorded one.
 
 Run:  python examples/trace_view.py runs/bundles/nemesis-seed2
       python examples/trace_view.py            # demo: make one, view it
@@ -23,7 +30,8 @@ Run:  python examples/trace_view.py runs/bundles/nemesis-seed2
 Without an argument the demo builds its own bundle by running a chaos
 schedule against the historical request-id-less client
 (``client_request_ids=False``), whose retry-after-timeout double
-commits -- the bug ISSUE 2 fixed, now kept as a teaching scenario.
+commits -- the at-most-once bug request ids fixed, kept as a teaching
+scenario.
 """
 
 import argparse
@@ -32,7 +40,7 @@ import tempfile
 from collections import Counter
 
 from repro.analysis import render_table
-from repro.obs import events_by_kind, load_bundle, replay_bundle, verdict_matches
+from repro.obs import events_by_kind, load_bundle, verdict_matches
 
 #: Event kinds worth a timeline line (transport noise is summarized
 #: separately); commits are milestoned to every Nth per node.
@@ -91,22 +99,31 @@ def flow_table(events) -> str:
 def render_bundle(bundle) -> None:
     manifest = bundle.manifest
     verdict = bundle.verdict
-    config = manifest["config"]
-    print(f"bundle: {bundle.path}")
-    print(
-        f"  seed={bundle.seed} ops={config['ops']} "
-        f"client_request_ids={config['client_request_ids']} "
-        f"crashes@{tuple(config['crash_leader_at'])} "
-        f"partition@{config['partition_at']}"
-    )
-    print(
-        f"  verdict: ok={verdict['ok']} "
-        f"safety_violations={len(verdict['safety_violations'])} "
-        f"linearizable={verdict['linearizability_ok']}"
-    )
-    for problem in verdict["safety_violations"][:5]:
-        print(f"    safety: {problem}")
-    print(f"    {verdict['linearizability']}")
+    print(f"bundle: {bundle.path} ({bundle.kind})")
+    if bundle.kind == "nemesis":
+        config = manifest["config"]
+        print(
+            f"  seed={config['seed']} ops={config['ops']} "
+            f"client_request_ids={config['client_request_ids']} "
+            f"crashes@{tuple(config['crash_leader_at'])} "
+            f"partition@{config['partition_at']}"
+        )
+        print(
+            f"  verdict: ok={verdict['ok']} "
+            f"safety_violations={len(verdict['safety_violations'])} "
+            f"linearizable={verdict['linearizability_ok']}"
+        )
+        for problem in verdict["safety_violations"][:5]:
+            print(f"    safety: {problem}")
+        print(f"    {verdict['linearizability']}")
+    else:
+        print(f"  conf0={manifest['conf0']} nodes={manifest['nodes']}")
+        print(
+            f"  verdict: violation at event #{verdict['event_index']}: "
+            f"{verdict['described']}"
+        )
+        for problem in verdict["violations"]:
+            print(f"    {problem}")
 
     print("\ntimeline (elections, faults, reconfigs, commit milestones):")
     for line in timeline_lines(bundle.events):
@@ -120,11 +137,17 @@ def render_bundle(bundle) -> None:
         print("\nrun counters:")
         for name in sorted(counters):
             print(f"  {name} = {counters[name]}")
-    print(
-        f"\ntrace: {manifest['trace_buffered']} events buffered "
-        f"({manifest['trace_recorded']} recorded), "
-        f"history: {len(bundle.history.operations)} client operations"
-    )
+    if bundle.kind == "nemesis":
+        print(
+            f"\ntrace: {len(bundle.events)} events buffered "
+            f"({manifest['trace_recorded']} recorded), "
+            f"history: {len(bundle.history.operations)} client operations"
+        )
+    else:
+        print(
+            f"\ntrace: {len(bundle.events)} events journaled "
+            f"({manifest['journal_dropped']} dropped at the journal cap)"
+        )
 
 
 def make_demo_bundle(directory: str) -> str:
@@ -169,23 +192,19 @@ def main(bundle: str = None, replay: bool = True) -> int:
         bundle = make_demo_bundle(tempfile.mkdtemp(prefix="trace-view-"))
     try:
         loaded = load_bundle(bundle)
-    except ValueError as error:  # another version, or a monitor bundle
+        render_bundle(loaded)
+        if not replay:
+            return 0
+        print("\nreplaying the bundle ...")
+        matches = verdict_matches(loaded)
+    except ValueError as error:  # another version, or a truncated journal
         print(f"trace_view: {error}", file=sys.stderr)
         return 2
-    render_bundle(loaded)
-    if not replay:
-        return 0
-    print("\nreplaying the bundled config ...")
-    replayed = replay_bundle(loaded)
-    if not verdict_matches(loaded, replayed):
+    if not matches:
         print("REPLAY DIVERGED: the bundle no longer reproduces its "
               "verdict", file=sys.stderr)
         return 1
-    print(
-        f"replay verdict matches the bundle "
-        f"(ok={replayed.ok}, same safety violations, "
-        f"same linearizability failures)"
-    )
+    print("replay verdict matches the bundle")
     return 0
 
 

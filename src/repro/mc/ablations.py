@@ -42,6 +42,13 @@ FIG4_NODES = frozenset({1, 2, 3, 4})
 #: one regular command, two reconfigurations, two commits.
 FIG4_BUDGET = OpBudget(pulls=3, invokes=1, reconfigs=2, pushes=2)
 
+#: The schedule class each other hunt needs (see its ``ablate_*``):
+#: stacked reconfigurations for R2, one jump for OVERLAP, one branch
+#: with two commits for the ``insertBtw`` placement.
+R2_BUDGET = OpBudget(pulls=2, invokes=2, reconfigs=3, pushes=3)
+OVERLAP_BUDGET = OpBudget(pulls=3, invokes=2, reconfigs=1, pushes=3)
+LEAF_COMMIT_BUDGET = OpBudget(pulls=1, invokes=2, reconfigs=0, pushes=2)
+
 
 def _hunt_explorer(**overrides) -> Explorer:
     """The shared counterexample-hunt configuration (Fig. 4 shaped)."""
@@ -123,7 +130,8 @@ def ablate_r3(
 
 def _removals_only(state, nid, conf):
     """Removal-only reconfiguration moves (the R2 counterexample
-    shrinks the configuration, so this halves the branching)."""
+    shrinks the configuration, so this halves the branching); also the
+    differential matrix's ``no-r2`` moves for plain-set configurations."""
     conf_set = frozenset(conf)
     if len(conf_set) > 1:
         for node in sorted(conf_set):
@@ -135,7 +143,7 @@ def r2_explorer(max_states: int = 300_000, **overrides) -> Explorer:
     params = dict(
         enforce_r2=False,
         max_states=max_states,
-        budget=OpBudget(pulls=2, invokes=2, reconfigs=3, pushes=3),
+        budget=R2_BUDGET,
         reconfig_candidates=_removals_only,
     )
     params.update(overrides)
@@ -172,7 +180,7 @@ def overlap_explorer(max_states: int = 300_000, **overrides) -> Explorer:
         scheme=UnsafeMultiNodeScheme(),
         reconfig_candidates=jump_reconfig_candidates(FIG4_NODES),
         max_states=max_states,
-        budget=OpBudget(pulls=3, invokes=2, reconfigs=1, pushes=3),
+        budget=OVERLAP_BUDGET,
     )
     params.update(overrides)
     return _hunt_explorer(**params)
@@ -224,7 +232,7 @@ def insert_btw_explorer(max_states: int = 100_000, **overrides) -> Explorer:
     first's successors), so a small budget suffices.
     """
     params = dict(
-        budget=OpBudget(pulls=1, invokes=2, reconfigs=0, pushes=2),
+        budget=LEAF_COMMIT_BUDGET,
         invariants=["safety", "well-formedness"],
         enforce_r3=True,
         max_states=max_states,

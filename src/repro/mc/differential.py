@@ -63,7 +63,15 @@ from ..schemes.primary_backup import PrimaryBackupConfig, PrimaryBackupScheme
 from ..schemes.single_node import RaftSingleNodeScheme
 from ..schemes.unanimous import UnanimousScheme
 from ..schemes.weighted import WeightedConfig, WeightedMajorityScheme
-from .ablations import FIG4_BUDGET, FIG4_NODES, _leaf_push
+from .ablations import (
+    FIG4_BUDGET,
+    FIG4_NODES,
+    LEAF_COMMIT_BUDGET,
+    OVERLAP_BUDGET,
+    R2_BUDGET,
+    _leaf_push,
+    _removals_only,
+)
 from .explorer import (
     ExplorationResult,
     Explorer,
@@ -83,17 +91,17 @@ ABLATIONS: Tuple[str, ...] = (
 )
 
 #: Shared per-ablation budgets (identical across schemes -- that is the
-#: point).  Each matches the schedule class the corresponding
-#: single-scheme ablation in :mod:`repro.mc.ablations` needs to exhibit
-#: its counterexample: Fig. 4 shaped for ``no-r3``/``intact``, the
-#: stacked-reconfiguration class for ``no-r2``, the one-jump class for
-#: ``no-overlap``, and the tiny single-branch class for ``leaf-commit``.
+#: point).  Each is the budget the corresponding single-scheme hunt in
+#: :mod:`repro.mc.ablations` runs on to exhibit its counterexample:
+#: Fig. 4 shaped for ``no-r3``/``intact``, the stacked-reconfiguration
+#: class for ``no-r2``, the one-jump class for ``no-overlap``, and the
+#: tiny single-branch class for ``leaf-commit``.
 DEFAULT_BUDGETS: Dict[str, OpBudget] = {
     "intact": FIG4_BUDGET,
-    "no-r2": OpBudget(pulls=2, invokes=2, reconfigs=3, pushes=3),
+    "no-r2": R2_BUDGET,
     "no-r3": FIG4_BUDGET,
-    "no-overlap": OpBudget(pulls=3, invokes=2, reconfigs=1, pushes=3),
-    "leaf-commit": OpBudget(pulls=1, invokes=2, reconfigs=0, pushes=2),
+    "no-overlap": OVERLAP_BUDGET,
+    "leaf-commit": LEAF_COMMIT_BUDGET,
 }
 
 #: Scaled-down budgets for smoke runs (CI artifact, ``--differential``
@@ -170,13 +178,6 @@ class OverlapAblation(ReconfigScheme):
 # ----------------------------------------------------------------------
 # Per-scheme reconfiguration move generators
 # ----------------------------------------------------------------------
-
-def _set_removals(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-    conf_set = frozenset(conf)
-    if len(conf_set) > 1:
-        for node in sorted(conf_set):
-            yield conf_set - {node}
-
 
 def _logless_shrinking(inner: ReconfigCandidates) -> ReconfigCandidates:
     def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
@@ -354,7 +355,7 @@ def default_scenarios(
             scheme=RaftSingleNodeScheme(),
             conf0=universe,
             candidates=set_reconfig_candidates(universe),
-            shrink_candidates=_set_removals,
+            shrink_candidates=_removals_only,
             jump_candidates=jump_reconfig_candidates(universe),
         ),
         SchemeScenario(
@@ -388,7 +389,7 @@ def default_scenarios(
             scheme=UnanimousScheme(),
             conf0=universe,
             candidates=set_reconfig_candidates(universe),
-            shrink_candidates=_set_removals,
+            shrink_candidates=_removals_only,
             jump_candidates=jump_reconfig_candidates(universe),
         ),
         SchemeScenario(

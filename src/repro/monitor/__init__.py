@@ -10,7 +10,8 @@ wire framing, and the monitor folds every ``log_advance`` into the
 shared :class:`repro.core.safety.IncrementalTreeChecker` -- the same
 engine the model checker and the simulator's ``check_safety`` consume.
 A violation is therefore flagged seconds after the offending append or
-commit, naming the event that caused it, and a replayable bundle is
+commit, naming the event that caused it, and a violation bundle
+(:mod:`repro.obs.bundle`, the same format a nemesis run writes) is
 written so the verdict can be re-derived offline.
 
 Ordering: the monitor never compares ``t_ms`` across nodes (each is a
@@ -21,23 +22,11 @@ logs, so any interleaving of per-node-ordered streams reaches the same
 verdict.
 """
 
-from .bundle import (
-    MONITOR_BUNDLE_KIND,
-    load_monitor_bundle,
-    replay_bundle,
-    verdict_matches,
-    write_monitor_bundle,
-)
 from .service import Monitor, MonitorConfig, monitor_status, run_monitor
 
 __all__ = [
-    "MONITOR_BUNDLE_KIND",
     "Monitor",
     "MonitorConfig",
-    "load_monitor_bundle",
     "monitor_status",
-    "replay_bundle",
     "run_monitor",
-    "verdict_matches",
-    "write_monitor_bundle",
 ]

@@ -6,19 +6,22 @@ Subcommands:
   :class:`repro.net.procs.LocalCluster` spawns with ``monitor=True``).
   Exits 1 if a violation was detected by shutdown time, so a wrapper
   script can gate on the verdict.
-* ``check`` -- replay a written bundle offline and verify the recorded
-  verdict reproduces (:func:`verdict_matches`).  Exit 0 means the
-  bundle's violation is real and replayable.
+* ``check`` -- replay a written violation bundle offline, of either
+  kind (:func:`repro.obs.bundle.verdict_matches`).  Exit 0 means the
+  bundle's violation is real and replayable; exit 1 means the replay
+  reached another verdict or none, or the bundle cannot be replayed
+  (another version, or a monitor journal that hit its cap).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List
 
 from ..net.procs import add_config_flags, config_from, log_to_stdout
-from .bundle import replay_bundle, verdict_matches
+from ..obs.bundle import load_bundle, verdict_matches
 from .service import MonitorConfig, run_monitor
 
 
@@ -37,21 +40,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    engine, verdict = replay_bundle(args.bundle)
-    if verdict is None:
-        print("check: replay found no violation", file=sys.stderr)
+    try:
+        bundle = load_bundle(args.bundle)
+        matches = verdict_matches(bundle)
+    except ValueError as error:  # another version, or a truncated journal
+        print(f"check: {error}", file=sys.stderr)
         return 1
-    print(
-        f"check: replay reproduces a violation at event "
-        f"#{verdict['event_index']}"
-    )
-    for line in verdict["violations"]:
-        print(f"  {line}")
-    if not verdict_matches(args.bundle):
-        print("check: replayed verdict DIFFERS from the recorded one",
+    if not matches:
+        print("check: the replay does NOT reach the recorded verdict",
               file=sys.stderr)
         return 1
-    print("check: verdict matches the bundle manifest")
+    print(f"check: the replay reaches the {bundle.kind} bundle's "
+          f"recorded verdict")
+    print(json.dumps(bundle.verdict, indent=2, sort_keys=True))
     return 0
 
 
@@ -65,7 +66,7 @@ def main(argv: List[str] = None) -> int:
     serve.set_defaults(func=_cmd_serve)
 
     check = sub.add_parser("check", help="replay and audit a bundle")
-    check.add_argument("bundle", help="path to a monitor bundle directory")
+    check.add_argument("bundle", help="path to a bundle directory")
     check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)

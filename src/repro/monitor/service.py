@@ -14,11 +14,14 @@ frame:
   counters and any violation.
 
 Every received event is appended to an in-memory journal (the future
-bundle's trace); ``log_advance`` events additionally feed
-:meth:`IncrementalTreeChecker.observe`.  On the first violation the
-monitor writes a replayable bundle naming the offending event and
-keeps serving status (checking stops, journaling continues), so a CI
-job can poll, assert, and collect the artifact.
+bundle's trace, capped at :data:`MAX_JOURNAL_EVENTS`); ``log_advance``
+events additionally feed :meth:`IncrementalTreeChecker.observe`.  On
+the first violation the monitor writes a ``"monitor"`` violation
+bundle (:func:`repro.obs.bundle.write_monitor_bundle`) naming the
+offending event by its index among every event received, and keeps
+serving status (checking stops, journaling continues), so a CI job can
+poll, assert, and collect the artifact; ``python -m repro.monitor
+check`` replays it offline.
 """
 
 from __future__ import annotations
@@ -42,13 +45,16 @@ from ..net.wire import (
     recv_frame,
     unpack_entry,
 )
-from .bundle import write_monitor_bundle
+from ..obs.bundle import write_monitor_bundle
 
 log = logging.getLogger("repro.monitor")
 
-#: Journal cap: a soak's detail events beyond this are dropped oldest-
-#: first (counted), but the engine's verdict is unaffected -- it folds
-#: events as they arrive, not from the journal.
+#: Journal cap: once this many events are journaled, later ones are not
+#: (``journal_dropped`` counts them).  The engine's verdict is
+#: unaffected -- it folds events as they arrive, not from the journal --
+#: and a verdict reached before the cap has its whole prefix journaled.
+#: One reached after it is written with ``journal_dropped`` in its
+#: manifest, and replaying it reports the truncation.
 MAX_JOURNAL_EVENTS = 500_000
 
 
@@ -75,8 +81,8 @@ class MonitorConfig:
 class _Verdict:
     """The first violation, frozen at detection time."""
 
+    #: Counts every event received, journaled or not.
     event_index: int
-    event: Dict
     described: str
     violations: List[str]
     bundle: Optional[str] = None
@@ -108,23 +114,23 @@ class Monitor:
 
     def on_event(self, nid: int, event: Dict) -> None:
         """Fold one arrived trace event (already a plain JSON dict)."""
-        if len(self.journal) >= MAX_JOURNAL_EVENTS:
-            self.journal_dropped += 1
-        else:
+        index = len(self.journal) + self.journal_dropped  # every event counts
+        if len(self.journal) < MAX_JOURNAL_EVENTS:
             self.journal.append(event)
-        index = len(self.journal) - 1
+        else:
+            self.journal_dropped += 1
         if event.get("kind") != "log_advance":
             return
         # The event's own "node" stamp is authoritative (and what
         # replay uses); the batch nid is only a fallback.
         report = _observe(self.engine, event.get("node", nid), event)
         if report is not None and self.verdict is None:
-            self.verdict = _Verdict(
-                event_index=index,
-                event=event,
-                described=self.engine.violation_event or "",
-                violations=report.all_violations(),
-            )
+            verdict = {
+                "event_index": index,
+                "described": self.engine.violation_event,
+                "violations": report.all_violations(),
+            }
+            self.verdict = _Verdict(**verdict)
             for line in self.verdict.violations:
                 log.error("VIOLATION %s", line)
             log.error(
@@ -133,13 +139,8 @@ class Monitor:
             )
             if self.config.bundle_dir:
                 self.verdict.bundle = write_monitor_bundle(
-                    self.config.bundle_dir,
-                    conf0=self.config.conf0,
-                    nodes=sorted(self.nodes),
-                    journal=self.journal,
-                    event_index=index,
-                    described=self.verdict.described,
-                    violations=self.verdict.violations,
+                    self.config.bundle_dir, self.config.conf0, self.nodes,
+                    self.journal, verdict, self.journal_dropped,
                 )
                 log.error("bundle written to %s", self.verdict.bundle)
 

@@ -175,10 +175,9 @@ def _run_fig4(cluster: LocalCluster, args: argparse.Namespace,
                 "the monitor missed the seeded fig4 violation"
             )
         elif result.bundle:
-            from ..monitor.bundle import replay_bundle, verdict_matches
+            from ..obs.bundle import load_bundle, verdict_matches
 
-            _, verdict = replay_bundle(result.bundle)
-            if verdict is None or not verdict_matches(result.bundle):
+            if not verdict_matches(load_bundle(result.bundle)):
                 failures.append(
                     f"bundle {result.bundle} does not replay to the "
                     f"recorded verdict"

@@ -1,27 +1,35 @@
-"""Replayable violation bundles.
+"""Replayable violation bundles: one format, one loader, one replay.
 
-When a nemesis run fails a check -- committed prefixes disagree, the
-at-most-once audit flags a double commit, or the recorded client
-history is not linearizable -- the seed and an assertion message are
-not enough to *explain* the failure.  A violation bundle is the
-self-contained artifact that is: a directory holding
+The runtime checkers stand in for a proof where no proof runs: a
+nemesis run's safety and linearizability checks
+(:mod:`repro.runtime.nemesis`) and the live monitor's Appendix-B engine
+(:mod:`repro.monitor`).  When either finds a violation it writes a
+*bundle*, the artifact that makes the failure auditable offline -- a
+directory holding
 
-* ``manifest.json`` -- bundle version, the full serialized
-  :class:`~repro.runtime.nemesis.NemesisConfig` (seed, fault schedule,
-  workload mix, client discipline), both checkers' verdicts, the run
-  stats, and the metrics snapshot;
-* ``trace.jsonl`` -- the full event trace (one JSON object per event);
-* ``history.jsonl`` -- the client history the linearizability checker
-  consumed.
+* ``manifest.json`` -- ``version``, ``kind`` (``"nemesis"`` or
+  ``"monitor"``), the ``verdict``, and what that kind needs to
+  re-derive it: a nemesis run's full serialized
+  :class:`~repro.runtime.nemesis.NemesisConfig` (with its stats,
+  metrics snapshot and trace counters), or a monitor's initial
+  configuration, node set and ``journal_dropped``;
+* ``trace.jsonl`` -- one :meth:`TraceEvent.to_dict` row per event: the
+  nemesis run's trace ring, or every event the monitor journaled;
+* ``history.jsonl`` -- a nemesis run's client history, the input of its
+  linearizability check.
 
-Everything the run did is derived deterministically from the config,
-so :func:`replay_bundle` reproduces the identical run -- same seed ⇒
-same violation -- and :func:`verdict_matches` checks that it did.
-``examples/trace_view.py`` renders a bundle as a timeline and per-link
-message-flow summary.
+:func:`load_bundle` reads either kind and :func:`replay` re-derives the
+verdict in the exact JSON form the manifest stores.  A nemesis bundle
+re-runs its config: every stochastic input is part of it, so same seed
+⇒ same violation.  A monitor bundle re-folds its ``log_advance`` events
+through a fresh :class:`~repro.core.safety.IncrementalTreeChecker`, so
+the bundle alone decides whether the monitor cried wolf.
+:func:`verdict_matches` is then one comparison for both kinds.
+``examples/trace_view.py`` renders a bundle; ``python -m repro.monitor
+check`` audits one.
 
-This module never imports the runtime at module level (the runtime
-imports :mod:`repro.obs`); replay imports it lazily.
+This module never imports the runtime or the monitor at module level
+(both import :mod:`repro.obs`); replay imports them lazily.
 """
 
 from __future__ import annotations
@@ -29,145 +37,89 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import typing
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List, Optional
 
-from .trace import TraceEvent, load_jsonl
+from .trace import TraceEvent
 
-#: Bumped when the on-disk layout changes; loaders reject other versions.
-BUNDLE_VERSION = 1
+#: Bumped when the on-disk layout changes; the loader rejects other versions.
+BUNDLE_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 TRACE_FILE = "trace.jsonl"
 HISTORY_FILE = "history.jsonl"
 
-#: The manifest ``kind`` of the bundles this module writes; a monitor
-#: bundle (:mod:`repro.monitor.bundle`) shares the layout but not the kind.
-NEMESIS_BUNDLE_KIND = "nemesis-violation"
+
+def _json_form(value):
+    """``value`` exactly as a JSON round trip returns it."""
+    return json.loads(json.dumps(value, sort_keys=True, default=repr))
+
+
+def _write_jsonl(path: str, rows: Iterable[Dict]) -> None:
+    with open(path, "w") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True, default=repr) + "\n")
+
+
+def _read_jsonl(path: str) -> List[Dict]:
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 # ----------------------------------------------------------------------
-# NemesisConfig <-> JSON
+# NemesisConfig <-> JSON, derived from the dataclass fields
 # ----------------------------------------------------------------------
+
+
+def _to_json(value):
+    """A config value as JSON: dataclasses field by field, sets sorted,
+    mappings as ``[key, value]`` pairs (their keys may be tuples)."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return [[_to_json(k), _to_json(v)] for k, v in sorted(value.items())]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
+
+
+def _from_json(hint, raw):
+    """The inverse of :func:`_to_json`, read off the annotation ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if raw is None:
+        return None
+    if origin is typing.Union:  # Optional[X]
+        return _from_json(args[0], raw)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        return hint(**{name: _from_json(hints[name], value)
+                       for name, value in raw.items()})
+    if hint is frozenset:
+        return frozenset(raw)
+    if origin is tuple:
+        items = (args[0],) * len(raw) if args[-1] is Ellipsis else args
+        return tuple(_from_json(item, value) for item, value in zip(items, raw))
+    if origin is dict:
+        return {_from_json(args[0], k): _from_json(args[1], v) for k, v in raw}
+    return raw
 
 
 def nemesis_config_to_dict(config) -> Dict:
-    """Serialize a :class:`~repro.runtime.nemesis.NemesisConfig` to a
-    JSON-safe dict (``bundle_dir`` is deliberately dropped: a replay
-    must not recursively write bundles)."""
-    conditions = config.conditions
-    latency = config.latency
-    return {
-        "seed": config.seed,
-        "ops": config.ops,
-        "keys": config.keys,
-        "initial_members": sorted(config.initial_members),
-        "extra_nodes": sorted(config.extra_nodes),
-        "read_fraction": config.read_fraction,
-        "add_fraction": config.add_fraction,
-        "delete_fraction": config.delete_fraction,
-        "conditions": {
-            "drop_prob": conditions.drop_prob,
-            "duplicate_prob": conditions.duplicate_prob,
-            "reorder_prob": conditions.reorder_prob,
-            "reorder_window_ms": conditions.reorder_window_ms,
-            "link_drop_prob": [
-                [frm, to, prob]
-                for (frm, to), prob in sorted(conditions.link_drop_prob.items())
-            ],
-        },
-        "latency": None if latency is None else {
-            "base_ms": latency.base_ms,
-            "jitter": latency.jitter,
-            "spike_prob": latency.spike_prob,
-            "spike_scale": latency.spike_scale,
-            "per_entry_ms": latency.per_entry_ms,
-            "tx_per_entry_ms": latency.tx_per_entry_ms,
-        },
-        "crash_leader_at": list(config.crash_leader_at),
-        "restart_after_ops": config.restart_after_ops,
-        "partition_at": config.partition_at,
-        "partition_ms": config.partition_ms,
-        "partition_symmetric": config.partition_symmetric,
-        "reconfig_trajectory": [
-            sorted(members) for members in config.reconfig_trajectory
-        ],
-        "request_timeout_ms": config.request_timeout_ms,
-        "election_timeout_ms": config.election_timeout_ms,
-        "client_request_ids": config.client_request_ids,
-        "trace_capacity": config.trace_capacity,
-    }
+    """A :class:`~repro.runtime.nemesis.NemesisConfig` as JSON, every
+    field included; ``bundle_dir`` is written as ``None`` so a replay
+    never writes nested bundles."""
+    return _to_json(dataclasses.replace(config, bundle_dir=None))
 
 
 def nemesis_config_from_dict(raw: Dict):
     """The inverse of :func:`nemesis_config_to_dict`."""
     from ..runtime.nemesis import NemesisConfig
-    from ..runtime.simnet import LatencyModel, NetworkConditions
 
-    conditions_raw = raw["conditions"]
-    conditions = NetworkConditions(
-        drop_prob=conditions_raw["drop_prob"],
-        duplicate_prob=conditions_raw["duplicate_prob"],
-        reorder_prob=conditions_raw["reorder_prob"],
-        reorder_window_ms=conditions_raw["reorder_window_ms"],
-        link_drop_prob={
-            (frm, to): prob
-            for frm, to, prob in conditions_raw["link_drop_prob"]
-        },
-    )
-    latency_raw = raw["latency"]
-    latency = None if latency_raw is None else LatencyModel(**latency_raw)
-    return NemesisConfig(
-        seed=raw["seed"],
-        ops=raw["ops"],
-        keys=raw["keys"],
-        initial_members=frozenset(raw["initial_members"]),
-        extra_nodes=frozenset(raw["extra_nodes"]),
-        read_fraction=raw["read_fraction"],
-        add_fraction=raw["add_fraction"],
-        delete_fraction=raw["delete_fraction"],
-        conditions=conditions,
-        latency=latency,
-        crash_leader_at=tuple(raw["crash_leader_at"]),
-        restart_after_ops=raw["restart_after_ops"],
-        partition_at=raw["partition_at"],
-        partition_ms=raw["partition_ms"],
-        partition_symmetric=raw["partition_symmetric"],
-        reconfig_trajectory=tuple(
-            frozenset(members) for members in raw["reconfig_trajectory"]
-        ),
-        request_timeout_ms=raw["request_timeout_ms"],
-        election_timeout_ms=raw["election_timeout_ms"],
-        client_request_ids=raw["client_request_ids"],
-        trace_capacity=raw["trace_capacity"],
-    )
-
-
-# ----------------------------------------------------------------------
-# History <-> JSONL
-# ----------------------------------------------------------------------
-
-
-def _operation_to_dict(op) -> Dict:
-    return {
-        "op_id": op.op_id,
-        "client": op.client,
-        "op": op.op,
-        "key": op.key,
-        "value": op.value,
-        "invoked_ms": op.invoked_ms,
-        "completed_ms": op.completed_ms,
-        "result": op.result,
-    }
-
-
-def _history_from_dicts(rows: List[Dict]):
-    from ..runtime.history import History, Operation
-
-    history = History()
-    for row in rows:
-        history.operations.append(Operation(**row))
-    return history
+    return _from_json(NemesisConfig, raw)
 
 
 # ----------------------------------------------------------------------
@@ -176,25 +128,45 @@ def _history_from_dicts(rows: List[Dict]):
 
 
 @dataclass
-class ViolationBundle:
-    """An on-disk bundle loaded back into memory."""
+class Bundle:
+    """A bundle directory of either kind, loaded back into memory."""
 
     path: str
     manifest: Dict
     events: List[TraceEvent]
-    history: object  # repro.runtime.history.History
+    #: The client history (a :class:`repro.runtime.history.History`) of
+    #: a nemesis bundle; ``None`` for a monitor bundle.
+    history: Optional[object]
 
     @property
-    def seed(self) -> int:
-        return self.manifest["seed"]
+    def kind(self) -> str:
+        return self.manifest["kind"]
 
     @property
     def verdict(self) -> Dict:
         return self.manifest["verdict"]
 
-    def config(self):
-        """The deserialized :class:`NemesisConfig` this bundle records."""
-        return nemesis_config_from_dict(self.manifest["config"])
+
+def _write(path: str, manifest: Dict, events: Iterable[Dict],
+           history: Optional[Iterable[Dict]] = None) -> str:
+    os.makedirs(path, exist_ok=True)
+    with open(os.path.join(path, MANIFEST_FILE), "w") as handle:
+        json.dump({"version": BUNDLE_VERSION, **manifest}, handle,
+                  indent=2, sort_keys=True, default=repr)
+    _write_jsonl(os.path.join(path, TRACE_FILE), events)
+    if history is not None:
+        _write_jsonl(os.path.join(path, HISTORY_FILE), history)
+    return path
+
+
+def _nemesis_verdict(result) -> Dict:
+    return {
+        "ok": result.ok,
+        "safety_violations": list(result.safety_violations),
+        "linearizability_ok": result.linearizability.ok,
+        "linearizability": result.linearizability.describe(),
+        "linearizability_failures": dict(result.linearizability.failures),
+    }
 
 
 def write_bundle(directory: str, result) -> str:
@@ -206,42 +178,45 @@ def write_bundle(directory: str, result) -> str:
     failing seed overwrites its bundle instead of accumulating copies.
     """
     tracer = result.tracer
-    path = os.path.join(directory, f"nemesis-seed{result.config.seed}")
-    os.makedirs(path, exist_ok=True)
-    manifest = {
-        "version": BUNDLE_VERSION,
-        "kind": NEMESIS_BUNDLE_KIND,
-        "seed": result.config.seed,
-        "config": nemesis_config_to_dict(result.config),
-        "verdict": {
-            "ok": result.ok,
-            "safety_violations": list(result.safety_violations),
-            "linearizability_ok": result.linearizability.ok,
-            "linearizability": result.linearizability.describe(),
-            "linearizability_failures": dict(result.linearizability.failures),
+    return _write(
+        os.path.join(directory, f"nemesis-seed{result.config.seed}"),
+        {
+            "kind": "nemesis",
+            "config": nemesis_config_to_dict(result.config),
+            "verdict": _nemesis_verdict(result),
+            "stats": dataclasses.asdict(result.stats),
+            "metrics": result.metrics or {},
+            "trace_recorded": 0 if tracer is None else tracer.recorded,
+            "trace_dropped": 0 if tracer is None else tracer.dropped,
         },
-        "stats": dataclasses.asdict(result.stats),
-        "metrics": result.metrics or {},
-        "trace_recorded": 0 if tracer is None else tracer.recorded,
-        "trace_buffered": 0 if tracer is None else len(tracer.events),
-    }
-    with open(os.path.join(path, MANIFEST_FILE), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True, default=repr)
-    if tracer is not None:
-        tracer.dump_jsonl(os.path.join(path, TRACE_FILE))
-    else:
-        open(os.path.join(path, TRACE_FILE), "w").close()
-    with open(os.path.join(path, HISTORY_FILE), "w") as handle:
-        for op in result.history.operations:
-            handle.write(json.dumps(_operation_to_dict(op), default=repr))
-            handle.write("\n")
-    return path
+        [] if tracer is None else (event.to_dict() for event in tracer.events),
+        (vars(op) for op in result.history.operations),
+    )
 
 
-def load_bundle(path: str) -> ViolationBundle:
-    """Load a bundle directory written by :func:`write_bundle`."""
-    manifest_path = os.path.join(path, MANIFEST_FILE)
-    with open(manifest_path) as handle:
+def write_monitor_bundle(directory: str, conf0, nodes, journal: List[Dict],
+                         verdict: Dict, journal_dropped: int) -> str:
+    """Persist a monitor's journal (event dicts in arrival order) and
+    its first verdict (``event_index``, ``described``, ``violations``)
+    under ``directory``; returns the bundle path (one per monitor run).
+    ``journal_dropped`` > 0 marks a journal that hit its cap, which
+    :func:`replay` refuses rather than misreport."""
+    return _write(
+        os.path.join(directory, "monitor-violation"),
+        {
+            "kind": "monitor",
+            "conf0": sorted(conf0),
+            "nodes": sorted(nodes),
+            "verdict": verdict,
+            "journal_dropped": journal_dropped,
+        },
+        journal,
+    )
+
+
+def load_bundle(path: str) -> Bundle:
+    """Load a bundle directory of either kind."""
+    with open(os.path.join(path, MANIFEST_FILE)) as handle:
         manifest = json.load(handle)
     version = manifest.get("version")
     if version != BUNDLE_VERSION:
@@ -249,61 +224,60 @@ def load_bundle(path: str) -> ViolationBundle:
             f"bundle {path!r} has version {version!r}, "
             f"expected {BUNDLE_VERSION}"
         )
-    kind = manifest.get("kind")
-    if kind != NEMESIS_BUNDLE_KIND:
-        raise ValueError(
-            f"bundle {path!r} is a {kind!r} bundle, not a nemesis run's; "
-            "audit a monitor bundle with `python -m repro.monitor check`"
+    events = [TraceEvent.from_dict(row)
+              for row in _read_jsonl(os.path.join(path, TRACE_FILE))]
+    history = None
+    if manifest["kind"] == "nemesis":
+        from ..runtime.history import History, Operation
+
+        history = History()
+        history.operations.extend(
+            Operation(**row)
+            for row in _read_jsonl(os.path.join(path, HISTORY_FILE))
         )
-    events = load_jsonl(os.path.join(path, TRACE_FILE))
-    rows: List[Dict] = []
-    with open(os.path.join(path, HISTORY_FILE)) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    history = _history_from_dicts(rows)
-    return ViolationBundle(
-        path=path, manifest=manifest, events=events, history=history
+    return Bundle(path, manifest, events, history)
+
+
+def _refold(bundle: Bundle) -> Optional[Dict]:
+    """A monitor bundle's verdict, re-derived by a fresh engine."""
+    from ..core.safety import IncrementalTreeChecker
+    from ..monitor.service import _observe  # the live path's event fold
+
+    dropped = bundle.manifest["journal_dropped"]
+    if dropped:
+        raise ValueError(
+            f"bundle {bundle.path!r} is truncated: the monitor's journal "
+            f"dropped {dropped} events, so its verdict cannot be replayed"
+        )
+    engine = IncrementalTreeChecker(
+        frozenset(bundle.manifest["conf0"]),
+        nodes=frozenset(bundle.manifest["nodes"]),
     )
+    for index, event in enumerate(bundle.events):
+        if event.kind != "log_advance":
+            continue
+        report = _observe(engine, event.node, event.data)
+        if report is not None:
+            return {
+                "event_index": index,
+                "described": engine.violation_event,
+                "violations": report.all_violations(),
+            }
+    return None
 
 
-def replay_bundle(bundle: "ViolationBundle | str"):
-    """Re-run the exact configuration a bundle records.
-
-    Every stochastic input is part of the config (simulator seed, fault
-    seed, workload seed, client discipline), so the replay is the same
-    run: same stats, same verdicts, same violation.  Returns the fresh
-    :class:`~repro.runtime.nemesis.NemesisResult`.
-    """
+def replay(bundle: Bundle) -> Optional[Dict]:
+    """Re-derive a bundle's verdict in the JSON form its manifest stores;
+    ``None`` when the replay finds no violation.  Raises ``ValueError``
+    for a monitor bundle whose journal was truncated."""
+    if bundle.kind != "nemesis":
+        return _json_form(_refold(bundle))
     from ..runtime.nemesis import run_nemesis
 
-    if isinstance(bundle, str):
-        bundle = load_bundle(bundle)
-    config = bundle.config()
-    config.bundle_dir = None  # a replay must not write nested bundles
-    return run_nemesis(config)
+    result = run_nemesis(nemesis_config_from_dict(bundle.manifest["config"]))
+    return None if result.ok else _json_form(_nemesis_verdict(result))
 
 
-def verdict_matches(bundle: ViolationBundle, result) -> bool:
-    """Did a (re-)run reach exactly the verdict the bundle recorded?"""
-    recorded = bundle.verdict
-    return (
-        recorded["ok"] == result.ok
-        and recorded["safety_violations"] == list(result.safety_violations)
-        and recorded["linearizability_ok"] == result.linearizability.ok
-        and recorded["linearizability_failures"]
-        == dict(result.linearizability.failures)
-    )
-
-
-def find_bundles(directory: str) -> List[str]:
-    """Bundle paths under ``directory`` (things with a manifest.json)."""
-    if not os.path.isdir(directory):
-        return []
-    found: List[str] = []
-    for name in sorted(os.listdir(directory)):
-        candidate = os.path.join(directory, name)
-        if os.path.isfile(os.path.join(candidate, MANIFEST_FILE)):
-            found.append(candidate)
-    return found
+def verdict_matches(bundle: Bundle) -> bool:
+    """Does replaying the bundle reach exactly the verdict it records?"""
+    return replay(bundle) == bundle.verdict

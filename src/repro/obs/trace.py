@@ -34,7 +34,6 @@ simulator events, so enabling it cannot perturb a seeded run.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping
@@ -62,12 +61,6 @@ EVENT_KINDS = frozenset({
     # (the freeze/grant/publish pushes of a shard migration).
     "shard_ownership",
 })
-
-#: First line of every JSONL export: lets a consumer distinguish "the
-#: buffer was empty" from "the buffer evicted events" -- fatal ambiguity
-#: for an online monitor reading someone else's dump.
-TRACE_HEADER_KEY = "__trace_header"
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -121,8 +114,8 @@ class Tracer:
     """A bounded recorder of typed cluster events.
 
     ``capacity`` bounds the ring buffer; when it overflows, the oldest
-    events are evicted.  Eviction is *counted* (``dropped``), reported
-    by every export as a leading header line, and mirrored into
+    events are evicted.  Eviction is *counted* (``dropped``), recorded
+    in a violation bundle's manifest, and mirrored into
     ``metrics`` (counter ``trace.dropped``) when one is supplied --
     a silent ring buffer cannot back an online monitor.
 
@@ -196,70 +189,9 @@ class Tracer:
         ))
         return stamp
 
-    # -- export --------------------------------------------------------
-
     def snapshot(self) -> List[TraceEvent]:
         """The buffered events, oldest first."""
         return list(self.events)
-
-    def _header(self) -> Dict:
-        return {
-            TRACE_HEADER_KEY: 1,
-            "recorded": self.recorded,
-            "dropped": self.dropped,
-            "capacity": self.capacity,
-        }
-
-    def to_jsonl(self) -> str:
-        """Header line plus the buffered events, one JSON object per line."""
-        lines = [json.dumps(self._header(), sort_keys=True)]
-        lines.extend(
-            json.dumps(event.to_dict(), sort_keys=True)
-            for event in self.events
-        )
-        return "\n".join(lines)
-
-    def dump_jsonl(self, path: str) -> int:
-        """Write the header and buffer to ``path``; returns the event count."""
-        with open(path, "w") as handle:
-            handle.write(json.dumps(self._header(), sort_keys=True))
-            handle.write("\n")
-            for event in self.events:
-                handle.write(json.dumps(event.to_dict(), sort_keys=True))
-                handle.write("\n")
-        return len(self.events)
-
-
-def load_jsonl(path: str) -> List[TraceEvent]:
-    """Read a JSONL trace back into :class:`TraceEvent` values.
-
-    Tolerates (and skips) the ``__trace_header`` line that
-    :meth:`Tracer.dump_jsonl` now writes, as well as header-less dumps
-    from before it existed.
-    """
-    events: List[TraceEvent] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            if TRACE_HEADER_KEY in raw:
-                continue
-            events.append(TraceEvent.from_dict(raw))
-    return events
-
-
-def load_jsonl_header(path: str) -> Dict:
-    """The export's header counters (``recorded``/``dropped``/
-    ``capacity``); empty for a pre-header dump."""
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                raw = json.loads(line)
-                return raw if TRACE_HEADER_KEY in raw else {}
-    return {}
 
 
 def events_by_kind(

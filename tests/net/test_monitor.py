@@ -10,11 +10,9 @@ reconfiguration -- the pair is what makes the monitor a detector
 rather than an alarm that always rings.
 """
 
-import pytest
-
-from repro.monitor.bundle import load_monitor_bundle, replay_bundle, verdict_matches
 from repro.net.fig4 import run_fig4_live
 from repro.net.procs import LocalCluster, poll
+from repro.obs import load_bundle, verdict_matches
 
 
 def _drive_load(cluster, ops=10, client_id="load"):
@@ -46,13 +44,11 @@ def test_monitor_flags_live_fig4_violation_and_bundle_replays(tmp_path):
         # The bundle names the offending event and replays to the
         # recorded verdict with a fresh engine.
         assert result.bundle is not None
-        manifest, journal = load_monitor_bundle(result.bundle)
-        assert manifest["violation"]["event"]["kind"] == "log_advance"
-        assert journal, "bundle trace must not be empty"
-        engine, verdict = replay_bundle(result.bundle)
-        assert verdict is not None
-        assert not engine.ok
-        assert verdict_matches(result.bundle)
+        bundle = load_bundle(result.bundle)
+        assert bundle.kind == "monitor"
+        assert bundle.events[bundle.verdict["event_index"]].kind == "log_advance"
+        assert bundle.verdict["violations"] == list(result.violations)
+        assert verdict_matches(bundle)
         cluster.shutdown()
 
 

@@ -1,19 +1,17 @@
-"""The tracer: closed vocabulary, Lamport clocks, ring buffer, JSONL."""
+"""The tracer: closed vocabulary, Lamport clocks, ring buffer, event dicts.
 
-import json
+A trace's JSONL file is a bundle's ``trace.jsonl``; its round trip is
+tested with the bundle (``tests/obs/test_bundle.py``)."""
 
 import pytest
 
 from repro.obs import (
     EVENT_KINDS,
     NULL_TRACER,
-    TRACE_HEADER_KEY,
     NullTracer,
     TraceEvent,
     Tracer,
     events_by_kind,
-    load_jsonl,
-    load_jsonl_header,
 )
 from repro.obs.metrics import MetricsRegistry
 
@@ -94,42 +92,6 @@ class TestRingBuffer:
 
 
 class TestExport:
-    def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer()
-        tracer.send(1.0, 1, 2, "CommitReq")
-        tracer.record("leader_elected", 2.5, 2, term=3)
-        path = str(tmp_path / "trace.jsonl")
-        assert tracer.dump_jsonl(path) == 2
-        loaded = load_jsonl(path)
-        assert loaded == tracer.snapshot()
-        assert loaded[1].data == {"term": 3}
-
-    def test_export_header_reports_drops(self, tmp_path):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record("commit", float(i), 1)
-        path = str(tmp_path / "trace.jsonl")
-        tracer.dump_jsonl(path)
-        header = load_jsonl_header(path)
-        assert header["recorded"] == 5
-        assert header["dropped"] == 3
-        assert header["capacity"] == 2
-        # The header never leaks into the event stream.
-        events = load_jsonl(path)
-        assert len(events) == 2
-        assert all(TRACE_HEADER_KEY not in e.data for e in events)
-
-    def test_load_tolerates_headerless_dumps(self, tmp_path):
-        # Dumps from before the header existed must still load.
-        tracer = Tracer()
-        tracer.record("commit", 1.0, 1, index=0)
-        path = str(tmp_path / "old.jsonl")
-        with open(path, "w") as handle:
-            for event in tracer.snapshot():
-                handle.write(json.dumps(event.to_dict()) + "\n")
-        assert load_jsonl(path) == tracer.snapshot()
-        assert load_jsonl_header(path) == {}
-
     def test_event_dict_round_trip(self):
         event = TraceEvent("drop", 3.0, 1, 7, {"to": 2, "reason": "loss"})
         assert TraceEvent.from_dict(event.to_dict()) == event
