@@ -1,6 +1,6 @@
 """Differential-harness throughput: states/second per scheme (ISSUE 9).
 
-Runs the harness's intact cell for every registered scenario on one
+Runs the harness's intact cell for every scheme of the matrix on one
 identical budget (the smoke intact budget, exhaustive bfs so each
 scheme's state count is a schedule-class invariant rather than a
 search-order artifact) and records per-scheme states/second.
@@ -20,7 +20,7 @@ neighbour during a single run cannot swing the gate.
 
 import time
 
-from repro.mc.differential import SMOKE_BUDGETS, default_scenarios, explorer_for
+from repro.mc.differential import MATRIX, SMOKE_BUDGETS, explorer_for
 
 #: One identical budget for every scheme: the smoke intact budget.
 BUDGET = SMOKE_BUDGETS["intact"]
@@ -35,16 +35,16 @@ REPEATS = 2
 OVERHEAD_CEILING = 3.0
 
 
-def _measure(scenario):
+def _measure(scheme):
     explorer = explorer_for(
-        scenario, "intact", budget=BUDGET, max_states=MAX_STATES,
+        scheme, "intact", budget=BUDGET, max_states=MAX_STATES,
         strategy="bfs",
     )
     cpu_started = time.process_time()
     result = explorer.run()
     cpu = time.process_time() - cpu_started
-    assert result.safe, f"{scenario.name} violated intact on the smoke budget"
-    assert result.exhausted, f"{scenario.name} truncated at {MAX_STATES}"
+    assert result.safe, f"{scheme.name} violated intact on the smoke budget"
+    assert result.exhausted, f"{scheme.name} truncated at {MAX_STATES}"
     return {
         "states": result.states_visited,
         "cpu_seconds": cpu,
@@ -53,13 +53,12 @@ def _measure(scenario):
 
 
 def test_differential_throughput(report):
-    scenarios = default_scenarios()
-    _measure(scenarios[0])  # warm-up: intern tables, imports, caches
+    _measure(MATRIX[0])  # warm-up: intern tables, imports, caches
 
-    rounds = {scenario.name: [] for scenario in scenarios}
+    rounds = {scheme.name: [] for scheme in MATRIX}
     for _ in range(REPEATS):  # interleaved so load drift hits all schemes
-        for scenario in scenarios:
-            rounds[scenario.name].append(_measure(scenario))
+        for scheme in MATRIX:
+            rounds[scheme.name].append(_measure(scheme))
 
     per_scheme = {
         name: max(runs, key=lambda r: r["states_per_second"])

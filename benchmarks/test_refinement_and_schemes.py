@@ -25,15 +25,9 @@ from repro.refinement import (
     normalize,
 )
 from repro.schemes import (
-    DynamicQuorumScheme,
-    JointConsensusScheme,
-    PrimaryBackupScheme,
+    SCHEMES,
+    OverlapAblation,
     RaftSingleNodeScheme,
-    RotatingPrimaryScheme,
-    StaticScheme,
-    UnanimousScheme,
-    UnsafeMultiNodeScheme,
-    WeightedMajorityScheme,
     check_assumptions,
 )
 
@@ -45,21 +39,13 @@ SCHEME = RaftSingleNodeScheme()
 # E4: scheme instantiations
 # ----------------------------------------------------------------------
 
+#: Raft single-node with OVERLAP ablated: any one-step membership jump.
+UNSAFE = OverlapAblation(RaftSingleNodeScheme())
+
+
 def check_all():
-    schemes = [
-        RaftSingleNodeScheme(),
-        JointConsensusScheme(),
-        PrimaryBackupScheme(),
-        RotatingPrimaryScheme(),
-        DynamicQuorumScheme(),
-        UnanimousScheme(),
-        WeightedMajorityScheme(),
-        StaticScheme(),
-    ]
-    good = [(s, check_assumptions(s, [1, 2, 3])) for s in schemes]
-    bad = check_assumptions(
-        UnsafeMultiNodeScheme(), [1, 2, 3, 4], stop_at_first=True
-    )
+    good = [(s, check_assumptions(s, [1, 2, 3])) for s in SCHEMES.values()]
+    bad = check_assumptions(UNSAFE, [1, 2, 3, 4], stop_at_first=True)
     return good, bad
 
 
@@ -76,7 +62,7 @@ def test_scheme_instantiations(report):
         for scheme, rep in good
     ]
     rows.append((
-        "unsafe-multi-node (ablation)",
+        f"{UNSAFE.name} (ablation)",
         bad.configs_checked,
         bad.transition_pairs,
         bad.quorum_pairs_checked,

@@ -23,10 +23,11 @@ from typing import Optional, Sequence
 from repro.mc.differential import (
     ABLATIONS,
     DEFAULT_BUDGETS,
+    MATRIX,
     SMOKE_BUDGETS,
-    default_scenarios,
     run_differential,
 )
+from repro.schemes import SCHEMES
 
 
 def main(
@@ -39,13 +40,13 @@ def main(
 ) -> int:
     budgets = DEFAULT_BUDGETS if full else SMOKE_BUDGETS
     max_states = 250_000 if full else 50_000
-    scenarios = default_scenarios()
+    rows = MATRIX
     if schemes is not None:
-        scenarios = [s for s in scenarios if s.name in set(schemes)]
+        rows = [s for s in SCHEMES.values() if s.name in set(schemes)]
     mode = "full (Fig. 4-class budgets)" if full else "smoke budgets"
-    print(f"== Differential check, {len(scenarios)} schemes, {mode} ==\n")
+    print(f"== Differential check, {len(rows)} schemes, {mode} ==\n")
     report = run_differential(
-        scenarios=scenarios,
+        schemes=rows,
         budgets=budgets,
         ablations=tuple(ablations) if ablations else ABLATIONS,
         max_states=max_states,
@@ -61,7 +62,7 @@ def main(
         f"{len(report.records)} (scheme, ablation) cells."
     )
     separating = []
-    names = {scenario.name for scenario in scenarios}
+    names = {scheme.name for scheme in rows}
     if {"raft-single-node", "mongo-logless"} <= names:
         separating = report.separations("raft-single-node", "mongo-logless")
         if separating:

@@ -13,7 +13,8 @@ This script exercises each bundled scheme twice:
 
 The zoo includes scheme #7, MongoDB's logless dynamic reconfiguration
 (config state outside the oplog, ordered by ``(term, version)``).  It
-also checks the deliberately broken multi-node scheme and shows OVERLAP
+also checks Raft single-node with OVERLAP deliberately ablated
+(``OverlapAblation``: any one-step membership jump) and shows OVERLAP
 failing with a concrete witness: the R1⁺-related config pair and one
 disjoint quorum of each.
 
@@ -31,11 +32,12 @@ from repro.schemes import (
     LoglessReconfigScheme,
     PrimaryBackupConfig,
     PrimaryBackupScheme,
+    SCHEMES,
+    OverlapAblation,
     RaftSingleNodeScheme,
     RotatingPrimaryScheme,
     SizedConfig,
     UnanimousScheme,
-    UnsafeMultiNodeScheme,
     WeightedConfig,
     WeightedMajorityScheme,
     check_assumptions,
@@ -79,7 +81,7 @@ ZOO = [
 
 def print_witnesses(report) -> None:
     """Render an assumption report's concrete counterexamples."""
-    for witness in report.reflexive_witnesses[:3]:
+    for witness in (report.reflexive_witnesses + report.quorum_witnesses)[:3]:
         print(f"  witness: {witness.describe()}")
     for witness in report.overlap_witnesses[:3]:
         print(f"  witness: {witness.old_described} -> {witness.new_described}")
@@ -101,10 +103,10 @@ def main(differential: bool = False) -> None:
         print(report.render())
         return
 
-    print("== REFLEXIVE / OVERLAP assumption checks (3-node universe) ==\n")
+    print("== REFLEXIVE / QUORUM-EXISTS / OVERLAP checks (3-node universe) ==\n")
     rows = []
     reports = []
-    for scheme, _, _ in ZOO:
+    for scheme in SCHEMES.values():
         report = check_assumptions(scheme, [1, 2, 3])
         reports.append(report)
         rows.append((
@@ -146,7 +148,8 @@ def main(differential: bool = False) -> None:
 
     print("\n== The broken scheme: OVERLAP fails ==\n")
     broken = check_assumptions(
-        UnsafeMultiNodeScheme(), [1, 2, 3, 4], stop_at_first=True
+        OverlapAblation(RaftSingleNodeScheme()), [1, 2, 3, 4],
+        stop_at_first=True,
     )
     print(broken.summary())
     print_witnesses(broken)

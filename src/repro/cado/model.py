@@ -53,15 +53,12 @@ def cado_explorer(
 ) -> Explorer:
     """A model-checker over the CADO transition relation.
 
-    Reconfiguration moves are removed by giving the explorer an empty
-    candidate generator (the StaticScheme's R1⁺ would reject them
-    anyway; the empty generator also keeps them out of the transition
-    count).
+    :class:`StaticScheme` proposes no reconfiguration move (its R1⁺
+    would reject every one anyway), so none is ever generated.
     """
     return Explorer(
         StaticScheme(),
         conf0,
         budget=budget or OpBudget(pulls=2, invokes=2, reconfigs=0, pushes=2),
-        reconfig_candidates=lambda state, nid, conf: (),
         **explorer_kwargs,
     )

@@ -7,7 +7,7 @@ the results.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from .cache import Cache, Cid, Config, NodeId, cache_gt, is_ccache, is_committable, is_rcache
 from .config import ReconfigScheme
@@ -149,8 +149,3 @@ def can_reconf(
         and r2_holds(tree, cid)
         and r3_holds(tree, cid)
     )
-
-
-def supporters_of(cache: Cache) -> FrozenSet[NodeId]:
-    """The supporter set of a cache (voters, or the singleton caller)."""
-    return cache.supporters

@@ -50,16 +50,6 @@ def combine(*fps: int) -> int:
     return fp128(b"".join(fp.to_bytes(16, "little") for fp in fps))
 
 
-def ms_add(acc: int, term: int) -> int:
-    """Add one entry term to a multiset fingerprint."""
-    return (acc + term) & FP_MASK
-
-
-def ms_sub(acc: int, term: int) -> int:
-    """Remove one entry term from a multiset fingerprint."""
-    return (acc - term) & FP_MASK
-
-
 def canonical_encode(obj: Any) -> bytes:
     """A canonical, type-tagged byte serialization of ``obj``.
 

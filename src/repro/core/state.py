@@ -147,11 +147,6 @@ class TimeMap:
 _TIME_TERM_FPS: Dict[Tuple[NodeId, Time], int] = {}
 
 
-def state_fingerprint(state: AdoreState) -> int:
-    """Module-level alias for :meth:`AdoreState.fingerprint`."""
-    return state.fingerprint()
-
-
 def root_cache(conf0: Config, scheme: ReconfigScheme) -> CCache:
     """The root CCache at time 0 supported by every member of ``conf0``."""
     return CCache(caller=0, time=0, vrsn=0, conf=conf0, voters=scheme.members(conf0))

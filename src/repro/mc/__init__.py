@@ -34,11 +34,9 @@ from .differential import (
     ABLATIONS,
     DEFAULT_BUDGETS,
     SMOKE_BUDGETS,
+    MATRIX,
     DifferentialReport,
-    OverlapAblation,
     RunRecord,
-    SchemeScenario,
-    default_scenarios,
     explorer_for,
     run_differential,
 )
@@ -48,8 +46,6 @@ from .explorer import (
     Explorer,
     OpBudget,
     Violation,
-    jump_reconfig_candidates,
-    set_reconfig_candidates,
 )
 from .parallel import (
     EngineStats,
@@ -86,12 +82,11 @@ __all__ = [
     "Explorer",
     "FifoFrontier",
     "FingerprintSet",
+    "MATRIX",
     "OpBudget",
-    "OverlapAblation",
     "ParallelExplorer",
     "ProgressSnapshot",
     "RunRecord",
-    "SchemeScenario",
     "SymmetryReducer",
     "Violation",
     "ablate_insert_btw",
@@ -100,12 +95,10 @@ __all__ = [
     "ablate_r3",
     "apply_renaming",
     "canonical_key",
-    "default_scenarios",
     "explore",
     "explorer_for",
     "insert_btw_explorer",
     "iter_packed_records",
-    "jump_reconfig_candidates",
     "load_checkpoint",
     "merge_results",
     "overlap_explorer",
@@ -114,7 +107,6 @@ __all__ = [
     "r3_explorer",
     "run_differential",
     "save_checkpoint",
-    "set_reconfig_candidates",
     "symmetry_group",
     "verify_intact",
     "verify_intact_explorer",

@@ -26,13 +26,8 @@ from typing import Optional
 
 from ..core.cache import CCache
 from ..core.oracle import Fail
-from ..schemes.single_node import RaftSingleNodeScheme, UnsafeMultiNodeScheme
-from .explorer import (
-    ExplorationResult,
-    Explorer,
-    OpBudget,
-    jump_reconfig_candidates,
-)
+from ..schemes import OverlapAblation, RaftSingleNodeScheme
+from .explorer import ExplorationResult, Explorer, OpBudget
 from .parallel import explore
 
 #: The four-node universe the Fig. 4 counterexample needs.
@@ -128,23 +123,20 @@ def ablate_r3(
     )
 
 
-def _removals_only(state, nid, conf):
-    """Removal-only reconfiguration moves (the R2 counterexample
-    shrinks the configuration, so this halves the branching); also the
-    differential matrix's ``no-r2`` moves for plain-set configurations."""
-    conf_set = frozenset(conf)
-    if len(conf_set) > 1:
-        for node in sorted(conf_set):
-            yield conf_set - {node}
-
-
 def r2_explorer(max_states: int = 300_000, **overrides) -> Explorer:
-    """The R2-ablated hunt instance behind :func:`ablate_r2`."""
+    """The R2-ablated hunt instance behind :func:`ablate_r2`.
+
+    Its moves are removals only: the R2 counterexample shrinks the
+    configuration, so this halves the branching.
+    """
+    scheme = overrides.get("scheme", RaftSingleNodeScheme())
     params = dict(
         enforce_r2=False,
         max_states=max_states,
         budget=R2_BUDGET,
-        reconfig_candidates=_removals_only,
+        reconfig_candidates=lambda state, nid, conf: scheme.moves(
+            state, nid, conf, FIG4_NODES, removals_only=True
+        ),
     )
     params.update(overrides)
     return _hunt_explorer(**params)
@@ -177,8 +169,7 @@ def ablate_r2(
 def overlap_explorer(max_states: int = 300_000, **overrides) -> Explorer:
     """The OVERLAP-ablated hunt instance behind :func:`ablate_overlap`."""
     params = dict(
-        scheme=UnsafeMultiNodeScheme(),
-        reconfig_candidates=jump_reconfig_candidates(FIG4_NODES),
+        scheme=OverlapAblation(RaftSingleNodeScheme()),
         max_states=max_states,
         budget=OVERLAP_BUDGET,
     )
@@ -194,9 +185,9 @@ def ablate_overlap(
 ) -> ExplorationResult:
     """Break OVERLAP: R1⁺ permits multi-node configuration jumps.
 
-    With :class:`UnsafeMultiNodeScheme` a single legal reconfiguration
-    can move to a configuration with a disjoint majority, so even R2 and
-    R3 cannot save safety.
+    With :class:`~repro.schemes.OverlapAblation` over Raft single-node
+    a single legal reconfiguration can jump to any member set, hence to
+    one with a disjoint majority, so even R2 and R3 cannot save safety.
     """
     return explore(
         overlap_explorer(max_states), workers, checkpoint, **engine_options

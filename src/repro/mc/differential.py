@@ -15,7 +15,7 @@ The interesting separation is the logless scheme
 (:class:`~repro.schemes.logless.LoglessReconfigScheme`): because
 MongoDB's protocol carries its own analogues of R2/R3 as *enabling
 conditions* inside the reconfiguration step (the Q1 config quorum check
-and Q2 oplog commitment check, evaluated by its candidate generator),
+and Q2 oplog commitment check, evaluated by the scheme's own moves),
 ablating Adore's R2 or R3 leaves it SAFE while Raft single-node falls
 to the Fig. 4 counterexample.  Ablating OVERLAP kills both -- quorum
 intersection is the one assumption nobody can carry for themselves.
@@ -36,33 +36,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.cache import Config, NodeId
+from ..core.cache import NodeId
 from ..core.config import ReconfigScheme
-from ..core.state import AdoreState
-from ..schemes.dynamic_quorum import DynamicQuorumScheme, SizedConfig
-from ..schemes.joint import JointConfig, JointConsensusScheme
-from ..schemes.logless import (
-    LoglessConfig,
-    LoglessReconfigScheme,
-    logless_jump_candidates,
-    logless_reconfig_candidates,
-)
-from ..schemes.primary_backup import PrimaryBackupConfig, PrimaryBackupScheme
-from ..schemes.single_node import RaftSingleNodeScheme
-from ..schemes.unanimous import UnanimousScheme
-from ..schemes.weighted import WeightedConfig, WeightedMajorityScheme
+from ..schemes import SCHEMES, OverlapAblation
 from .ablations import (
     FIG4_BUDGET,
     FIG4_NODES,
@@ -70,15 +48,8 @@ from .ablations import (
     OVERLAP_BUDGET,
     R2_BUDGET,
     _leaf_push,
-    _removals_only,
 )
-from .explorer import (
-    ExplorationResult,
-    Explorer,
-    OpBudget,
-    jump_reconfig_candidates,
-    set_reconfig_candidates,
-)
+from .explorer import ExplorationResult, Explorer, OpBudget
 from .parallel import explore
 
 #: The ablation axis of the matrix, in rendering order.
@@ -117,300 +88,17 @@ SMOKE_BUDGETS: Dict[str, OpBudget] = {
 }
 
 
-ReconfigCandidates = Callable[[AdoreState, NodeId, Config], Iterable[Config]]
-
-
-@dataclass(frozen=True)
-class SchemeScenario:
-    """One scheme's entry in the differential matrix.
-
-    Besides the scheme and its initial configuration, a scenario
-    carries three reconfiguration-move generators: the scheme's normal
-    protocol moves (``candidates``), a removal-biased variant for the
-    ``no-r2`` hunt (``shrink_candidates`` -- the R2 counterexample
-    stacks configuration *shrinks*, and removal-only moves keep the
-    branching comparable across schemes), and arbitrary-jump moves for
-    the ``no-overlap`` hunt (``jump_candidates``, run under
-    :class:`OverlapAblation` so R1⁺ accepts them).
-    """
-
-    scheme: ReconfigScheme
-    conf0: Config
-    candidates: ReconfigCandidates
-    shrink_candidates: ReconfigCandidates
-    jump_candidates: ReconfigCandidates
-
-    @property
-    def name(self) -> str:
-        return self.scheme.name
-
-
-class OverlapAblation(ReconfigScheme):
-    """A scheme with OVERLAP ablated: R1⁺ accepts *any* valid config.
-
-    Wraps a base scheme, delegating membership and quorums, but lets a
-    single reconfiguration jump to an arbitrary valid configuration --
-    the generalization of the existing ``UnsafeMultiNodeScheme`` to
-    every config representation.  REFLEXIVE still holds; OVERLAP is the
-    assumption under test.
-    """
-
-    def __init__(self, base: ReconfigScheme) -> None:
-        self.base = base
-        self.name = f"{base.name}+no-overlap"
-
-    def members(self, conf: Config) -> FrozenSet[NodeId]:
-        return self.base.members(conf)
-
-    def is_quorum(self, group: Iterable[NodeId], conf: Config) -> bool:
-        return self.base.is_quorum(group, conf)
-
-    def r1_plus(self, old: Config, new: Config) -> bool:
-        return self.base.is_valid_config(new)
-
-    def is_valid_config(self, conf: Config) -> bool:
-        return self.base.is_valid_config(conf)
-
-    def describe_config(self, conf: Config) -> str:
-        return self.base.describe_config(conf)
-
-
-# ----------------------------------------------------------------------
-# Per-scheme reconfiguration move generators
-# ----------------------------------------------------------------------
-
-def _logless_shrinking(inner: ReconfigCandidates) -> ReconfigCandidates:
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        base = len(LoglessReconfigScheme().members(conf))
-        for cand in inner(state, nid, conf):
-            if len(cand.members) < base:
-                yield cand
-
-    return candidates
-
-
-def joint_reconfig_candidates(
-    universe: Iterable[NodeId], removals_only: bool = False
-) -> ReconfigCandidates:
-    """Joint-consensus moves: enter a joint config one member away, or
-    leave the current joint config by promoting its new half."""
-    universe_sorted = tuple(sorted(frozenset(universe)))
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = conf if isinstance(conf, JointConfig) else JointConfig.stable(conf)
-        if cf.is_joint:
-            yield JointConfig.stable(cf.new)
-            return
-        if len(cf.old) > 1:
-            for node in sorted(cf.old):
-                yield JointConfig.transition(cf.old, cf.old - {node})
-        if not removals_only:
-            for node in universe_sorted:
-                if node not in cf.old:
-                    yield JointConfig.transition(cf.old, cf.old | {node})
-
-    return candidates
-
-
-def joint_jump_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    """Direct stable-to-stable jumps (no joint phase) for the OVERLAP
-    ablation."""
-    jumps = jump_reconfig_candidates(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = conf if isinstance(conf, JointConfig) else JointConfig.stable(conf)
-        for members in jumps(state, nid, cf.old):
-            yield JointConfig.stable(members)
-
-    return candidates
-
-
-def pb_reconfig_candidates(
-    universe: Iterable[NodeId], removals_only: bool = False
-) -> ReconfigCandidates:
-    """Primary-backup moves: same primary, backups change by one."""
-    universe_set = frozenset(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        pb = (
-            conf
-            if isinstance(conf, PrimaryBackupConfig)
-            else PrimaryBackupConfig.of(*conf)
-        )
-        if not removals_only:
-            for node in sorted(universe_set - pb.all_members()):
-                yield PrimaryBackupConfig.of(pb.primary, pb.backups | {node})
-        for node in sorted(pb.backups):
-            yield PrimaryBackupConfig.of(pb.primary, pb.backups - {node})
-
-    return candidates
-
-
-def pb_jump_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    """Primary *changes* -- the jump that breaks primary-backup's
-    trivial quorum overlap."""
-    universe_sorted = tuple(sorted(frozenset(universe)))
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        pb = (
-            conf
-            if isinstance(conf, PrimaryBackupConfig)
-            else PrimaryBackupConfig.of(*conf)
-        )
-        for primary in universe_sorted:
-            rest = frozenset(universe_sorted) - {primary}
-            for backups in (frozenset(), rest):
-                cand = PrimaryBackupConfig.of(primary, backups)
-                if cand != pb:
-                    yield cand
-
-    return candidates
-
-
-def sized_reconfig_candidates(
-    universe: Iterable[NodeId], removals_only: bool = False
-) -> ReconfigCandidates:
-    """Dynamic-quorum moves: one member in or out, majority-sized
-    quorums (every such move satisfies the ``|C| < q + q'`` side
-    condition)."""
-    universe_set = frozenset(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = conf if isinstance(conf, SizedConfig) else SizedConfig.of(*conf)
-        if not removals_only:
-            for node in sorted(universe_set - cf.members):
-                yield SizedConfig.majority(cf.members | {node})
-        if len(cf.members) > 1:
-            for node in sorted(cf.members):
-                yield SizedConfig.majority(cf.members - {node})
-
-    return candidates
-
-
-def sized_jump_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    jumps = jump_reconfig_candidates(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = conf if isinstance(conf, SizedConfig) else SizedConfig.of(*conf)
-        for members in jumps(state, nid, cf.members):
-            yield SizedConfig.majority(members)
-
-    return candidates
-
-
-def weighted_reconfig_candidates(
-    universe: Iterable[NodeId], removals_only: bool = False
-) -> ReconfigCandidates:
-    """Uniform-weight moves: one member in or out (weights stay 1, so
-    the pigeonhole side condition of R1⁺ holds for every move)."""
-    universe_set = frozenset(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = (
-            conf
-            if isinstance(conf, WeightedConfig)
-            else WeightedConfig.uniform(conf)
-        )
-        members = cf.member_set()
-        if not removals_only:
-            for node in sorted(universe_set - members):
-                yield WeightedConfig.uniform(members | {node})
-        if len(members) > 1:
-            for node in sorted(members):
-                yield WeightedConfig.uniform(members - {node})
-
-    return candidates
-
-
-def weighted_jump_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    jumps = jump_reconfig_candidates(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        cf = (
-            conf
-            if isinstance(conf, WeightedConfig)
-            else WeightedConfig.uniform(conf)
-        )
-        for members in jumps(state, nid, cf.member_set()):
-            yield WeightedConfig.uniform(members)
-
-    return candidates
-
-
-def default_scenarios(
-    universe: FrozenSet[NodeId] = FIG4_NODES,
-) -> List[SchemeScenario]:
-    """The seven schemes over a shared node universe.
-
-    Every scenario starts from the full-universe configuration (for
-    primary-backup, node ``min(universe)`` is the primary) and moves
-    one membership step at a time, so the compared state spaces are the
-    same shape wherever the config representations allow it.
-    """
-    universe = frozenset(universe)
-    primary = min(universe)
-    backups = universe - {primary}
-    return [
-        SchemeScenario(
-            scheme=RaftSingleNodeScheme(),
-            conf0=universe,
-            candidates=set_reconfig_candidates(universe),
-            shrink_candidates=_removals_only,
-            jump_candidates=jump_reconfig_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=JointConsensusScheme(),
-            conf0=JointConfig.stable(universe),
-            candidates=joint_reconfig_candidates(universe),
-            shrink_candidates=joint_reconfig_candidates(
-                universe, removals_only=True
-            ),
-            jump_candidates=joint_jump_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=PrimaryBackupScheme(),
-            conf0=PrimaryBackupConfig.of(primary, backups),
-            candidates=pb_reconfig_candidates(universe),
-            shrink_candidates=pb_reconfig_candidates(
-                universe, removals_only=True
-            ),
-            jump_candidates=pb_jump_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=DynamicQuorumScheme(),
-            conf0=SizedConfig.majority(universe),
-            candidates=sized_reconfig_candidates(universe),
-            shrink_candidates=sized_reconfig_candidates(
-                universe, removals_only=True
-            ),
-            jump_candidates=sized_jump_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=UnanimousScheme(),
-            conf0=universe,
-            candidates=set_reconfig_candidates(universe),
-            shrink_candidates=_removals_only,
-            jump_candidates=jump_reconfig_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=WeightedMajorityScheme(),
-            conf0=WeightedConfig.uniform(universe),
-            candidates=weighted_reconfig_candidates(universe),
-            shrink_candidates=weighted_reconfig_candidates(
-                universe, removals_only=True
-            ),
-            jump_candidates=weighted_jump_candidates(universe),
-        ),
-        SchemeScenario(
-            scheme=LoglessReconfigScheme(),
-            conf0=LoglessConfig.initial(universe),
-            candidates=logless_reconfig_candidates(universe),
-            shrink_candidates=_logless_shrinking(
-                logless_reconfig_candidates(universe)
-            ),
-            jump_candidates=logless_jump_candidates(universe),
-        ),
-    ]
+#: The matrix's rows: every bundled scheme but rotating-primary
+#: (primary-backup's moves under a looser R1⁺) and static-majority
+#: (it has no reconfiguration to ablate).  Every row starts from its
+#: scheme's full-universe configuration over :data:`FIG4_NODES` and
+#: moves one membership step at a time, so the compared state spaces
+#: are the same shape wherever the config representations allow it.
+MATRIX: Tuple[ReconfigScheme, ...] = tuple(
+    scheme
+    for name, scheme in SCHEMES.items()
+    if name not in ("rotating-primary", "static-majority")
+)
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +106,7 @@ def default_scenarios(
 # ----------------------------------------------------------------------
 
 def explorer_for(
-    scenario: SchemeScenario,
+    scheme: ReconfigScheme,
     ablation: str,
     budget: Optional[OpBudget] = None,
     max_states: int = 200_000,
@@ -429,16 +117,20 @@ def explorer_for(
     All cells share the hunt configuration of
     :mod:`repro.mc.ablations` (callers {1, 2}, quorum pulls, minimal
     quorums, replicated-state safety -- plus well-formedness for the
-    ``leaf-commit`` cell, whose violation is structural).
+    ``leaf-commit`` cell, whose violation is structural).  The moves are
+    the scheme's own; ``no-r2`` keeps only the removals (the R2
+    counterexample stacks configuration *shrinks*, and removal-only
+    moves keep the branching comparable across schemes), and
+    ``no-overlap`` runs under :class:`OverlapAblation`, whose moves are
+    the scheme's jumps.
     """
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
     params = dict(
-        scheme=scenario.scheme,
-        conf0=scenario.conf0,
+        scheme=scheme,
+        conf0=scheme.initial(FIG4_NODES),
         callers=[1, 2],
         budget=budget or DEFAULT_BUDGETS[ablation],
-        reconfig_candidates=scenario.candidates,
         quorum_pulls_only=True,
         minimal_quorums_only=True,
         invariants=["safety"],
@@ -448,12 +140,13 @@ def explorer_for(
     )
     if ablation == "no-r2":
         params["enforce_r2"] = False
-        params["reconfig_candidates"] = scenario.shrink_candidates
+        params["reconfig_candidates"] = lambda state, nid, conf: scheme.moves(
+            state, nid, conf, FIG4_NODES, removals_only=True
+        )
     elif ablation == "no-r3":
         params["enforce_r3"] = False
     elif ablation == "no-overlap":
-        params["scheme"] = OverlapAblation(scenario.scheme)
-        params["reconfig_candidates"] = scenario.jump_candidates
+        params["scheme"] = OverlapAblation(scheme)
     elif ablation == "leaf-commit":
         params["push_step"] = _leaf_push
         params["invariants"] = ["safety", "well-formedness"]
@@ -505,7 +198,7 @@ class RunRecord:
 
 
 def _record(
-    scenario: SchemeScenario,
+    scheme: ReconfigScheme,
     ablation: str,
     result: ExplorationResult,
     max_states: int,
@@ -518,7 +211,7 @@ def _record(
                     violation.report.all_violations()})
         )
     return RunRecord(
-        scheme=scenario.name,
+        scheme=scheme.name,
         ablation=ablation,
         safe=result.safe,
         # A found violation is a definitive verdict; for safe runs,
@@ -701,7 +394,7 @@ class DifferentialReport:
 
 
 def run_differential(
-    scenarios: Optional[Sequence[SchemeScenario]] = None,
+    schemes: Sequence[ReconfigScheme] = MATRIX,
     budgets: Optional[Dict[str, OpBudget]] = None,
     ablations: Sequence[str] = ABLATIONS,
     max_states: int = 200_000,
@@ -720,28 +413,22 @@ def run_differential(
     :func:`repro.mc.parallel.explore`; ``checkpoint_dir`` stores one
     resumable checkpoint per cell.
     """
-    scenario_list = (
-        list(scenarios) if scenarios is not None else default_scenarios()
-    )
     budget_map = dict(DEFAULT_BUDGETS)
     if budgets:
         budget_map.update(budgets)
     unknown = [a for a in ablations if a not in ABLATIONS]
     if unknown:
         raise ValueError(f"unknown ablations {unknown}")
-    universe: FrozenSet[NodeId] = frozenset()
-    for scenario in scenario_list:
-        universe |= scenario.scheme.members(scenario.conf0)
     report = DifferentialReport(
-        universe=tuple(sorted(universe)),
+        universe=tuple(sorted(FIG4_NODES)),
         strategy=strategy,
         max_states=max_states,
         budgets={a: budget_map[a] for a in ablations},
     )
-    for scenario in scenario_list:
+    for scheme in schemes:
         for ablation in ablations:
             explorer = explorer_for(
-                scenario,
+                scheme,
                 ablation,
                 budget=budget_map[ablation],
                 max_states=max_states,
@@ -750,10 +437,10 @@ def run_differential(
             checkpoint = None
             if checkpoint_dir:
                 checkpoint = os.path.join(
-                    checkpoint_dir, f"{scenario.name}--{ablation}.ckpt"
+                    checkpoint_dir, f"{scheme.name}--{ablation}.ckpt"
                 )
             result = explore(explorer, workers=workers, checkpoint=checkpoint)
-            record = _record(scenario, ablation, result, max_states)
+            record = _record(scheme, ablation, result, max_states)
             report.records.append(record)
             if progress is not None:
                 progress(

@@ -220,43 +220,6 @@ class ExplorationResult:
         )
 
 
-def set_reconfig_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    """Single-node add/remove moves over a fixed node universe.
-
-    Suitable for set-based configurations (Raft single-node and the
-    unsafe multi-node ablation, which additionally needs
-    :func:`jump_reconfig_candidates`).
-    """
-    universe_set = frozenset(universe)
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        conf_set = frozenset(conf)
-        for node in sorted(universe_set - conf_set):
-            yield conf_set | {node}
-        if len(conf_set) > 1:
-            for node in sorted(conf_set):
-                yield conf_set - {node}
-
-    return candidates
-
-
-def jump_reconfig_candidates(universe: Iterable[NodeId]) -> ReconfigCandidates:
-    """Arbitrary non-empty subsets of the universe (for the OVERLAP
-    ablation, where R1⁺ permits multi-node jumps)."""
-    import itertools
-
-    universe_sorted = tuple(sorted(frozenset(universe)))
-
-    def candidates(state: AdoreState, nid: NodeId, conf: Config) -> Iterator[Config]:
-        for size in range(1, len(universe_sorted) + 1):
-            for combo in itertools.combinations(universe_sorted, size):
-                candidate = frozenset(combo)
-                if candidate != frozenset(conf):
-                    yield candidate
-
-    return candidates
-
-
 class Explorer:
     """Bounded exhaustive exploration of reachable Adore states."""
 
@@ -290,9 +253,15 @@ class Explorer:
             sorted(callers if callers is not None else scheme.members(conf0))
         )
         self.budget = budget or OpBudget()
-        self.reconfig_candidates = reconfig_candidates or set_reconfig_candidates(
-            scheme.members(conf0)
-        )
+        #: ``(state, nid, conf) -> configs`` a leader may propose; by
+        #: default the scheme's own moves over the members of ``conf0``.
+        if reconfig_candidates is None:
+            universe = scheme.members(conf0)
+
+            def reconfig_candidates(state, nid, conf):
+                return scheme.moves(state, nid, conf, universe)
+
+        self.reconfig_candidates = reconfig_candidates
         self.quorum_pulls_only = quorum_pulls_only
         self.quorum_pushes_only = quorum_pushes_only
         self.enforce_r2 = enforce_r2

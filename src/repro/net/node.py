@@ -427,9 +427,12 @@ class NetNode:
         #: Events of the batch last handed to the monitor socket while
         #: it pushed back: lost if that connection turns out dead.
         self._export_in_flight = 0
-        #: Absolute-indexed shadow of the entries already exported
-        #: (None marks positions elided before export could see them).
+        #: Shadow of the entries already exported: ``_shadow[i]`` is
+        #: the one at absolute position ``_shadow_off + i``.  Only
+        #: positions at or above the log's base are kept, so a
+        #: compaction frees the shadow's copy too.
         self._shadow: List[Any] = []
+        self._shadow_off = 0
         self._exported_commit = 0
         if tracer is None and self._export_enabled:
             tracer = Tracer(sink=self._export_sink, metrics=metrics)
@@ -947,45 +950,57 @@ class NetNode:
         picks up from there."""
         self._m_export_dropped.inc(lost)
         self._shadow = []
+        self._shadow_off = 0
         self._exported_commit = 0
 
     def _maybe_export_log(self) -> None:
         """Emit a ``log_advance`` trace event when the server's log or
         commit point moved past what was last exported.
 
-        The event carries the *delta* against an absolute-indexed shadow
-        of everything exported so far: ``base`` (the common-prefix
-        length), the packed entries from there, and the absolute commit
-        length.  Entries folded into a snapshot before this node ever
-        exported them (a follower catching up via InstallSnapshot) show
-        up as ``base`` jumping past the shadow; the event then carries
-        the snapshot's verbatim ``last_entry`` as ``anchor`` so the
-        monitor can re-anchor the suffix onto entries some other node
-        already streamed."""
+        The event carries the *delta* against the shadow of everything
+        exported so far: ``base`` (the common-prefix length), the packed
+        entries from there, and the absolute commit length.  Entries
+        folded into a snapshot before this node ever exported them (a
+        follower catching up via InstallSnapshot) show up as ``base``
+        jumping past the shadow; the event then carries the snapshot's
+        verbatim ``last_entry`` as ``anchor`` so the monitor can
+        re-anchor the suffix onto entries some other node already
+        streamed."""
         server = self.server
         log_ = server.log
         if isinstance(log_, CompactLog):
             base, tail = log_.snap.base_len, log_.tail
         else:
             base, tail = 0, log_
-        shadow = self._shadow
-        gap = base > len(shadow)
-        if gap:
+        shadow, off = self._shadow, self._shadow_off
+        end = off + len(shadow)
+        gap = base > end
+        if gap or base < off:
             j = base
         else:
-            hi = min(len(shadow), base + len(tail))
-            if hi > base and shadow[hi - 1] == tail[hi - 1 - base]:
+            hi = min(end, base + len(tail))
+            if hi > base and shadow[hi - 1 - off] == tail[hi - 1 - base]:
                 # Log matching: an identical entry at an identical
                 # position implies an identical prefix, so the
                 # append-only common case costs one comparison.
                 j = hi
             else:
                 j = base
-                while j < hi and shadow[j] == tail[j - base]:
+                while j < hi and shadow[j - off] == tail[j - base]:
                     j += 1
         entries = tail[j - base:]
+        # Keep the positions at or above the base only: what is below
+        # it is folded into the snapshot.  A base that moved back (a
+        # leader with a shorter snapshot) is re-sent from, not compared.
+        if base < off:
+            shadow.clear()
+        else:
+            del shadow[j - off:]
+            del shadow[:base - off]
+        shadow.extend(entries)
+        self._shadow_off = base
         commit_len = server.commit_len
-        if not entries and j == len(shadow) and commit_len == self._exported_commit:
+        if not entries and j == end and commit_len == self._exported_commit:
             return
         data = {
             "base": j,
@@ -996,10 +1011,6 @@ class NetNode:
         if gap:
             data["gap"] = True
             data["anchor"] = pack_entry(log_.snap.last_entry)
-        if j > len(shadow):
-            shadow.extend([None] * (j - len(shadow)))
-        del shadow[j:]
-        shadow.extend(entries)
         self._exported_commit = commit_len
         self.tracer.record("log_advance", now_ms(), self.config.nid, **data)
 

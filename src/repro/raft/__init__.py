@@ -20,7 +20,6 @@ from .messages import (
     LogEntry,
     Msg,
     log_order_key,
-    msg_time,
     msg_vrsn,
 )
 from .network import Network
@@ -62,7 +61,6 @@ __all__ = [
     "SRaftSystem",
     "config_of",
     "log_order_key",
-    "msg_time",
     "msg_vrsn",
     "run_buggy",
     "run_fig4_schedule",

@@ -101,11 +101,6 @@ class CommitAck:
 Msg = Union[ElectReq, ElectAck, CommitReq, CommitAck]
 
 
-def msg_time(msg: Msg) -> Time:
-    """The logical timestamp of any message."""
-    return msg.time
-
-
 def msg_vrsn(msg: Msg) -> int:
     """A secondary ordering component: the log length a request carries
     (0 for acks), used by the global-ordering lemma (Definition C.4)."""

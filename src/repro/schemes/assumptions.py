@@ -1,4 +1,4 @@
-"""Exhaustive checking of the REFLEXIVE and OVERLAP assumptions (Fig. 7).
+"""Exhaustive checking of the scheme assumptions of Fig. 7.
 
 The paper's safety proof is parameterized: it holds for *any* scheme
 whose ``R1⁺``/``isQuorum`` satisfy
@@ -9,26 +9,26 @@ whose ``R1⁺``/``isQuorum`` satisfy
 
 In Coq these are per-scheme side-condition proofs (~200 lines for six
 schemes).  Here :func:`check_assumptions` verifies them *exhaustively*
-over every configuration constructible from a bounded node universe and
-every pair of quorums, reporting the number of cases covered -- the
-small-scope analogue of the proof obligations.
+over every configuration of the scheme's bounded universe
+(:meth:`~repro.core.config.ReconfigScheme.configs`) and every pair of
+quorums, reporting the number of cases covered -- the small-scope
+analogue of the proof obligations.  It also checks QUORUM-EXISTS: every
+configuration has at least one quorum.  A configuration without one
+satisfies OVERLAP vacuously and passes every safety check, because
+nothing can ever commit under it.
+
+:class:`OverlapAblation` is any scheme with OVERLAP broken on purpose,
+for the checkers to catch.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..core.cache import Config, NodeId
-from ..core.config import ReconfigScheme, StaticScheme
-from .dynamic_quorum import DynamicQuorumScheme, SizedConfig
-from .joint import JointConfig, JointConsensusScheme
-from .logless import LoglessConfig, LoglessReconfigScheme
-from .primary_backup import PrimaryBackupConfig, PrimaryBackupScheme, RotatingPrimaryScheme
-from .single_node import RaftSingleNodeScheme, UnsafeMultiNodeScheme
-from .unanimous import UnanimousScheme
-from .weighted import WeightedConfig, WeightedMajorityScheme
+from ..core.config import ReconfigScheme, nonempty_subsets
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,17 @@ class ReflexiveWitness:
 
     def describe(self) -> str:
         return f"R1+ not reflexive at {self.described}"
+
+
+@dataclass(frozen=True)
+class QuorumWitness:
+    """A valid configuration no group of its members is a quorum of."""
+
+    config: Config
+    described: str
+
+    def describe(self) -> str:
+        return f"no quorum exists in {self.described}"
 
 
 @dataclass(frozen=True)
@@ -64,13 +75,14 @@ class OverlapWitness:
 
 @dataclass
 class AssumptionReport:
-    """The result of exhaustively checking REFLEXIVE and OVERLAP.
+    """The result of exhaustively checking REFLEXIVE, QUORUM-EXISTS and
+    OVERLAP.
 
     A violated assumption carries its concrete witnesses: the
-    configuration (REFLEXIVE) or the config pair with one disjoint
-    quorum of each (OVERLAP), both as raw values and as rendered
-    strings, so a failure report shows *why* the scheme is broken
-    rather than just that it is.
+    configuration (REFLEXIVE, QUORUM-EXISTS) or the config pair with one
+    disjoint quorum of each (OVERLAP), both as raw values and as
+    rendered strings, so a failure report shows *why* the scheme is
+    broken rather than just that it is.
     """
 
     scheme: str
@@ -78,15 +90,30 @@ class AssumptionReport:
     configs_checked: int = 0
     transition_pairs: int = 0
     quorum_pairs_checked: int = 0
-    reflexive_violations: List[str] = field(default_factory=list)
-    overlap_violations: List[str] = field(default_factory=list)
     reflexive_witnesses: List[ReflexiveWitness] = field(default_factory=list)
+    quorum_witnesses: List[QuorumWitness] = field(default_factory=list)
     overlap_witnesses: List[OverlapWitness] = field(default_factory=list)
 
     @property
+    def reflexive_violations(self) -> List[str]:
+        return [w.describe() for w in self.reflexive_witnesses]
+
+    @property
+    def quorum_violations(self) -> List[str]:
+        return [w.describe() for w in self.quorum_witnesses]
+
+    @property
+    def overlap_violations(self) -> List[str]:
+        return [w.describe() for w in self.overlap_witnesses]
+
+    @property
     def ok(self) -> bool:
-        """True when both assumptions held over the entire universe."""
-        return not self.reflexive_violations and not self.overlap_violations
+        """True when every assumption held over the entire universe."""
+        return not (
+            self.reflexive_witnesses
+            or self.quorum_witnesses
+            or self.overlap_witnesses
+        )
 
     def summary(self) -> str:
         status = "OK" if self.ok else "VIOLATED"
@@ -98,179 +125,102 @@ class AssumptionReport:
         )
 
 
-def _nonempty_subsets(nodes: Sequence[NodeId]) -> Iterator[frozenset]:
-    for size in range(1, len(nodes) + 1):
-        for combo in itertools.combinations(sorted(nodes), size):
-            yield frozenset(combo)
-
-
-def _quorums(scheme: ReconfigScheme, conf: Config) -> List[frozenset]:
-    members = sorted(scheme.members(conf))
-    return [
-        group for group in _nonempty_subsets(members) if scheme.is_quorum(group, conf)
-    ]
-
-
-# ----------------------------------------------------------------------
-# Config universe generators, one per scheme family
-# ----------------------------------------------------------------------
-
-ConfigGenerator = Callable[[Sequence[NodeId]], Iterator[Config]]
-
-_GENERATORS: Dict[Type[ReconfigScheme], ConfigGenerator] = {}
-
-
-def register_config_generator(
-    scheme_type: Type[ReconfigScheme],
-) -> Callable[[ConfigGenerator], ConfigGenerator]:
-    """Decorator registering the bounded config universe for a scheme type."""
-
-    def wrap(generator: ConfigGenerator) -> ConfigGenerator:
-        _GENERATORS[scheme_type] = generator
-        return generator
-
-    return wrap
-
-
-def configs_for(scheme: ReconfigScheme, nodes: Sequence[NodeId]) -> List[Config]:
-    """All valid configurations of ``scheme`` over the node universe."""
-    for scheme_type in type(scheme).__mro__:
-        if scheme_type in _GENERATORS:
-            raw = _GENERATORS[scheme_type](nodes)
-            return [conf for conf in raw if scheme.is_valid_config(conf)]
-    raise KeyError(f"no config generator registered for {type(scheme).__name__}")
-
-
-@register_config_generator(RaftSingleNodeScheme)
-@register_config_generator(UnsafeMultiNodeScheme)
-@register_config_generator(UnanimousScheme)
-@register_config_generator(StaticScheme)
-def _set_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    yield from _nonempty_subsets(nodes)
-
-
-@register_config_generator(JointConsensusScheme)
-def _joint_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    subsets = list(_nonempty_subsets(nodes))
-    for old in subsets:
-        yield JointConfig(old=old, new=None)
-        for new in subsets:
-            yield JointConfig(old=old, new=new)
-
-
-@register_config_generator(PrimaryBackupScheme)
-@register_config_generator(RotatingPrimaryScheme)
-def _pb_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    for primary in sorted(nodes):
-        rest = [n for n in sorted(nodes) if n != primary]
-        for size in range(len(rest) + 1):
-            for backups in itertools.combinations(rest, size):
-                yield PrimaryBackupConfig.of(primary, backups)
-
-
-@register_config_generator(DynamicQuorumScheme)
-def _sized_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    for members in _nonempty_subsets(nodes):
-        for quorum_size in range(1, len(members) + 1):
-            yield SizedConfig(quorum_size=quorum_size, members=members)
-
-
-@register_config_generator(WeightedMajorityScheme)
-def _weighted_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    # Weights in {1, 2} keep the universe tractable while exercising the
-    # non-uniform pigeonhole argument.
-    for members in _nonempty_subsets(nodes):
-        ordered = sorted(members)
-        for weights in itertools.product((1, 2), repeat=len(ordered)):
-            yield WeightedConfig.of(dict(zip(ordered, weights)))
-
-
-@register_config_generator(LoglessReconfigScheme)
-def _logless_configs(nodes: Sequence[NodeId]) -> Iterator[Config]:
-    # Versions and terms in {0, 1, 2} cover same-term version bumps,
-    # cross-term bumps, and order-decreasing pairs (which R1⁺ must
-    # reject) without blowing up the pair enumeration.
-    for members in _nonempty_subsets(nodes):
-        for term in range(3):
-            for version in range(3):
-                yield LoglessConfig(version=version, term=term, members=members)
-
-
-# ----------------------------------------------------------------------
-# The checker
-# ----------------------------------------------------------------------
-
 def check_assumptions(
     scheme: ReconfigScheme,
     nodes: Sequence[NodeId],
     configs: Iterable[Config] = None,
     stop_at_first: bool = False,
 ) -> AssumptionReport:
-    """Exhaustively verify REFLEXIVE and OVERLAP over a bounded universe.
+    """Exhaustively verify REFLEXIVE, QUORUM-EXISTS and OVERLAP over a
+    bounded universe.
 
-    ``configs`` defaults to every valid configuration constructible from
-    ``nodes`` for the scheme's family.  ``stop_at_first`` aborts on the
-    first violation (useful when demonstrating that an ablated scheme is
-    broken without enumerating every witness).
+    ``configs`` defaults to ``scheme.configs(nodes)``.
+    ``stop_at_first`` aborts on the first violation (useful when
+    demonstrating that an ablated scheme is broken without enumerating
+    every witness).
     """
-    config_list = list(configs) if configs is not None else configs_for(scheme, nodes)
+    config_list = list(configs) if configs is not None else scheme.configs(nodes)
     report = AssumptionReport(scheme=scheme.name, universe=tuple(sorted(nodes)))
     report.configs_checked = len(config_list)
 
+    quorums: Dict[Config, List[frozenset]] = {}
     for conf in config_list:
+        quorums[conf] = [
+            group
+            for group in nonempty_subsets(scheme.members(conf))
+            if scheme.is_quorum(group, conf)
+        ]
         if not scheme.r1_plus(conf, conf):
-            witness = ReflexiveWitness(
-                config=conf, described=scheme.describe_config(conf)
+            report.reflexive_witnesses.append(
+                ReflexiveWitness(conf, scheme.describe_config(conf))
             )
-            report.reflexive_witnesses.append(witness)
-            report.reflexive_violations.append(witness.describe())
-            if stop_at_first:
-                return report
-
-    quorum_cache: Dict[Config, List[frozenset]] = {}
-
-    def quorums_of(conf: Config) -> List[frozenset]:
-        if conf not in quorum_cache:
-            quorum_cache[conf] = _quorums(scheme, conf)
-        return quorum_cache[conf]
+        if not quorums[conf]:
+            report.quorum_witnesses.append(
+                QuorumWitness(conf, scheme.describe_config(conf))
+            )
+        if stop_at_first and not report.ok:
+            return report
 
     for old, new in itertools.product(config_list, repeat=2):
         if not scheme.r1_plus(old, new):
             continue
         report.transition_pairs += 1
-        for q_old in quorums_of(old):
-            for q_new in quorums_of(new):
+        for q_old in quorums[old]:
+            for q_new in quorums[new]:
                 report.quorum_pairs_checked += 1
                 if not q_old & q_new:
-                    witness = OverlapWitness(
+                    report.overlap_witnesses.append(OverlapWitness(
                         old_config=old,
                         new_config=new,
                         old_described=scheme.describe_config(old),
                         new_described=scheme.describe_config(new),
                         quorum_old=tuple(sorted(q_old)),
                         quorum_new=tuple(sorted(q_new)),
-                    )
-                    report.overlap_witnesses.append(witness)
-                    report.overlap_violations.append(witness.describe())
+                    ))
                     if stop_at_first:
                         return report
     return report
 
 
-def check_all_schemes(
-    nodes: Sequence[NodeId], schemes: Iterable[ReconfigScheme] = None
-) -> List[AssumptionReport]:
-    """Check every bundled scheme over the node universe."""
-    if schemes is None:
-        schemes = [
-            RaftSingleNodeScheme(),
-            JointConsensusScheme(),
-            PrimaryBackupScheme(),
-            RotatingPrimaryScheme(),
-            DynamicQuorumScheme(),
-            UnanimousScheme(),
-            WeightedMajorityScheme(),
-            LoglessReconfigScheme(),
-            StaticScheme(),
-        ]
-    return [check_assumptions(scheme, nodes) for scheme in schemes]
+class OverlapAblation(ReconfigScheme):
+    """A scheme with OVERLAP ablated: R1⁺ accepts *any* valid config.
+
+    Wraps a base scheme, delegating membership, quorums and the config
+    universe, but lets a single reconfiguration jump to an arbitrary
+    valid configuration: its protocol moves are the base scheme's
+    :meth:`~repro.core.config.ReconfigScheme.jumps`.  REFLEXIVE still
+    holds; OVERLAP is the assumption under test.  Over set
+    configurations (``OverlapAblation(RaftSingleNodeScheme())``) R1⁺ is
+    "any non-empty member set".
+    """
+
+    def __init__(self, base: ReconfigScheme) -> None:
+        self.base = base
+        self.name = f"{base.name}+no-overlap"
+
+    def members(self, conf: Config) -> FrozenSet[NodeId]:
+        return self.base.members(conf)
+
+    def is_quorum(self, group: Iterable[NodeId], conf: Config) -> bool:
+        return self.base.is_quorum(group, conf)
+
+    def r1_plus(self, old: Config, new: Config) -> bool:
+        return self.base.is_valid_config(new)
+
+    def is_valid_config(self, conf: Config) -> bool:
+        return self.base.is_valid_config(conf)
+
+    def describe_config(self, conf: Config) -> str:
+        return self.base.describe_config(conf)
+
+    def initial(self, universe: Iterable[NodeId]) -> Config:
+        return self.base.initial(universe)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        return self.base.configs(nodes)
+
+    def moves(self, state, nid, conf, universe, removals_only=False):
+        return self.base.jumps(state, nid, conf, universe)
+
+    def jumps(self, state, nid, conf, universe):
+        return self.base.jumps(state, nid, conf, universe)

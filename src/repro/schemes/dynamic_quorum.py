@@ -16,7 +16,7 @@ must share a member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, List
 
 from ..core.cache import Config, NodeId
 from ..core.config import ReconfigScheme
@@ -78,6 +78,20 @@ class DynamicQuorumScheme(ReconfigScheme):
     def describe_config(self, conf: Config) -> str:
         sized = self._as_sized(conf)
         return f"q={sized.quorum_size}, members={sorted(sized.members)}"
+
+    def with_members(self, conf: Config, members: FrozenSet[NodeId]) -> Config:
+        """Majority-sized, so every one-member move satisfies R1⁺'s
+        ``|C| < q + q'``."""
+        return SizedConfig.majority(members)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        """Every member set with every valid quorum size."""
+        sized = (
+            SizedConfig(quorum_size=size, members=members)
+            for members in super().configs(nodes)
+            for size in range(1, len(members) + 1)
+        )
+        return [conf for conf in sized if self.is_valid_config(conf)]
 
     @staticmethod
     def _as_sized(conf: Config) -> SizedConfig:

@@ -18,7 +18,7 @@ Configurations are :class:`JointConfig` values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable, List, Optional
 
 from ..core.cache import Config, NodeId
 from ..core.config import ReconfigScheme, majority
@@ -99,6 +99,40 @@ class JointConsensusScheme(ReconfigScheme):
         if joint.new is None:
             return f"{sorted(joint.old)}"
         return f"{sorted(joint.old)}+{sorted(joint.new)}"
+
+    def with_members(self, conf: Config, members: FrozenSet[NodeId]) -> Config:
+        return JointConfig.stable(members)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        """Every stable configuration, each followed by the joint
+        configurations it can enter."""
+        subsets = super().configs(nodes)
+        return [
+            conf
+            for old in subsets
+            for conf in [JointConfig.stable(old)]
+            + [JointConfig.transition(old, new) for new in subsets]
+        ]
+
+    def moves(self, state, nid, conf, universe, removals_only=False):
+        """Leave a joint configuration by promoting its new half, or
+        enter one a member away: removals first, then additions."""
+        cf = self._as_joint(conf)
+        if cf.is_joint:
+            yield JointConfig.stable(cf.new)
+            return
+        if len(cf.old) > 1:
+            for node in sorted(cf.old):
+                yield JointConfig.transition(cf.old, cf.old - {node})
+        if not removals_only:
+            for node in sorted(frozenset(universe) - cf.old):
+                yield JointConfig.transition(cf.old, cf.old | {node})
+
+    def jumps(self, state, nid, conf, universe):
+        """Stable-to-stable jumps with no joint phase, away from the old
+        half."""
+        stable = JointConfig.stable(self._as_joint(conf).old)
+        return super().jumps(state, nid, stable, universe)
 
     @staticmethod
     def _as_joint(conf: Config) -> JointConfig:

@@ -35,8 +35,8 @@ proof covers the scheme even though its config state never touches the
 log (checked exhaustively by :mod:`repro.schemes.assumptions`).
 
 Q1 and Q2 are *state* predicates, not config-pair predicates, so they
-live in the reconfiguration candidate generator
-(:func:`logless_reconfig_candidates`) rather than in ``R1⁺``:
+gate the scheme's reconfiguration step
+(:meth:`LoglessReconfigScheme.moves`) rather than ``R1⁺``:
 :func:`config_quorum_check` and :func:`oplog_commitment_check` evaluate
 them against the Adore cache tree.  In Adore vocabulary Q1 coincides
 with rule R2 (the newest config entry on the active branch is
@@ -52,7 +52,7 @@ falls to the Fig. 4 counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.aux import active_cache
 from ..core.cache import Cid, Config, NodeId, is_ccache, is_rcache
@@ -149,6 +149,58 @@ class LoglessReconfigScheme(ReconfigScheme):
         cf = as_logless(conf)
         return f"v{cf.version}/t{cf.term} {sorted(cf.members)}"
 
+    def initial(self, universe: Iterable[NodeId]) -> Config:
+        return LoglessConfig.initial(universe)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        # Versions and terms in {0, 1, 2} cover same-term version bumps,
+        # cross-term bumps, and order-decreasing pairs (which R1⁺ must
+        # reject) without blowing up the pair enumeration.
+        return [
+            LoglessConfig(version=version, term=term, members=members)
+            for members in super().configs(nodes)
+            for term in range(3)
+            for version in range(3)
+        ]
+
+    def moves(self, state, nid, conf, universe, removals_only=False):
+        """Single-node membership changes under the protocol's own gates:
+        ``(version + 1, leader_term, members ± one)``, only while Q1
+        (:func:`config_quorum_check`) and Q2
+        (:func:`oplog_commitment_check`) hold at the proposer's active
+        cache.  The gates are the protocol's own enabling conditions, so
+        they apply even when the model checker ablates Adore's R2/R3 --
+        which is exactly what the differential harness measures."""
+        changes = super().moves(state, nid, conf, universe, removals_only)
+        return self._installed(state, nid, conf, changes)
+
+    def jumps(self, state, nid, conf, universe):
+        """Arbitrary member jumps, still Q1/Q2-gated and version/term
+        ordered (the intact R1⁺ rejects every one of them)."""
+        changes = super().jumps(state, nid, conf, universe)
+        return self._installed(state, nid, conf, changes)
+
+    @staticmethod
+    def _installed(
+        state: AdoreState,
+        nid: NodeId,
+        conf: Config,
+        changes: Iterable[FrozenSet[NodeId]],
+    ) -> Iterator[Config]:
+        """Each member set of ``changes`` as the config the proposer
+        installs, or nothing when Q1 or Q2 blocks a reconfiguration."""
+        active = active_cache(state.tree, nid)
+        if (
+            active is None
+            or not config_quorum_check(state.tree, active)
+            or not oplog_commitment_check(state.tree, active)
+        ):
+            return
+        version = as_logless(conf).version + 1
+        term = state.tree.cache(active).time
+        for members in changes:
+            yield LoglessConfig(version=version, term=term, members=members)
+
 
 # ----------------------------------------------------------------------
 # The protocol's enabling conditions, as Adore cache-tree predicates
@@ -196,85 +248,3 @@ def oplog_commitment_check(tree: CacheTree, cid: Cid) -> bool:
         is_ccache(tree.cache(anc)) and tree.cache(anc).time == target_time
         for anc in tree.ancestors(cid, include_self=True)
     )
-
-
-def _gated_candidates(state: AdoreState, nid: NodeId):
-    """The proposer's active cache, iff Q1 and Q2 enable a reconfig."""
-    active = active_cache(state.tree, nid)
-    if active is None:
-        return None
-    if not config_quorum_check(state.tree, active):
-        return None
-    if not oplog_commitment_check(state.tree, active):
-        return None
-    return active
-
-
-def logless_reconfig_candidates(universe: Iterable[NodeId]):
-    """Single-node membership changes under the protocol's own gates.
-
-    Yields ``LoglessConfig(version + 1, leader_term, members ± one)``
-    for the proposing leader -- but only when Q1
-    (:func:`config_quorum_check`) and Q2
-    (:func:`oplog_commitment_check`) hold at the proposer's active
-    cache.  Because the gates are the protocol's own enabling
-    conditions, they apply even when the model checker ablates Adore's
-    R2/R3 -- which is exactly what the differential harness measures.
-    """
-    universe_set = frozenset(universe)
-
-    def candidates(
-        state: AdoreState, nid: NodeId, conf: Config
-    ) -> Iterator[Config]:
-        active = _gated_candidates(state, nid)
-        if active is None:
-            return
-        current = as_logless(conf)
-        term = state.tree.cache(active).time
-        for node in sorted(universe_set - current.members):
-            yield LoglessConfig(
-                version=current.version + 1,
-                term=term,
-                members=current.members | {node},
-            )
-        if len(current.members) > 1:
-            for node in sorted(current.members):
-                yield LoglessConfig(
-                    version=current.version + 1,
-                    term=term,
-                    members=current.members - {node},
-                )
-
-    return candidates
-
-
-def logless_jump_candidates(universe: Iterable[NodeId]):
-    """Arbitrary member jumps (still version/term ordered and Q1/Q2
-    gated) -- the OVERLAP-ablation counterpart of
-    :func:`logless_reconfig_candidates`.
-
-    Only meaningful under a scheme whose ``R1⁺`` drops the single-node
-    restriction (see :class:`repro.mc.differential.OverlapAblation`);
-    the intact scheme rejects every multi-node jump.
-    """
-    import itertools
-
-    universe_sorted = tuple(sorted(frozenset(universe)))
-
-    def candidates(
-        state: AdoreState, nid: NodeId, conf: Config
-    ) -> Iterator[Config]:
-        active = _gated_candidates(state, nid)
-        if active is None:
-            return
-        current = as_logless(conf)
-        term = state.tree.cache(active).time
-        for size in range(1, len(universe_sorted) + 1):
-            for combo in itertools.combinations(universe_sorted, size):
-                members = frozenset(combo)
-                if members != current.members:
-                    yield LoglessConfig(
-                        version=current.version + 1, term=term, members=members
-                    )
-
-    return candidates

@@ -21,10 +21,10 @@ Paxos hands off leadership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable
+from typing import FrozenSet, Iterable, List
 
 from ..core.cache import Config, NodeId
-from ..core.config import ReconfigScheme
+from ..core.config import ReconfigScheme, nonempty_subsets
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,38 @@ class PrimaryBackupScheme(ReconfigScheme):
     def describe_config(self, conf: Config) -> str:
         pb = self._as_pb(conf)
         return f"P={pb.primary}, backups={sorted(pb.backups)}"
+
+    def initial(self, universe: Iterable[NodeId]) -> Config:
+        """Node ``min(universe)`` is the primary, the rest back it up."""
+        return PrimaryBackupConfig.of(min(universe), universe)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        """Each node as primary with every set of backups."""
+        return [
+            PrimaryBackupConfig.of(primary, backups)
+            for primary in sorted(nodes)
+            for backups in [()] + list(nonempty_subsets(set(nodes) - {primary}))
+        ]
+
+    def moves(self, state, nid, conf, universe, removals_only=False):
+        """The primary stays; one backup joins, or one leaves."""
+        pb = self._as_pb(conf)
+        if not removals_only:
+            for node in sorted(frozenset(universe) - pb.all_members()):
+                yield PrimaryBackupConfig.of(pb.primary, pb.backups | {node})
+        for node in sorted(pb.backups):
+            yield PrimaryBackupConfig.of(pb.primary, pb.backups - {node})
+
+    def jumps(self, state, nid, conf, universe):
+        """Primary *changes* -- the jump that breaks primary-backup's
+        trivial quorum overlap: each node as primary, alone or backed
+        by all the others."""
+        pb = self._as_pb(conf)
+        for primary in sorted(universe):
+            for backups in (frozenset(), frozenset(universe) - {primary}):
+                cand = PrimaryBackupConfig.of(primary, backups)
+                if cand != pb:
+                    yield cand
 
     @staticmethod
     def _as_pb(conf: Config) -> PrimaryBackupConfig:

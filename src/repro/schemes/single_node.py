@@ -42,18 +42,3 @@ class RaftSingleNodeScheme(ReconfigScheme):
 
     def is_valid_config(self, conf: Config) -> bool:
         return len(frozenset(conf)) > 0
-
-
-class UnsafeMultiNodeScheme(RaftSingleNodeScheme):
-    """ABLATION: single-node quorums but arbitrary membership jumps.
-
-    Violates the OVERLAP assumption (two disjoint majorities become
-    possible after a two-server change), so Adore's safety proof does
-    not apply -- the model checker uses this to demonstrate that OVERLAP
-    is load-bearing.
-    """
-
-    name = "unsafe-multi-node"
-
-    def r1_plus(self, old: Config, new: Config) -> bool:
-        return len(frozenset(new)) > 0

@@ -25,8 +25,9 @@ dynamic-quorum scheme, allows bigger jumps when quorums are larger.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Tuple
 
 from ..core.cache import Config, NodeId
 from ..core.config import ReconfigScheme
@@ -100,6 +101,20 @@ class WeightedMajorityScheme(ReconfigScheme):
         weighted = self._as_weighted(conf)
         inner = ", ".join(f"n{nid}:{w}" for nid, w in weighted.weights)
         return f"{{{inner}}}"
+
+    def with_members(self, conf: Config, members: FrozenSet[NodeId]) -> Config:
+        """Uniform weights, so every one-member move satisfies R1⁺'s
+        pigeonhole side condition."""
+        return WeightedConfig.uniform(members)
+
+    def configs(self, nodes: Iterable[NodeId]) -> List[Config]:
+        # Weights in {1, 2} keep the universe tractable while exercising
+        # the non-uniform pigeonhole argument.
+        return [
+            WeightedConfig.of(dict(zip(sorted(members), weights)))
+            for members in super().configs(nodes)
+            for weights in itertools.product((1, 2), repeat=len(members))
+        ]
 
     @staticmethod
     def _as_weighted(conf: Config) -> WeightedConfig:

@@ -21,7 +21,8 @@ from repro.mc import (
     verify_intact_explorer,
 )
 from repro.mc.bounded_cli import signature
-from repro.mc.differential import default_scenarios, run_differential
+from repro.mc.differential import run_differential
+from repro.schemes import SCHEMES
 
 SMALL_BUDGET = OpBudget(pulls=1, invokes=2, reconfigs=1, pushes=2)
 
@@ -102,9 +103,8 @@ class TestGuidedWorkers:
 
 
 def test_differential_keeps_its_strategy_with_workers_and_checkpoints(tmp_path):
-    by_name = {s.name: s for s in default_scenarios()}
     options = dict(
-        scenarios=[by_name["raft-single-node"], by_name["mongo-logless"]],
+        schemes=[SCHEMES["raft-single-node"], SCHEMES["mongo-logless"]],
         budgets={
             "intact": OpBudget(pulls=1, invokes=1, reconfigs=1, pushes=1),
             "leaf-commit": OpBudget(pulls=1, invokes=2, reconfigs=0, pushes=2),

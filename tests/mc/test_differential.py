@@ -17,13 +17,17 @@ from repro.mc import FIG4_BUDGET, OpBudget
 from repro.mc.differential import (
     ABLATIONS,
     DEFAULT_BUDGETS,
+    MATRIX,
     SMOKE_BUDGETS,
-    OverlapAblation,
-    default_scenarios,
     explorer_for,
     run_differential,
 )
-from repro.schemes import LoglessConfig, RaftSingleNodeScheme
+from repro.schemes import (
+    SCHEMES,
+    LoglessConfig,
+    OverlapAblation,
+    RaftSingleNodeScheme,
+)
 
 TINY_BUDGETS = {
     "intact": OpBudget(pulls=1, invokes=1, reconfigs=1, pushes=1),
@@ -34,13 +38,12 @@ TINY_BUDGETS = {
 }
 
 
-def _scenarios(*names):
-    by_name = {s.name: s for s in default_scenarios()}
-    return [by_name[name] for name in names]
+def _schemes(*names):
+    return [SCHEMES[name] for name in names]
 
 
-def test_default_scenarios_cover_the_seven_schemes():
-    names = [s.name for s in default_scenarios()]
+def test_matrix_covers_the_seven_schemes():
+    names = [s.name for s in MATRIX]
     assert names == [
         "raft-single-node",
         "raft-joint-consensus",
@@ -58,12 +61,12 @@ def test_budget_tables_cover_every_ablation():
 
 
 def test_report_is_deterministic_across_runs():
-    scenarios = _scenarios("raft-single-node", "mongo-logless")
+    schemes = _schemes("raft-single-node", "mongo-logless")
     first = run_differential(
-        scenarios=scenarios, budgets=TINY_BUDGETS, max_states=20_000
+        schemes=schemes, budgets=TINY_BUDGETS, max_states=20_000
     )
     second = run_differential(
-        scenarios=scenarios, budgets=TINY_BUDGETS, max_states=20_000
+        schemes=schemes, budgets=TINY_BUDGETS, max_states=20_000
     )
     assert first.determinism_key() == second.determinism_key()
     # Timings aside, the serialized reports agree too.
@@ -80,9 +83,9 @@ def test_report_is_deterministic_across_runs():
 def test_no_r3_separates_logless_from_raft_on_fig4_budget():
     """The acceptance-criterion separation: same budget, same ablation,
     opposite fates -- the logless protocol's own Q2 gate replaces R3."""
-    scenarios = _scenarios("raft-single-node", "mongo-logless")
+    schemes = _schemes("raft-single-node", "mongo-logless")
     report = run_differential(
-        scenarios=scenarios,
+        schemes=schemes,
         budgets=DEFAULT_BUDGETS,
         ablations=("no-r3",),
         max_states=100_000,
@@ -111,26 +114,26 @@ def test_overlap_ablation_delegates_but_drops_r1():
 
 
 def test_explorer_for_configures_each_ablation():
-    scenario = _scenarios("mongo-logless")[0]
-    intact = explorer_for(scenario, "intact", max_states=10)
+    scheme = SCHEMES["mongo-logless"]
+    intact = explorer_for(scheme, "intact", max_states=10)
     assert intact.enforce_r2 and intact.enforce_r3
     assert intact.budget == FIG4_BUDGET
-    no_r2 = explorer_for(scenario, "no-r2", max_states=10)
+    no_r2 = explorer_for(scheme, "no-r2", max_states=10)
     assert not no_r2.enforce_r2 and no_r2.enforce_r3
-    no_r3 = explorer_for(scenario, "no-r3", max_states=10)
+    no_r3 = explorer_for(scheme, "no-r3", max_states=10)
     assert no_r3.enforce_r2 and not no_r3.enforce_r3
-    no_overlap = explorer_for(scenario, "no-overlap", max_states=10)
+    no_overlap = explorer_for(scheme, "no-overlap", max_states=10)
     assert isinstance(no_overlap.scheme, OverlapAblation)
-    leaf = explorer_for(scenario, "leaf-commit", max_states=10)
+    leaf = explorer_for(scheme, "leaf-commit", max_states=10)
     assert leaf.push_step is not intact.push_step
     with pytest.raises(ValueError):
-        explorer_for(scenario, "no-such-ablation")
+        explorer_for(scheme, "no-such-ablation")
 
 
 def test_report_structure_and_rendering():
-    scenarios = _scenarios("raft-single-node")
+    schemes = _schemes("raft-single-node")
     report = run_differential(
-        scenarios=scenarios,
+        schemes=schemes,
         budgets=TINY_BUDGETS,
         ablations=("intact", "leaf-commit"),
         max_states=20_000,
@@ -153,7 +156,7 @@ def test_report_structure_and_rendering():
     # Unknown ablation names are rejected up front.
     with pytest.raises(ValueError):
         run_differential(
-            scenarios=scenarios, ablations=("bogus",), max_states=10
+            schemes=schemes, ablations=("bogus",), max_states=10
         )
 
 
@@ -161,12 +164,12 @@ def test_logless_intact_verified_on_fig4_budget():
     """Acceptance criterion: the bounded checker certifies the logless
     scheme intact on the Fig. 4 budget (exhaustive bfs, same bound as
     the Raft hunt)."""
-    scenario = _scenarios("mongo-logless")[0]
+    scheme = SCHEMES["mongo-logless"]
     explorer = explorer_for(
-        scenario, "intact", max_states=100_000, strategy="bfs"
+        scheme, "intact", max_states=100_000, strategy="bfs"
     )
     result = explorer.run()
     assert result.safe
     assert result.exhausted
     assert result.states_visited == 52_711
-    assert isinstance(scenario.conf0, LoglessConfig)
+    assert isinstance(explorer.conf0, LoglessConfig)

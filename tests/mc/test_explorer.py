@@ -7,8 +7,6 @@ from repro.mc import (
     Explorer,
     OpBudget,
     ablate_insert_btw,
-    jump_reconfig_candidates,
-    set_reconfig_candidates,
     verify_intact,
 )
 from repro.mc.bounded_cli import signature
@@ -39,8 +37,7 @@ class TestOpBudget:
 
 class TestReconfigCandidates:
     def test_set_candidates_single_changes(self):
-        gen = set_reconfig_candidates([1, 2, 3, 4])
-        candidates = set(gen(None, 1, frozenset({1, 2})))
+        candidates = set(SCHEME.moves(None, 1, frozenset({1, 2}), {1, 2, 3, 4}))
         assert frozenset({1, 2, 3}) in candidates
         assert frozenset({1, 2, 4}) in candidates
         assert frozenset({1}) in candidates
@@ -48,13 +45,11 @@ class TestReconfigCandidates:
         assert frozenset({1, 2, 3, 4}) not in candidates
 
     def test_set_candidates_never_empty_config(self):
-        gen = set_reconfig_candidates([1, 2])
-        candidates = set(gen(None, 1, frozenset({1})))
+        candidates = set(SCHEME.moves(None, 1, frozenset({1}), {1, 2}))
         assert frozenset() not in candidates
 
     def test_jump_candidates_cover_all_subsets(self):
-        gen = jump_reconfig_candidates([1, 2, 3])
-        candidates = set(gen(None, 1, frozenset({1})))
+        candidates = set(SCHEME.jumps(None, 1, frozenset({1}), {1, 2, 3}))
         assert len(candidates) == 6  # all non-empty subsets minus itself
 
 

@@ -17,7 +17,6 @@ from repro.schemes import (
     as_logless,
     check_assumptions,
     config_quorum_check,
-    logless_reconfig_candidates,
     oplog_commitment_check,
 )
 
@@ -118,7 +117,6 @@ def test_q1_q2_coincide_with_r2_r3_on_reachable_states():
         conf0=LoglessConfig.initial(ABC),
         callers=[1, 2],
         budget=OpBudget(pulls=2, invokes=1, reconfigs=2, pushes=2),
-        reconfig_candidates=logless_reconfig_candidates(ABC),
         enforce_r2=False,
         enforce_r3=False,
         quorum_pulls_only=True,
@@ -148,7 +146,7 @@ def test_q1_q2_coincide_with_r2_r3_on_reachable_states():
 
 
 # ----------------------------------------------------------------------
-# The gated candidate generator
+# The gated moves
 # ----------------------------------------------------------------------
 
 def _machine():
@@ -171,7 +169,7 @@ def test_q2_blocks_reconfig_until_leader_commits_in_its_term():
     active = active_cache(state.tree, 1)
     assert not oplog_commitment_check(state.tree, active)
     conf = state.tree.cache(active).conf
-    assert list(logless_reconfig_candidates(ABC)(state, 1, conf)) == []
+    assert list(SCHEME.moves(state, 1, conf, ABC)) == []
     # Committing an entry of the leader's own term enables it.
     machine.push(1)
     state = machine.state
@@ -179,7 +177,7 @@ def test_q2_blocks_reconfig_until_leader_commits_in_its_term():
     assert oplog_commitment_check(state.tree, active)
     assert config_quorum_check(state.tree, active)
     current = as_logless(state.tree.cache(active).conf)
-    cands = list(logless_reconfig_candidates(ABC)(state, 1, current))
+    cands = list(SCHEME.moves(state, 1, current, ABC))
     assert cands
     # MongoDB installs (version + 1, leader_term, members +- one node).
     assert all(c.version == current.version + 1 for c in cands)
@@ -201,11 +199,11 @@ def test_q1_blocks_reconfig_while_config_entry_uncommitted():
     active = active_cache(state.tree, 1)
     assert not config_quorum_check(state.tree, active)
     conf = state.tree.cache(active).conf
-    assert list(logless_reconfig_candidates(ABC)(state, 1, conf)) == []
+    assert list(SCHEME.moves(state, 1, conf, ABC)) == []
     # Committing the config entry re-enables reconfiguration.
     machine.push(1)
     state = machine.state
     active = active_cache(state.tree, 1)
     assert config_quorum_check(state.tree, active)
     conf = state.tree.cache(active).conf
-    assert list(logless_reconfig_candidates(ABC)(state, 1, conf))
+    assert list(SCHEME.moves(state, 1, conf, ABC))

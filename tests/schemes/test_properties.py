@@ -1,9 +1,9 @@
-"""Generic, registry-driven property tests for the scheme protocol.
+"""Generic, table-driven property tests for the scheme protocol.
 
 ``test_scheme_properties`` hand-crafts transitions per scheme; these
-tests instead drive *every* registered scheme through the same two
-properties, using the bounded config universes the exhaustive checker
-registers via ``register_config_generator``:
+tests instead drive *every* scheme of ``SCHEMES`` through the same two
+properties, using the bounded config universe each scheme states for
+the exhaustive checker (its ``configs`` method):
 
 * any config pair related by ``R1⁺`` satisfies OVERLAP on randomly
   drawn quorum pairs (the proof's load-bearing assumption), and
@@ -18,31 +18,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.schemes import (
-    DynamicQuorumScheme,
-    JointConsensusScheme,
-    LoglessReconfigScheme,
-    PrimaryBackupScheme,
-    RaftSingleNodeScheme,
-    RotatingPrimaryScheme,
-    StaticScheme,
-    UnanimousScheme,
-    WeightedMajorityScheme,
-    check_assumptions,
-    configs_for,
-)
+from repro.schemes import SCHEMES, check_assumptions
 
-ALL_SCHEMES = [
-    RaftSingleNodeScheme(),
-    JointConsensusScheme(),
-    PrimaryBackupScheme(),
-    RotatingPrimaryScheme(),
-    DynamicQuorumScheme(),
-    UnanimousScheme(),
-    WeightedMajorityScheme(),
-    LoglessReconfigScheme(),
-    StaticScheme(),
-]
+ALL_SCHEMES = list(SCHEMES.values())
 
 UNIVERSE = [1, 2, 3]
 
@@ -59,7 +37,7 @@ def _subsets(members):
 @given(data=st.data())
 def test_r1_plus_pairs_satisfy_overlap(scheme, data):
     """Random R1⁺-related config pairs have intersecting quorums."""
-    configs = configs_for(scheme, UNIVERSE)
+    configs = scheme.configs(UNIVERSE)
     old = data.draw(st.sampled_from(configs), label="old")
     related = [new for new in configs if scheme.r1_plus(old, new)]
     assert related, "REFLEXIVE guarantees at least the identity transition"
@@ -85,7 +63,7 @@ def test_r1_plus_pairs_satisfy_overlap(scheme, data):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_reflexive_on_registered_universe(scheme, data):
-    conf = data.draw(st.sampled_from(configs_for(scheme, UNIVERSE)))
+    conf = data.draw(st.sampled_from(scheme.configs(UNIVERSE)))
     assert scheme.r1_plus(conf, conf)
 
 
@@ -96,7 +74,7 @@ def test_is_quorum_ignores_non_members(scheme, data):
     """``isQuorum`` depends only on the group's member intersection --
     the property that lets the exhaustive checker enumerate subsets of
     ``mbrs`` only."""
-    conf = data.draw(st.sampled_from(configs_for(scheme, UNIVERSE)))
+    conf = data.draw(st.sampled_from(scheme.configs(UNIVERSE)))
     members = scheme.members(conf)
     outsiders = data.draw(
         st.frozensets(
@@ -120,7 +98,7 @@ def test_quorum_enumeration_agrees_with_checker(scheme):
     verdict matches a direct exhaustive OVERLAP check."""
     report = check_assumptions(scheme, UNIVERSE)
     assert report.ok, report.summary()
-    for conf in configs_for(scheme, UNIVERSE):
+    for conf in scheme.configs(UNIVERSE):
         members = scheme.members(conf)
         checker_quorums = {
             group for group in _subsets(members)

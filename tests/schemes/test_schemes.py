@@ -6,6 +6,7 @@ from repro.schemes import (
     DynamicQuorumScheme,
     JointConfig,
     JointConsensusScheme,
+    OverlapAblation,
     PrimaryBackupConfig,
     PrimaryBackupScheme,
     RaftSingleNodeScheme,
@@ -13,7 +14,6 @@ from repro.schemes import (
     SizedConfig,
     StaticScheme,
     UnanimousScheme,
-    UnsafeMultiNodeScheme,
     WeightedConfig,
     WeightedMajorityScheme,
 )
@@ -46,7 +46,9 @@ class TestSingleNode:
 
 
 class TestUnsafeMultiNode:
-    scheme = UnsafeMultiNodeScheme()
+    """Raft single-node with OVERLAP ablated: multi-node jumps."""
+
+    scheme = OverlapAblation(RaftSingleNodeScheme())
 
     def test_allows_arbitrary_jumps(self):
         assert self.scheme.r1_plus(frozenset({1, 2, 3, 4}), frozenset({5, 6, 7}))
