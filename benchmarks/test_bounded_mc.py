@@ -1,9 +1,9 @@
 """Bounded-memory model checking: throughput under a fixed RSS cap (ISSUE 10).
 
-Runs the full Fig. 4 intact verification twice -- once unbounded in
-RAM, once inside an ``RLIMIT_AS`` address-space cap with a tree-table
-cap (``Explorer.tree_cap``) plus the disk-spilled frontier/visited set
--- and gates on the ratio of their states/second.
+Runs the full Fig. 4 intact verification twice -- once unbounded, once
+inside an ``RLIMIT_AS`` address-space cap with a tree-table cap
+(``Explorer.tree_cap``, the one memory setting) -- and gates on the
+ratio of their states/second.
 
 Measurement protocol:
 
@@ -16,7 +16,7 @@ Measurement protocol:
   mode is scored by its best run.
 
 Acceptance: the bounded run, capped at about 0.8x the unbounded peak
-RSS (192 MiB vs ~234 MiB observed in a pytest process), must
+RSS (192 MiB vs ~229 MiB observed in a pytest process), must
 sustain >= 0.8x the unbounded states/second, with exact parity on the
 verification answer.
 """
@@ -24,23 +24,21 @@ verification answer.
 import multiprocessing
 import resource
 import sys
-import tempfile
 import time
 
 from repro.mc.ablations import verify_intact_explorer
 from repro.mc.bounded_cli import signature
 
 #: The fixed address-space cap for the bounded run.  The unbounded
-#: Fig. 4 intact run peaks around 234 MiB here (forked from pytest);
+#: Fig. 4 intact run peaks around 229 MiB here (forked from pytest);
 #: 192 MiB is about 0.8x of that and forces the bounded engine to
-#: actually evict and spill (it peaks at ~164 MiB, flushing its tree
-#: table four times).
+#: actually evict (it peaks at ~146 MiB, flushing its tree table four
+#: times).
 LIMIT_MB = 192
-#: Intern-table cap and frontier RAM window sized for LIMIT_MB: small
-#: enough that eviction fires several times per run, large enough that
-#: recomputation and spill traffic stay off the critical path.
+#: Intern-table cap sized for LIMIT_MB: small enough that eviction
+#: fires several times per run, large enough that recomputation stays
+#: off the critical path.
 TREE_CAP = 32_768
-SPILL_WINDOW = 32_768
 
 THROUGHPUT_FLOOR = 0.8
 
@@ -53,19 +51,15 @@ def _run_mode(bounded, conn):
 
     from repro.core import cachemgr
 
-    with tempfile.TemporaryDirectory(prefix="bench-bounded-mc-") as spill_dir:
-        if bounded:
-            explorer = verify_intact_explorer(
-                spill_dir=spill_dir, spill_window=SPILL_WINDOW,
-                tree_cap=TREE_CAP,
-            )
-        else:
-            explorer = verify_intact_explorer()
-        before = cachemgr.stats()["tree_interns"]["flushes"]
-        cpu_started = time.process_time()
-        result = explorer.run()
-        cpu = time.process_time() - cpu_started
-        flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
+    if bounded:
+        explorer = verify_intact_explorer(tree_cap=TREE_CAP)
+    else:
+        explorer = verify_intact_explorer()
+    before = cachemgr.stats()["tree_interns"]["flushes"]
+    cpu_started = time.process_time()
+    result = explorer.run()
+    cpu = time.process_time() - cpu_started
+    flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
     conn.send({
         "signature": signature(result),
         "states_per_second": result.states_visited / cpu if cpu else 0.0,

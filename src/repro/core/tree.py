@@ -749,9 +749,8 @@ class CacheTree:
         # tables; ship only the entries and re-intern on the other side
         # so unpickled trees rejoin that process's hash-consing table.
         # The fingerprint rides along so the reader can resolve an
-        # intern hit without reconstructing anything -- the spill
-        # files' hot path (a frontier entry is typically reloaded
-        # while its tree is still interned).
+        # intern hit without reconstructing anything (a checkpointed
+        # or pool-shipped tree is often still interned).
         return (_restore_tree, (self._entries, self.fingerprint()))
 
     def __repr__(self) -> str:
@@ -920,22 +919,17 @@ def _extend_kind_lists(
     return kinds
 
 
-def _restore_tree(
-    entries: Dict[Cid, TreeEntry], fp: Optional[int] = None
-) -> CacheTree:
+def _restore_tree(entries: Dict[Cid, TreeEntry], fp: int) -> CacheTree:
     """Unpickle hook: rebuild and re-intern a tree in this process.
 
     ``fp`` (the pickled tree's own fingerprint -- a pure function of
     ``entries``) lets an intern hit return without building a tree at
-    all.  Pre-spill pickles omit it; they pay the recompute.
+    all.
     """
-    if fp is not None:
-        tree = _INTERNED_TREES.get(fp)
-        if tree is not None:
-            return tree
-        return _intern_tree(fp, CacheTree(entries, _fp=fp))
-    tree = CacheTree(entries)
-    return _intern_tree(tree.fingerprint(), tree)
+    tree = _INTERNED_TREES.get(fp)
+    if tree is not None:
+        return tree
+    return _intern_tree(fp, CacheTree(entries, _fp=fp))
 
 
 def forget_tree(tree: CacheTree) -> None:

@@ -7,7 +7,7 @@ with each design rule (R2, R3, OVERLAP, ``insertBtw``) disabled and
 exhibits concrete counterexample schedules.
 
 There is one search loop, :func:`repro.mc.parallel.search`, over a
-frontier (FIFO or best-first, in RAM or spilled to disk), a visited set
+frontier (FIFO or best-first), a visited set
 and an executor (this process, or a ``multiprocessing`` fork pool).
 ``Explorer.run()`` enters it with the defaults; :class:`ParallelExplorer`
 (and the :func:`explore` shorthand) add workers, periodic checkpoints and
@@ -55,12 +55,7 @@ from .parallel import (
     merge_results,
     print_progress,
 )
-from .spill import (
-    BestFirstFrontier,
-    FifoFrontier,
-    iter_packed_records,
-    write_packed_records,
-)
+from .frontier import BestFirstFrontier, FifoFrontier
 from .symmetry import (
     SymmetryReducer,
     apply_renaming,
@@ -98,7 +93,6 @@ __all__ = [
     "explore",
     "explorer_for",
     "insert_btw_explorer",
-    "iter_packed_records",
     "load_checkpoint",
     "merge_results",
     "overlap_explorer",
@@ -110,5 +104,4 @@ __all__ = [
     "symmetry_group",
     "verify_intact",
     "verify_intact_explorer",
-    "write_packed_records",
 ]

@@ -1,12 +1,11 @@
 """Bounded-memory model-checking harness: ``python -m repro.mc.bounded_cli``.
 
-Runs the Fig. 4 intact verification twice -- once unbounded in RAM,
-once under an address-space rlimit with a tree-table cap
-(``Explorer.tree_cap``) and the disk-spilled frontier/visited set --
-and asserts the two runs agree
-exactly (states, transitions, verdict, first violation).  This is the
-CI gate proving that bounding memory changes *resource usage only*,
-never the answer.
+Runs the Fig. 4 intact verification twice -- once unbounded, once under
+an address-space rlimit with a tree-table cap (``Explorer.tree_cap``,
+the one memory setting) -- and asserts the two runs agree exactly
+(states, transitions, verdict, first violation).  This is the CI gate
+proving that the cap changes *resource usage only*, never the answer,
+and that the capped run fits under a real ``RLIMIT_AS``.
 
 Exit status 0 means the bounded run completed under the cap with exact
 parity; anything else is a failure.  A JSON summary goes to stdout for
@@ -19,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from ..core import cachemgr
 from .ablations import verify_intact_explorer
@@ -114,14 +112,8 @@ def _bounded_leg(args, overrides) -> tuple:
     capped = args.limit_mb > 0 and apply_address_space_cap(args.limit_mb)
     # The counter is process-cumulative: count this run's flushes only.
     before = cachemgr.stats()["tree_interns"]["flushes"]
-    with tempfile.TemporaryDirectory(prefix="bounded-mc-") as spill_dir:
-        explorer = verify_intact_explorer(
-            spill_dir=spill_dir,
-            spill_window=args.window,
-            tree_cap=args.tree_cap,
-            **overrides,
-        )
-        result = explore(explorer, workers=args.workers)
+    explorer = verify_intact_explorer(tree_cap=args.tree_cap, **overrides)
+    result = explore(explorer, workers=args.workers)
     flushes = cachemgr.stats()["tree_interns"]["flushes"] - before
     try:
         import resource
@@ -187,10 +179,6 @@ def main(argv=None) -> int:
         help="interned-tree cache cap for the bounded run (default: 4096)",
     )
     parser.add_argument(
-        "--window", type=int, default=1024,
-        help="frontier RAM window for the bounded run (default: 1024)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for the bounded run (default: 1, in-process)",
     )
@@ -217,7 +205,6 @@ def main(argv=None) -> int:
     summary = {
         "budget": args.budget,
         "tree_cap": args.tree_cap,
-        "window": args.window,
         "workers": args.workers,
         "limit_mb": args.limit_mb if capped else None,
         "peak_rss_kb": peak_rss_kb,

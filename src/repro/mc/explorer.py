@@ -19,7 +19,6 @@ counterexample schedules (e.g. the Fig. 4 violation).
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -243,8 +242,6 @@ class Explorer:
         push_step: Optional[Callable] = None,
         symmetry: bool = False,
         fingerprints: bool = True,
-        spill_dir: Optional[str] = None,
-        spill_window: int = 4096,
         tree_cap: int = DEFAULT_TREE_CAP,
     ) -> None:
         self.scheme = scheme
@@ -306,22 +303,9 @@ class Explorer:
         #: kept as a collision canary: fingerprint mode must visit the
         #: same states (see tests/mc/test_parity.py).
         self.fingerprints = fingerprints
-        #: Bounded-memory mode: keep only ``spill_window`` frontier
-        #: entries in RAM, streaming overflow to packed-record files
-        #: under ``spill_dir``, and back the visited FingerprintSet with
-        #: an mmap'd file there.  Pure engine concern: the explored
-        #: transition system is identical (exact parity with the
-        #: unspilled engine), so it is deliberately NOT part of
-        #: :meth:`config_fingerprint` -- a checkpoint taken unspilled
-        #: can resume spilled and vice versa.
-        self.spill_dir = spill_dir
-        if spill_window < 1:
-            raise ValueError(f"spill window must be >= 1, got {spill_window}")
-        self.spill_window = spill_window
         #: The tree intern table's bound for the span of a search (the
         #: one memory knob, DESIGN.md §16).  A flush only costs
-        #: re-interning, so like the spill settings it is not part of
-        #: :meth:`config_fingerprint`.
+        #: re-interning, so it is not part of :meth:`config_fingerprint`.
         if tree_cap < 1:
             raise ValueError(f"tree cap must be >= 1, got {tree_cap}")
         self.tree_cap = tree_cap
@@ -371,28 +355,15 @@ class Explorer:
 
         return canonical_key(state, self._sym_group)
 
-    def visited_spill_path(self) -> Optional[str]:
-        """The file a spilled visited table lives in; ``None`` when the
-        table stays in RAM (no ``spill_dir``, or exact-equality dedup, whose
-        full-state keys have no packed form)."""
-        if self.spill_dir is None or not self.fingerprints:
-            return None
-        return os.path.join(self.spill_dir, "visited.fps")
-
     def new_visited_set(self):
         """An empty visited-set of the kind this configuration needs:
-        a :class:`repro.mc.fpset.FingerprintSet` in fingerprint mode
-        (mmap-spilled under ``spill_dir`` when one is set), a plain
-        ``set`` otherwise."""
+        a :class:`repro.mc.fpset.FingerprintSet` in fingerprint mode, a
+        plain ``set`` otherwise."""
         if not self.fingerprints:
             return set()
         from .fpset import FingerprintSet
 
-        path = self.visited_spill_path()
-        if path is None:
-            return FingerprintSet()
-        os.makedirs(self.spill_dir, exist_ok=True)
-        return FingerprintSet.spilled(path, expected=self.max_states)
+        return FingerprintSet()
 
     def check(self, state: AdoreState) -> SafetyReport:
         """The safety report for ``state`` under this exploration's
@@ -616,20 +587,13 @@ class Explorer:
 
     def new_frontier(self):
         """An empty frontier of the kind this configuration needs (see
-        :mod:`repro.mc.spill`): FIFO for ``bfs``, best-first for
-        ``guided``, either one spilling past ``spill_window`` entries
-        to a file under ``spill_dir`` when one is set."""
-        from .spill import BestFirstFrontier, FifoFrontier
+        :mod:`repro.mc.frontier`): FIFO for ``bfs``, best-first for
+        ``guided``."""
+        from .frontier import BestFirstFrontier, FifoFrontier
 
-        path = None
-        if self.spill_dir is not None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-            path = os.path.join(self.spill_dir, "frontier.spill")
         if self.strategy == "guided":
-            return BestFirstFrontier(
-                self.guided_priority, path, self.spill_window
-            )
-        return FifoFrontier(path, self.spill_window)
+            return BestFirstFrontier(self.guided_priority)
+        return FifoFrontier()
 
     def run(self) -> ExplorationResult:
         """Explore up to the budget and state cap, in this process.

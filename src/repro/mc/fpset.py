@@ -12,33 +12,24 @@ power-of-two capacity, linear probing.  The zero fingerprint is reserved
 as the empty-slot sentinel -- :func:`repro.core.fingerprint.fp128` never
 returns 0 (it remaps 0 to 1), so every real fingerprint is storable.
 
-The table can live in one of three kinds of backing:
+The table lives in one of two kinds of backing:
 
 * a private ``bytearray`` (the default), which grows by doubling when
-  the load factor exceeds 2/3;
+  the load factor exceeds 2/3; or
 * a caller-provided writable buffer (e.g. ``SharedMemory.buf``), whose
   capacity is fixed.  Inserting beyond the 2/3 load bound then raises
   ``OverflowError`` instead of growing, because the set cannot relocate
   memory it does not own.  Size such buffers with
-  :meth:`FingerprintSet.buffer_bytes`; or
-* an ``mmap`` over a file (:meth:`FingerprintSet.spilled`), the
-  bounded-memory spill mode: the table layout is bit-identical to the
-  in-RAM form, the OS pages slots in and out under memory pressure, and
-  growth rebuilds into a sibling file swapped in with ``os.replace``.
+  :meth:`FingerprintSet.buffer_bytes`.
 
 The shared-memory form is what lets :mod:`repro.mc.parallel` workers
 probe the master's visited set directly: the master writes new
 fingerprints only between BFS levels (``pool.map`` is a barrier), so
 workers always observe a consistent snapshot of the previous levels.
-The spilled form inherits the same property through ``fork``: a
-``MAP_SHARED`` file mapping is shared with forked workers, and the
-master still writes only at level barriers.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
 from typing import Iterator, Optional
 
 __all__ = ["FingerprintSet"]
@@ -63,21 +54,19 @@ def _next_pow2(n: int) -> int:
 class FingerprintSet:
     """Open-addressing set of non-zero 128-bit integers."""
 
-    __slots__ = ("_buf", "_words", "_capacity", "_mask", "_len", "_fixed", "_mmap", "_path")
+    __slots__ = ("_buf", "_words", "_capacity", "_mask", "_len", "_fixed")
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         capacity = _next_pow2(max(int(capacity), _MIN_CAPACITY))
         self._init_backing(bytearray(capacity * _SLOT_BYTES), capacity, fixed=False)
         self._len = 0
 
-    def _init_backing(self, buf, capacity: int, *, fixed: bool, mm=None, path=None) -> None:
+    def _init_backing(self, buf, capacity: int, *, fixed: bool) -> None:
         self._buf = buf
         self._words = memoryview(buf).cast("Q")
         self._capacity = capacity
         self._mask = capacity - 1
         self._fixed = fixed
-        self._mmap = mm
-        self._path = path
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -114,51 +103,6 @@ class FingerprintSet:
             for i in range(self._capacity)
             if words[2 * i] or words[2 * i + 1]
         )
-
-    @classmethod
-    def spilled(
-        cls,
-        path: str,
-        *,
-        expected: int = 0,
-        clear: bool = True,
-    ) -> "FingerprintSet":
-        """A set backed by an ``mmap`` over ``path`` (disk-spill mode).
-
-        With ``clear=True`` (the default) the file is created/truncated
-        to hold ``expected`` fingerprints within the load bound; with
-        ``clear=False`` an existing spill file is re-attached as-is
-        (its size fixes the capacity and its occupied slots are
-        counted), which is how checkpoint resume reopens a visited set
-        without re-reading it into RAM.
-
-        The layout is identical to the in-RAM table, so extensional
-        behaviour is too; only the residency differs -- the OS pages
-        cold slots out under memory pressure.  Growth past the load
-        bound rebuilds into a sibling file and atomically replaces
-        ``path``.
-        """
-        if clear:
-            nbytes = cls.buffer_bytes(expected)
-        else:
-            nbytes = os.path.getsize(path)
-            if nbytes % _SLOT_BYTES:
-                raise ValueError(f"spill file length {nbytes} is not a multiple of {_SLOT_BYTES}")
-            capacity = nbytes // _SLOT_BYTES
-            if capacity < 1 or capacity & (capacity - 1):
-                raise ValueError(f"spill file slot count {capacity} is not a power of two")
-        fd = os.open(path, os.O_RDWR | os.O_CREAT)
-        try:
-            if clear:
-                os.ftruncate(fd, 0)
-                os.ftruncate(fd, nbytes)
-            mm = mmap.mmap(fd, nbytes)
-        finally:
-            os.close(fd)
-        self = cls.__new__(cls)
-        self._init_backing(mm, nbytes // _SLOT_BYTES, fixed=False, mm=mm, path=path)
-        self._len = 0 if clear else self._count_occupied()
-        return self
 
     @classmethod
     def from_packed(cls, data: bytes) -> "FingerprintSet":
@@ -239,28 +183,11 @@ class FingerprintSet:
 
     def _grow(self) -> None:
         old_words = self._words
-        old_mmap = self._mmap
         old_capacity = self._capacity
         new_capacity = old_capacity * 2
-        if old_mmap is None:
-            self._init_backing(
-                bytearray(new_capacity * _SLOT_BYTES), new_capacity, fixed=False
-            )
-        else:
-            # Spilled sets rebuild into a sibling file, then atomically
-            # take over the canonical path.  Forked workers holding the
-            # pre-growth mapping keep a valid (subset) view -- safe for
-            # the pre-filtering they use it for.
-            path = self._path
-            grow_path = path + ".grow"
-            nbytes = new_capacity * _SLOT_BYTES
-            fd = os.open(grow_path, os.O_RDWR | os.O_CREAT)
-            try:
-                os.ftruncate(fd, nbytes)
-                mm = mmap.mmap(fd, nbytes)
-            finally:
-                os.close(fd)
-            self._init_backing(mm, new_capacity, fixed=False, mm=mm, path=path)
+        self._init_backing(
+            bytearray(new_capacity * _SLOT_BYTES), new_capacity, fixed=False
+        )
         words = self._words
         mask = self._mask
         for j in range(old_capacity):
@@ -274,9 +201,6 @@ class FingerprintSet:
             words[2 * i] = lo
             words[2 * i + 1] = hi
         old_words.release()
-        if old_mmap is not None:
-            old_mmap.close()
-            os.replace(self._path + ".grow", self._path)
 
     def __len__(self) -> int:
         return self._len
@@ -300,41 +224,17 @@ class FingerprintSet:
     def fixed(self) -> bool:
         return self._fixed
 
-    @property
-    def spill_path(self) -> Optional[str]:
-        """The backing file of a spilled set (``None`` for in-RAM)."""
-        return self._path
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Sorted little-endian 16-byte records -- the checkpoint-v2
-        wire form.  Sorting makes the output canonical (independent of
+        """Sorted little-endian 16-byte records -- the form a checkpoint
+        embeds.  Sorting makes the output canonical (independent of
         insertion order and table capacity)."""
         return b"".join(
             fp.to_bytes(_SLOT_BYTES, "little") for fp in sorted(self)
         )
-
-    def content_digest(self) -> str:
-        """A canonical digest of the *membership* of this set.
-
-        ``"<count>:<multiset-sum mod 2**128>"`` -- independent of table
-        capacity, probe order and backing, and computable in one pass
-        without sorting.  Checkpoint v3 records this for the spill file
-        it references, so a file mutated (or swapped) after the
-        checkpoint was taken is detected at resume.
-        """
-        total = 0
-        for fp in self:
-            total = (total + fp) & ((1 << 128) - 1)
-        return f"{self._len}:{total:032x}"
-
-    def sync(self) -> None:
-        """Flush a spilled set's dirty pages to its backing file."""
-        if self._mmap is not None:
-            self._mmap.flush()
 
     def release(self) -> None:
         """Release the memoryview over the backing buffer.  Required
@@ -344,14 +244,3 @@ class FingerprintSet:
         if words is not None:
             words.release()
             self._words = None  # type: ignore[assignment]
-
-    def close(self) -> None:
-        """Release the buffer and, for spilled sets, close the mapping.
-
-        The spill file itself is left on disk (checkpoints may
-        reference it); callers unlink it when the run is done.
-        """
-        self.release()
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None

@@ -3,15 +3,13 @@
 :func:`search` is the only loop in the checker.  ``Explorer.run()``,
 ``ParallelExplorer(...).run()`` and :func:`explore` all enter it; what
 differs between a sequential breadth-first proof, a guided hunt, a
-bounded-memory run and a four-worker resumable one is only which three
+tree-capped run and a four-worker resumable one is only which three
 parts it was handed, each chosen once, before the loop starts:
 
-* a **frontier** (:mod:`repro.mc.spill`) -- FIFO or best-first, in RAM
-  or spilled past a window -- which decides the order entries are
-  expanded in;
+* a **frontier** (:mod:`repro.mc.frontier`) -- FIFO or best-first --
+  which decides the order entries are expanded in;
 * the **visited set** ``Explorer.new_visited_set`` builds -- a plain
-  ``set``, a :class:`~repro.mc.fpset.FingerprintSet`, or one mmap'd
-  from a file;
+  ``set`` or a :class:`~repro.mc.fpset.FingerprintSet`;
 * an **executor** -- inline, one entry at a time in this process, or a
   ``fork`` pool expanding contiguous batches of a window.
 
@@ -22,7 +20,7 @@ of the frontier's own order and the merge is strictly in that order, so
 for the FIFO frontier the search visits exactly the states the
 one-entry-at-a-time search visits, for any worker count or batch size,
 and finds the identical first violation.  A best-first frontier hands a
-pool at most :data:`~repro.mc.spill.GUIDED_WINDOW` entries at a time:
+pool at most :data:`~repro.mc.frontier.GUIDED_WINDOW` entries at a time:
 a pooled guided hunt is deterministic and independent of the worker
 count, but it is not the sequential guided hunt (which re-ranks after
 every single expansion), so its state count differs while its verdict
@@ -61,7 +59,7 @@ from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .checkpoint import discard_checkpoint, load_checkpoint, write_checkpoint
 from .explorer import ExplorationResult, Explorer, OpBudget, Violation
 from .fpset import FingerprintSet
-from .spill import Entry
+from .frontier import Entry
 
 #: Refuse to place the shared visited table in a SharedMemory segment
 #: larger than this; bigger runs fall back to a master-private table.
@@ -267,13 +265,8 @@ class _PoolExecutor:
     The visited table moves into a SharedMemory segment so workers can
     probe it directly, pre-filtering duplicates without shipping states
     back to the master; ``visited`` is the table the loop must use from
-    then on.  A *spilled* table needs no segment: its ``MAP_SHARED``
-    file mapping is inherited through ``fork``.  (A master growth swaps
-    in a *new* file; workers then keep their stale, smaller mapping --
-    a subset of visited, which is sound for a pre-filter: it can only
-    miss, never wrongly hit.)  A table too big for the segment cap, or
-    exact-equality full-state keys, stay master-private and just lose
-    the pre-filter.
+    then on.  A table too big for the segment cap, or exact-equality
+    full-state keys, stay master-private and just lose the pre-filter.
     """
 
     #: Entries per window: as many as the frontier hands out.
@@ -289,9 +282,7 @@ class _PoolExecutor:
         self._shm = None
         self.visited = visited
         shared = None
-        if getattr(visited, "spill_path", None) is not None:
-            shared = visited
-        elif explorer.fingerprints:
+        if explorer.fingerprints:
             shared = self._move_to_shared_memory(explorer.max_states)
         self._pool = context.Pool(
             processes=workers,
@@ -452,22 +443,6 @@ class ParallelExplorer:
         return search(self, resume)
 
 
-def _restore_visited(explorer: Explorer, loaded, checkpoint: str):
-    """The visited set of a loaded checkpoint, where this run keeps it."""
-    spill_to = explorer.visited_spill_path()
-    visited = loaded.restore_visited(checkpoint, spill_to=spill_to)
-    if spill_to is not None and visited.spill_path is None:
-        # A checkpoint that embeds its visited set (v2, or v3 taken
-        # unspilled) resumed in spill mode: migrate the set to disk.
-        ram = visited
-        visited = FingerprintSet.spilled(
-            spill_to, expected=max(explorer.max_states, len(ram))
-        )
-        for fp in ram:
-            visited.add(fp)
-    return visited
-
-
 def _add_if_new(visited) -> Callable[[Any], bool]:
     """``add(key) -> was it new?`` in one probe: FingerprintSet.add
     reports newness; for a plain set one C-level insert plus a length
@@ -489,7 +464,7 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
 
     With the inline executor and the FIFO frontier this is plain
     sequential breadth-first search; every other combination of
-    strategy, workers, checkpointing and spilling is the same code over
+    strategy, workers, checkpointing and tree cap is the same code over
     different parts.
 
     Automatic cycle collection is paused for the whole call
@@ -544,12 +519,12 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
         stats.checkpoints_written += 1
 
     # A flush evicts the trees unreachable from the engine's working
-    # set: the window being expanded and the frontier's in-RAM entries.
+    # set: the window being expanded and the frontier's entries.
     window: Sequence[Entry] = ()
 
     def pinned_tree_fps():
         fps = [entry[0].tree.fingerprint() for entry in window]
-        fps.extend(state.tree.fingerprint() for state in frontier.ram_states())
+        fps.extend(state.tree.fingerprint() for state in frontier.states())
         return fps
 
     frontier = explorer.new_frontier()
@@ -570,8 +545,8 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
             if not report.ok:
                 violations.append(Violation(init, (), report))
         else:
-            frontier.restore(loaded.restore_frontier(checkpoint))
-            visited = _restore_visited(explorer, loaded, checkpoint)
+            frontier.restore(loaded.frontier)
+            visited = loaded.restore_visited()
             level = loaded.level
             transitions = loaded.transitions
             max_depth = loaded.max_depth
@@ -685,16 +660,6 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
         set_tree_cap(previous_cap)
         if executor is not None:
             executor.close()
-        # Working spill files are scratch: checkpointed state lives in
-        # sidecar *snapshots*, so these are always safe to drop.
-        frontier.close()
-        visited_path = getattr(visited, "spill_path", None)
-        if visited_path is not None:
-            visited.close()
-            try:
-                os.unlink(visited_path)
-            except OSError:
-                pass
 
 
 def explore(

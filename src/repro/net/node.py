@@ -1104,6 +1104,11 @@ class NetNode:
             return
         if server.compact():
             self._m_compactions.inc()
+            if self._export_enabled:
+                # This step's export ran before the fold; exporting once
+                # more trims the shadow to the new base (nothing moved,
+                # so no event goes out).
+                self._maybe_export_log()
             if self._obs:
                 self.tracer.record(
                     "compaction", now_ms(), self.config.nid,

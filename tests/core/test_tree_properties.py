@@ -207,13 +207,12 @@ def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
         assert_same_tree(grown, CacheTree(dict(shuffled)))
 
         # Unpickling: a real round trip, and the hook fed the entries
-        # out of order, with and without the shipped fingerprint.  The
-        # intern table is emptied first each time, or the hook would
-        # hand back the tree it interned before without building one.
+        # out of order.  The intern table is emptied first each time, or
+        # the hook would hand back the tree it interned before without
+        # building one.
         for restore in (
             lambda: pickle.loads(pickle.dumps(grown)),
             lambda: _restore_tree(dict(shuffled), grown.fingerprint()),
-            lambda: _restore_tree(dict(shuffled)),
         ):
             flush_interned_trees()
             restored = restore()

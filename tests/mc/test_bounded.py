@@ -1,18 +1,16 @@
 """Bounded-memory engine parity (ISSUE 10 acceptance) and the contract
 of the one memory setting (ISSUE 26).
 
-Cache eviction and disk spilling only discard *recomputable* memoized
-state (interned trees/caches, memo scratch) or move *exact* data
-structures to disk (the visited table, the frontier).  Therefore a tree
-cap and the spill mode must reproduce the seed engine's recorded answer
-(``ROWS`` in :mod:`tests.mc.test_golden`) bit for bit: same state
-count, same transition count, same verdict, same first violation -- on
-the intact configuration and all four ablations, sequentially and
-through the parallel engine.
+Cache eviction only discards *recomputable* memoized state (interned
+trees/caches, memo scratch).  Therefore a tree cap must reproduce the
+seed engine's recorded answer (``ROWS`` in :mod:`tests.mc.test_golden`)
+bit for bit: same state count, same transition count, same verdict,
+same first violation -- on the intact configuration and all four
+ablations, sequentially and through the parallel engine.
 
-Caps here are deliberately tiny so every run actually flushes and
-spills many times; the unbounded runs in ``tests/mc/test_parity.py``
-stay the baseline for the unbounded engine.
+Caps here are deliberately tiny so every run actually flushes many
+times; the unbounded runs in ``tests/mc/test_parity.py`` stay the
+baseline for the unbounded engine.
 
 ``Explorer.tree_cap`` is applied by ``search`` for its own span, beside
 the pin provider naming its frontier: ``TestTheSearchOwnsTheBound`` pins
@@ -33,9 +31,6 @@ from repro.mc.explorer import Explorer
 
 from .test_golden import BFS, ROWS, SEQUENTIAL, explorer
 
-#: Tiny bounds: every configuration overflows them many times over.
-SPILL_WINDOW = 64
-
 
 def tree_cap(name):
     # A run interns about one tree per state, so a quarter of the row's
@@ -52,7 +47,7 @@ def tree_flushes():
 
 @pytest.mark.parametrize("name", SEQUENTIAL)
 class TestTreeCapParity:
-    """A tiny tree cap, no spill: exact seed parity."""
+    """A tiny tree cap, sequential engine: exact seed parity."""
 
     def test_matches_seed_engine(self, name):
         before = tree_flushes()
@@ -62,34 +57,20 @@ class TestTreeCapParity:
         assert flushes > 0, "cap never hit: the test is not exercising eviction"
 
 
-@pytest.mark.parametrize("name", SEQUENTIAL)
-class TestSpillParity:
-    """Disk-spilled frontier + visited set, sequential engine."""
-
-    def test_matches_seed_engine(self, name, tmp_path):
-        result = explorer(
-            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW
-        ).run()
-        assert signature(result) == ROWS[name]
-        # The engine cleans its working spill files up after itself.
-        assert not list(tmp_path.iterdir())
-
-
-class TestParallelSpillParity:
-    """Spilled frontier/visited plus a tiny tree cap through the parallel
-    engine: the fork-shared mmap visited table and the windowed level
-    merge must not change the answer for any worker count."""
+class TestParallelTreeCapParity:
+    """A tiny tree cap through the parallel engine: the fork-shared
+    visited table and the windowed level merge must not change the
+    answer for any worker count, and pool workers inherit the cap."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("name", BFS)
-    def test_matches_seed_engine(self, name, workers, tmp_path):
-        spilled = explorer(
-            name, spill_dir=str(tmp_path), spill_window=SPILL_WINDOW,
-            tree_cap=tree_cap(name),
-        )
-        result = ParallelExplorer(spilled, workers=workers).run()
+    def test_matches_seed_engine(self, name, workers):
+        capped = explorer(name, tree_cap=tree_cap(name))
+        before = tree_flushes()
+        result = ParallelExplorer(capped, workers=workers).run()
         assert signature(result) == ROWS[name]
-        assert not list(tmp_path.iterdir())
+        # The master re-interns every tree a worker ships back to it.
+        assert tree_flushes() > before
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +136,7 @@ class TestBoundedCli:
         saved = resource.getrlimit(resource.RLIMIT_AS)
         try:
             code = bounded_cli.main(
-                ["--tree-cap", "512", "--window", "128", "--limit-mb", "0"]
+                ["--tree-cap", "512", "--limit-mb", "0"]
             )
         finally:
             resource.setrlimit(resource.RLIMIT_AS, saved)

@@ -11,14 +11,25 @@ pins one concrete corruption; the module-rename and bad-int cases fail
 with the broadened handler reverted.
 """
 
+import os
 import pickle
 import random
 import warnings
 
 import pytest
 
-from repro.mc import Checkpoint, FingerprintSet, load_checkpoint, save_checkpoint
-from repro.mc.checkpoint import CHECKPOINT_VERSION
+from repro.mc import (
+    Checkpoint,
+    FingerprintSet,
+    OpBudget,
+    explore,
+    load_checkpoint,
+    save_checkpoint,
+    verify_intact_explorer,
+)
+from repro.mc.bounded_cli import signature
+
+SMALL = OpBudget(pulls=1, invokes=1, reconfigs=1, pushes=1)
 
 
 def make_checkpoint(path: str) -> bytes:
@@ -110,26 +121,33 @@ class TestCorruptPickles:
 
 
 class TestVersioning:
-    """Format versioning (v2: compact visited set; v3: spill sidecars)."""
+    """One version loads: the one this code writes.  Every other is
+    refused with a warning, and the run starts fresh."""
 
-    def test_current_version_is_three(self):
-        assert CHECKPOINT_VERSION == 3
-
-    def test_v2_checkpoint_still_loads(self, tmp_path):
-        # A pre-spill checkpoint (no sidecar fields) must resume: its
-        # dataclass defaults (`None` refs) mean "everything embedded".
-        path = str(tmp_path / "v2.ckpt")
+    def test_v3_sidecar_checkpoint_is_refused_and_the_run_starts_fresh(
+        self, tmp_path
+    ):
+        # What a version-3 engine wrote for a run that kept its frontier
+        # and visited set on disk: empty embedded fields plus sidecar
+        # references.  Loaded as if it were current, the empty frontier
+        # would "resume" straight to an exhausted SAFE verdict.
+        explorer = verify_intact_explorer(budget=SMALL)
+        path = str(tmp_path / "v3.ckpt")
         old = Checkpoint(
-            fingerprint="f", level=1, frontier=[("s", "b", ())],
-            visited_keys={1, 2}, transitions=3, max_depth=1,
-            exhausted=False, version=2,
+            fingerprint=explorer.config_fingerprint(), level=2,
+            frontier=[], visited_keys=set(), transitions=40, max_depth=2,
+            exhausted=True, version=3,
         )
+        old.frontier_ref = {"file": "v3.ckpt.frontier", "sha256": "0", "count": 9}
+        old.visited_ref = {"file": "v3.ckpt.visited", "sha256": "0", "count": 30}
         save_checkpoint(path, old)
-        loaded = load_checkpoint(path, "f")
-        assert loaded is not None
-        assert loaded.frontier_ref is None and loaded.visited_ref is None
-        assert list(loaded.restore_frontier(path)) == [("s", "b", ())]
-        assert loaded.restore_visited(path) == {1, 2}
+        with pytest.warns(UserWarning, match="version 3 != 4"):
+            assert load_checkpoint(path, old.fingerprint) is None
+        with pytest.warns(UserWarning, match="version 3 != 4"):
+            resumed = explore(explorer, checkpoint=path)
+        assert signature(resumed) == signature(verify_intact_explorer(budget=SMALL).run())
+        assert resumed.transitions > old.transitions
+        assert not os.path.exists(path)
 
     def test_v1_checkpoint_rejected_with_versioned_message(self, tmp_path):
         path = str(tmp_path / "v1.ckpt")
@@ -143,7 +161,7 @@ class TestVersioning:
             assert load_checkpoint(path, "f") is None
         messages = [str(w.message) for w in caught]
         assert any(
-            "version 1" in m and "re-run" in m for m in messages
+            "version 1" in m and "starting fresh" in m for m in messages
         ), messages
 
     def test_future_version_rejected(self, tmp_path):
@@ -190,7 +208,7 @@ class TestFingerprintVisited:
 
     def test_exact_equality_keys_still_supported(self, tmp_path):
         # Exact-equality (fingerprints=False) runs keep pickling their
-        # key sets; a v2 checkpoint without visited_fps restores a set.
+        # key sets; a checkpoint without visited_fps restores a set.
         path = str(tmp_path / "keys.ckpt")
         checkpoint = Checkpoint(
             fingerprint="f", level=1, frontier=[], visited_keys={1, 2, 3},
@@ -220,120 +238,3 @@ class TestFingerprintVisited:
             transitions=0, max_depth=1, exhausted=False,
         ))
         assert len(compact) < len(fat) / 5
-
-
-class TestSpillSidecars:
-    """v3 sidecar references: verified by content fingerprint at load."""
-
-    @staticmethod
-    def make_v3(tmp_path, mutate=None):
-        import os
-
-        from repro.mc.spill import file_sha256, write_packed_records
-
-        path = str(tmp_path / "run.ckpt")
-        entries = [("state-a", "budget", ()), ("state-b", "budget", ("op",))]
-        sha_frontier = write_packed_records(path + ".frontier", iter(entries))
-        fps = FingerprintSet.spilled(str(tmp_path / "work.fps"), expected=8)
-        for value in (10, 20, 30):
-            fps.add(value)
-        fps.sync()
-        import shutil
-
-        shutil.copyfile(fps.spill_path, path + ".visited")
-        fps.close()
-        checkpoint = Checkpoint(
-            fingerprint="f", level=2, frontier=[], visited_keys=set(),
-            transitions=7, max_depth=2, exhausted=False,
-            frontier_ref={
-                "file": os.path.basename(path + ".frontier"),
-                "sha256": sha_frontier,
-                "count": len(entries),
-            },
-            visited_ref={
-                "file": os.path.basename(path + ".visited"),
-                "sha256": file_sha256(path + ".visited"),
-                "count": 3,
-            },
-        )
-        if mutate is not None:
-            mutate(path, checkpoint)
-        save_checkpoint(path, checkpoint)
-        return path, entries
-
-    def test_round_trip(self, tmp_path):
-        path, entries = self.make_v3(tmp_path)
-        loaded = load_checkpoint(path, "f")
-        assert loaded is not None
-        assert loaded.states_visited == 3
-        assert loaded.frontier_len == 2
-        assert list(loaded.restore_frontier(path)) == entries
-        restored = loaded.restore_visited(path)
-        assert sorted(restored) == [10, 20, 30]
-
-    def test_restore_visited_into_working_spill_file(self, tmp_path):
-        path, _ = self.make_v3(tmp_path)
-        loaded = load_checkpoint(path, "f")
-        working = str(tmp_path / "spill" / "visited.fps")
-        restored = loaded.restore_visited(path, spill_to=working)
-        try:
-            assert restored.spill_path == working
-            assert sorted(restored) == [10, 20, 30]
-            restored.add(40)  # mutating the working copy...
-        finally:
-            restored.close()
-        # ...leaves the snapshot pristine: a second resume still loads.
-        assert load_checkpoint(path, "f") is not None
-
-    def test_missing_sidecar_rejected(self, tmp_path):
-        import os
-
-        path, _ = self.make_v3(tmp_path)
-        os.unlink(path + ".frontier")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert load_checkpoint(path, "f") is None
-        assert any("missing or unreadable" in str(w.message) for w in caught)
-
-    @pytest.mark.parametrize("sidecar", [".frontier", ".visited"])
-    def test_corrupt_sidecar_rejected(self, tmp_path, sidecar):
-        path, _ = self.make_v3(tmp_path)
-        with open(path + sidecar, "r+b") as handle:
-            handle.seek(3)
-            byte = handle.read(1)
-            handle.seek(3)
-            handle.write(bytes([byte[0] ^ 0xFF]))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert load_checkpoint(path, "f") is None
-        assert any("content fingerprint" in str(w.message) for w in caught)
-
-    def test_truncated_sidecar_rejected(self, tmp_path):
-        import os
-
-        path, _ = self.make_v3(tmp_path)
-        size = os.path.getsize(path + ".visited")
-        with open(path + ".visited", "r+b") as handle:
-            handle.truncate(size // 2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert load_checkpoint(path, "f") is None
-        assert any("content fingerprint" in str(w.message) for w in caught)
-
-    def test_sidecar_needs_checkpoint_path(self, tmp_path):
-        path, _ = self.make_v3(tmp_path)
-        loaded = load_checkpoint(path, "f")
-        with pytest.raises(ValueError):
-            loaded.restore_frontier(None)
-
-    def test_truncated_frontier_records_raise(self, tmp_path):
-        from repro.mc.spill import iter_packed_records, write_packed_records
-
-        path = str(tmp_path / "records.spill")
-        write_packed_records(path, iter([("a", 1), ("b", 2)]))
-        import os
-
-        with open(path, "r+b") as handle:
-            handle.truncate(os.path.getsize(path) - 3)
-        with pytest.raises(ValueError):
-            list(iter_packed_records(path))

@@ -1,8 +1,7 @@
-"""Guided x workers x checkpoint x spill compose (ISSUE 14).
+"""Guided x workers x checkpoint compose (ISSUE 14).
 
 There is one search loop; the strategy picks its frontier, ``workers``
-its executor, ``spill_dir`` where frontier and visited set live, and
-``checkpoint`` what happens between rounds.  Before the loop was merged
+its executor, and ``checkpoint`` what happens between rounds.  Before the loop was merged
 these were two engines and guided search could have none of the
 parallel engine's features; every test here fails on that commit.
 """
@@ -59,23 +58,6 @@ class TestGuidedCheckpoint:
         assert slices > 3
         assert signature(sliced) == signature(whole)
         assert not list(tmp_path.iterdir())
-
-    def test_spilled_sliced_run_equals_the_in_ram_run(
-        self, name, factory, tmp_path
-    ):
-        # A heap frontier of 16 records in RAM: every slice sheds to
-        # disk, and every checkpoint is a sidecar snapshot of the heap.
-        whole = factory().run()
-        spill_dir = tmp_path / "spill"
-        sliced, slices = run_in_slices(
-            lambda: factory(spill_dir=str(spill_dir), spill_window=16),
-            str(tmp_path / "hunt.ckpt"),
-            workers=1,
-        )
-        assert slices > 3
-        assert signature(sliced) == signature(whole)
-        assert not list(spill_dir.iterdir())
-        assert [p.name for p in tmp_path.iterdir()] == ["spill"]
 
 
 class TestGuidedWorkers:

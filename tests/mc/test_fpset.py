@@ -147,141 +147,3 @@ class TestFixedBuffers:
             assert capacity & (capacity - 1) == 0
             # expected entries stay within the 2/3 load bound.
             assert expected * 3 <= capacity * 2
-
-
-class TestSpilled:
-    """The mmap-backed spill mode must be extensionally equal to the
-    in-RAM table: same membership answers, same canonical packing, same
-    growth behavior -- only the backing storage differs."""
-
-    def test_add_contains_matches_ram(self, tmp_path):
-        ram = FingerprintSet()
-        spilled = FingerprintSet.spilled(str(tmp_path / "v.fps"), expected=64)
-        values = fps(2000, seed=10)
-        for fp in values:
-            assert ram.add(fp) == spilled.add(fp)
-            assert (fp in ram) == (fp in spilled)
-        absent = [fp for fp in fps(500, seed=11) if fp not in set(values)]
-        for fp in absent:
-            assert (fp in ram) == (fp in spilled) is False
-        assert len(spilled) == len(ram)
-        assert sorted(spilled) == sorted(ram)
-        spilled.close()
-
-    def test_growth_replaces_file_and_keeps_contents(self, tmp_path):
-        path = str(tmp_path / "v.fps")
-        s = FingerprintSet.spilled(path, expected=4)
-        initial_capacity = s.capacity
-        values = fps(5000, seed=12)
-        for fp in values:
-            s.add(fp)
-        assert s.capacity > initial_capacity
-        assert set(s) == set(values)
-        # Growth swapped a larger file in under the same path.
-        import os
-
-        assert os.path.getsize(path) == s.capacity * 16
-        assert not os.path.exists(path + ".grow")
-        s.close()
-
-    def test_reopen_existing_file(self, tmp_path):
-        path = str(tmp_path / "v.fps")
-        values = fps(800, seed=13)
-        writer = FingerprintSet.spilled(path, expected=len(values))
-        for fp in values:
-            writer.add(fp)
-        writer.sync()
-        packed = writer.to_bytes()
-        writer.close()
-        reader = FingerprintSet.spilled(path, clear=False)
-        assert len(reader) == len(values)
-        assert all(fp in reader for fp in values)
-        assert reader.to_bytes() == packed
-        reader.close()
-
-    def test_packing_is_identical_to_ram(self, tmp_path):
-        values = fps(600, seed=14)
-        ram = FingerprintSet()
-        spilled = FingerprintSet.spilled(str(tmp_path / "v.fps"), expected=8)
-        for fp in values:
-            ram.add(fp)
-            spilled.add(fp)
-        assert spilled.to_bytes() == ram.to_bytes()
-        restored = FingerprintSet.from_packed(spilled.to_bytes())
-        assert set(restored) == set(values)
-        spilled.close()
-
-    def test_content_digest_is_layout_independent(self, tmp_path):
-        values = fps(300, seed=15)
-        small = FingerprintSet.spilled(str(tmp_path / "a.fps"), expected=1)
-        big = FingerprintSet(capacity=8192)
-        for fp in values:
-            small.add(fp)
-        for fp in reversed(values):
-            big.add(fp)
-        assert small.content_digest() == big.content_digest()
-        big.add(fps(1, seed=16)[0])
-        assert small.content_digest() != big.content_digest()
-        small.close()
-
-    def test_spilled_rejects_ragged_existing_file(self, tmp_path):
-        path = tmp_path / "bad.fps"
-        path.write_bytes(b"\x00" * 100)  # not a multiple of 16
-        with pytest.raises(ValueError):
-            FingerprintSet.spilled(str(path), clear=False)
-        path.write_bytes(b"\x00" * 48)  # 3 slots: not a power of two
-        with pytest.raises(ValueError):
-            FingerprintSet.spilled(str(path), clear=False)
-
-
-class TestSpilledProperties:
-    """Hypothesis: for any operation sequence, spill mode and RAM mode
-    are observationally identical."""
-
-    from hypothesis import HealthCheck, given, settings
-    from hypothesis import strategies as st
-
-    fingerprints = st.integers(min_value=1, max_value=(1 << 128) - 1)
-
-    @given(ops=st.lists(
-        st.tuples(st.sampled_from(["add", "contains"]), fingerprints),
-        max_size=300,
-    ))
-    @settings(max_examples=50, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_op_sequence_equivalence(self, ops, tmp_path):
-        import tempfile
-
-        with tempfile.TemporaryDirectory(dir=tmp_path) as td:
-            ram = FingerprintSet(capacity=16)
-            spilled = FingerprintSet.spilled(td + "/v.fps", expected=1)
-            try:
-                for op, fp in ops:
-                    if op == "add":
-                        assert ram.add(fp) == spilled.add(fp)
-                    else:
-                        assert (fp in ram) == (fp in spilled)
-                assert len(ram) == len(spilled)
-                assert sorted(ram) == sorted(spilled)
-                assert ram.to_bytes() == spilled.to_bytes()
-                assert ram.content_digest() == spilled.content_digest()
-            finally:
-                spilled.close()
-
-    @given(values=st.lists(fingerprints, unique=True, max_size=200))
-    @settings(max_examples=50, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_pack_round_trip_through_disk(self, values, tmp_path):
-        import tempfile
-
-        with tempfile.TemporaryDirectory(dir=tmp_path) as td:
-            spilled = FingerprintSet.spilled(td + "/v.fps", expected=2)
-            try:
-                for fp in values:
-                    spilled.add(fp)
-                spilled.sync()
-                packed = spilled.to_bytes()
-            finally:
-                spilled.close()
-            restored = FingerprintSet.from_packed(packed)
-            assert sorted(restored) == sorted(values)

@@ -16,7 +16,7 @@ violation count, the first violation's trace reprs and
 section 11 has the recording script and how to re-run it from that
 commit.  Every engine mode is held to the same row: ``test_parity``
 (fingerprint and exact-equality dedup, 1 and 4 workers) and
-``test_bounded`` (a tiny tree cap, spill, parallel + spill + cap).
+``test_bounded`` (a tiny tree cap, sequential and through the pool).
 
 ``GOLDEN`` -- ten medium-capped digests of ``Explorer.run()`` recorded
 from the optimized engine on the commit before the two search loops

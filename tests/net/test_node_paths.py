@@ -208,20 +208,26 @@ def test_a_shed_trace_backlog_is_followed_by_a_full_reship(monkeypatch):
 def test_the_export_shadow_frees_what_compaction_folds():
     # The shadow once kept every entry ever exported: after 2,000 puts
     # a node held 2,000 while its log's tail was empty.  It keeps the
-    # positions at or above the base now; the export runs before the
-    # compaction of the same step, so between exports it may still hold
-    # one compaction's worth below the base.
+    # positions at or above the base only, from the very step that
+    # folds them: the export runs before the compaction, and a
+    # compaction trims the shadow to its new base at once.
     threshold = 16
     node = make_leader(monitor=("127.0.0.1", 1), snapshot_threshold=threshold)
+    events = node.tracer.events
     for seq in range(300):
         put_and_commit(node, seq)
-        tail = getattr(node.server.log, "tail", node.server.log)
-        assert len(node._shadow) <= len(tail) + threshold
-    log = node.server.log
-    assert log.snap.base_len >= 256
-    node._maybe_export_log()
-    assert node._shadow_off == log.snap.base_len
-    assert node._shadow == list(log.tail)
+        log = node.server.log
+        base = log.snap.base_len if hasattr(log, "snap") else 0
+        assert node._shadow_off == base
+        assert node._shadow == list(getattr(log, "tail", log))
+    assert node.server.log.snap.base_len >= 256
+    # The trimming export says nothing: every event moves the exported
+    # log end or the commit point.
+    moved = [
+        (e.data["base"] + len(e.data["entries"]), e.data["commit"])
+        for e in events if e.kind == "log_advance"
+    ]
+    assert all(a != b for a, b in zip(moved, moved[1:]))
 
 
 # ----------------------------------------------------------------------
