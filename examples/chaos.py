@@ -94,7 +94,8 @@ def parse_args() -> argparse.Namespace:
         "--bundle-dir",
         default=None,
         help="write a replayable violation bundle here if a check fails "
-        "(view it with examples/trace_view.py)",
+        "(the failing seed is run again, traced, to fill it; view it "
+        "with examples/trace_view.py)",
     )
     return parser.parse_args()
 

@@ -6,7 +6,8 @@ a violation, in one format (``repro.obs.bundle``):
 
 * a failed nemesis run (``NemesisConfig(bundle_dir=...)``) writes the
   serialized chaos config, both checkers' verdicts, the metrics
-  snapshot, the full typed event trace, and the client history;
+  snapshot, the typed event trace (recorded by running the failing
+  seed a second time with the tracer on), and the client history;
 * the live safety monitor (``python -m repro.monitor serve
   --bundle-dir ...``) writes every trace event it journaled and the
   verdict naming the offending event.

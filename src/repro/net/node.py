@@ -154,8 +154,9 @@ def _server_class(spec: str):
 
 
 #: Trace kinds streamed to the monitor.  Per-message ``send``/``receive``
-#: events stay local (the ring buffer keeps them for bundles); the
-#: monitor needs protocol milestones, not transport chatter.
+#: events only move the Lamport clocks (the export sink owns every
+#: event and nothing else keeps one); the monitor needs protocol
+#: milestones, not transport chatter.
 _EXPORT_SKIP = frozenset({"send", "receive"})
 
 

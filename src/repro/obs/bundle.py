@@ -14,7 +14,10 @@ directory holding
   metrics snapshot and trace counters), or a monitor's initial
   configuration, node set and ``journal_dropped``;
 * ``trace.jsonl`` -- one :meth:`TraceEvent.to_dict` row per event: the
-  nemesis run's trace ring, or every event the monitor journaled;
+  trace ring of a nemesis run's traced replay (the run itself records
+  no trace; :func:`~repro.runtime.nemesis.run_nemesis` re-runs a
+  failing seed with the tracer on to fill it), or every event the
+  monitor journaled;
 * ``history.jsonl`` -- a nemesis run's client history, the input of its
   linearizability check.
 
@@ -169,15 +172,15 @@ def _nemesis_verdict(result) -> Dict:
     }
 
 
-def write_bundle(directory: str, result) -> str:
+def write_bundle(directory: str, result, tracer=None) -> str:
     """Persist a failed :class:`~repro.runtime.nemesis.NemesisResult`
-    (its config, verdicts, stats, metrics, trace, and history) under
-    ``directory``; returns the bundle path.
+    (its config, verdicts, stats, metrics and history) and the
+    :class:`~repro.obs.trace.Tracer` that recorded its run (``None``:
+    an empty trace) under ``directory``; returns the bundle path.
 
     The bundle name is deterministic per seed, so re-running the same
     failing seed overwrites its bundle instead of accumulating copies.
     """
-    tracer = result.tracer
     return _write(
         os.path.join(directory, f"nemesis-seed{result.config.seed}"),
         {

@@ -120,9 +120,10 @@ class Tracer:
     a silent ring buffer cannot back an online monitor.
 
     ``sink``, when given, is called synchronously with every recorded
-    :class:`TraceEvent` *before* it can be evicted; it is how a node
-    streams its trace to :mod:`repro.monitor` without the exporter
-    racing the ring buffer.  A sink must never raise.
+    :class:`TraceEvent` and *owns* it: a tracer with a sink buffers
+    nothing (its ring stays empty and ``dropped`` stays 0).  It is how
+    a node streams its trace to :mod:`repro.monitor`; the node's export
+    queue is the one copy of what it records.  A sink must never raise.
     """
 
     #: Instrumented hot paths guard on this instead of an isinstance
@@ -138,7 +139,8 @@ class Tracer:
         self.clocks: Dict[object, int] = {}
         #: Events recorded over the tracer's lifetime (>= len(events)).
         self.recorded = 0
-        #: Events evicted from the ring buffer (recorded - buffered).
+        #: Events evicted from the ring buffer (recorded - buffered,
+        #: for a tracer without a sink).
         self.dropped = 0
         self._sink = sink
         self._m_dropped = (
@@ -154,15 +156,16 @@ class Tracer:
         return stamp
 
     def _append(self, event: TraceEvent) -> None:
+        self.recorded += 1
+        if self._sink is not None:
+            self._sink(event)
+            return
         events = self.events
         if len(events) == self.capacity:
             self.dropped += 1
             if self._m_dropped is not None:
                 self._m_dropped.inc()
         events.append(event)
-        self.recorded += 1
-        if self._sink is not None:
-            self._sink(event)
 
     def record(self, kind: str, t_ms: float, node, **data) -> int:
         """Record one local event at ``node``; returns its Lamport stamp."""

@@ -17,7 +17,10 @@ ends with the two checks the paper's safety story calls for:
   (:mod:`repro.runtime.linearize`).
 
 Everything is deterministic per seed: the simulator, the fault plan,
-and the operation generator each own a seeded RNG.
+and the operation generator each own a seeded RNG.  So a run records no
+event trace: a failing run that is to leave a violation bundle is run
+again from its config with the tracer on, and that replay fills the
+bundle.
 """
 
 from __future__ import annotations
@@ -93,8 +96,10 @@ class NemesisConfig:
     #: chaos discipline (and recorded in violation bundles, so a bundle
     #: of the resulting violation replays faithfully).
     client_request_ids: bool = True
-    #: Ring-buffer capacity of the run's event tracer; 0 disables
-    #: tracing entirely (the null tracer).
+    #: Ring-buffer capacity of a violation bundle's event trace.  The
+    #: run itself is never traced; a failing run with ``bundle_dir``
+    #: set is replayed once with a tracer of this size.  0 writes the
+    #: bundle with an empty trace and skips the replay.
     trace_capacity: int = 200_000
     #: When set, a run that fails either checker writes a replayable
     #: violation bundle (config, verdicts, stats, metrics, trace,
@@ -141,8 +146,6 @@ class NemesisResult:
     safety_violations: List[str]
     linearizability: LinearizabilityResult
     stats: NemesisStats
-    #: The run's tracer (its ring buffer holds the event trace).
-    tracer: Optional[Tracer] = None
     #: ``MetricsRegistry.snapshot()`` taken at the end of the run.
     metrics: Optional[dict] = None
     #: Where the violation bundle was written, when one was.
@@ -181,26 +184,51 @@ def duplicate_request_audit(cluster: Cluster) -> List[str]:
     return problems
 
 
+def _verdict(result: NemesisResult):
+    """What a traced replay of a run must reproduce exactly."""
+    return result.safety_violations, result.linearizability, result.stats
+
+
 @gc_paused()
 def run_nemesis(config: NemesisConfig) -> NemesisResult:
     """Run one seeded chaos schedule; returns history plus verdicts.
 
-    Every run is traced and metered (:mod:`repro.obs`); neither
-    consumes randomness nor schedules simulator events, so results are
-    identical to an uninstrumented run.  On a failed check the trace,
-    metrics, config, and history are persisted as a replayable
-    violation bundle when ``config.bundle_dir`` is set.
+    The run is metered (:mod:`repro.obs.metrics`) but not traced.  When
+    a check fails and ``config.bundle_dir`` is set, the same config is
+    run a second time with a :class:`~repro.obs.trace.Tracer` of
+    ``config.trace_capacity`` events, and the violation bundle (config,
+    verdicts, stats, metrics, trace, history) is written from that
+    replay.  Tracing consumes no randomness and schedules no simulator
+    events, so the replay must reach the same verdict and the same
+    stats; if it does not, this raises ``RuntimeError`` instead of
+    writing a bundle that would not replay.  ``trace_capacity=0``
+    writes the bundle from the first run, with an empty trace.
 
     Automatic cycle collection is paused for the call
     (:func:`~repro.core.cachemgr.gc_paused`): logs, messages, history
     and trace records only ever point at older values.
     """
+    result = _run_schedule(config, NULL_TRACER)
+    if result.ok or config.bundle_dir is None:
+        return result
+    tracer = None
+    if config.trace_capacity > 0:
+        expected = _verdict(result)
+        del result  # only its verdict is compared; free it for the replay
+        tracer = Tracer(capacity=config.trace_capacity)
+        result = _run_schedule(config, tracer)
+        if _verdict(result) != expected:
+            raise RuntimeError(
+                f"nemesis seed={config.seed}: the traced replay diverged "
+                "from the untraced run; tracing perturbed a seeded run"
+            )
+    result.bundle_path = write_bundle(config.bundle_dir, result, tracer)
+    return result
+
+
+def _run_schedule(config: NemesisConfig, tracer: Tracer) -> NemesisResult:
+    """One run of ``config``'s schedule, recording into ``tracer``."""
     plan = FaultPlan(seed=config.seed + 1, conditions=config.conditions)
-    tracer = (
-        Tracer(capacity=config.trace_capacity)
-        if config.trace_capacity > 0
-        else NULL_TRACER
-    )
     metrics = MetricsRegistry()
     nemesis_faults = metrics.counter("nemesis.fault_activations")
     all_nodes = (
@@ -372,18 +400,14 @@ def run_nemesis(config: NemesisConfig) -> NemesisResult:
     gauges.gauge("nemesis.ops_completed").set(stats.ops_completed)
     gauges.gauge("nemesis.ops_unknown").set(stats.ops_unknown)
     gauges.gauge("nemesis.reconfigs_done").set(stats.reconfigs_done)
-    result = NemesisResult(
+    return NemesisResult(
         config=config,
         history=history,
         safety_violations=safety,
         linearizability=linearizability,
         stats=stats,
-        tracer=tracer,
         metrics=metrics.snapshot(),
     )
-    if not result.ok and config.bundle_dir is not None:
-        result.bundle_path = write_bundle(config.bundle_dir, result)
-    return result
 
 
 # ----------------------------------------------------------------------

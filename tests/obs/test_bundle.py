@@ -22,11 +22,13 @@ from repro.obs import (
     write_bundle,
     write_monitor_bundle,
 )
+from repro.obs.trace import NULL_TRACER
 from repro.raft.messages import LogEntry
 from repro.runtime import (
     LatencyModel,
     NemesisConfig,
     NetworkConditions,
+    nemesis,
     run_nemesis,
 )
 
@@ -212,6 +214,102 @@ class TestBundleLifecycle:
         assert os.listdir(bundle_dir) == ["nemesis-seed2"]
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The tracer each schedule run of ``run_nemesis`` was handed."""
+    tracers = []
+    real = nemesis._run_schedule
+
+    def counted(config, tracer):
+        tracers.append(tracer)
+        return real(config, tracer)
+
+    monkeypatch.setattr(nemesis, "_run_schedule", counted)
+    return tracers
+
+
+class TestTracedReplay:
+    """A run records no trace; only a failing run that writes a bundle
+    is run again, traced, and the bundle is written from that run."""
+
+    def test_a_passing_run_makes_no_tracer(self, tmp_path, monkeypatch, runs):
+        made = []
+
+        class Counted(Tracer):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(nemesis, "Tracer", Counted)
+        result = run_nemesis(
+            NemesisConfig(seed=1, ops=30, bundle_dir=str(tmp_path))
+        )
+        assert result.ok and result.bundle_path is None
+        assert made == [] and runs == [NULL_TRACER]
+        assert not hasattr(result, "tracer")
+
+    def test_the_bundle_holds_a_traced_run_of_its_config(self, tmp_path, runs):
+        config = dataclasses.replace(
+            violating_config(str(tmp_path)), trace_capacity=500
+        )
+        result = run_nemesis(config)
+        assert not result.ok
+        assert len(runs) == 2 and runs[0] is NULL_TRACER
+        assert isinstance(runs[1], Tracer) and runs[1].capacity == 500
+
+        reference = Tracer(capacity=500)
+        again = nemesis._run_schedule(
+            dataclasses.replace(config, bundle_dir=None), reference
+        )
+        assert again.stats == result.stats
+        with open(os.path.join(result.bundle_path, "trace.jsonl")) as handle:
+            rows = [json.loads(line) for line in handle]
+        assert rows == [
+            json.loads(json.dumps(event.to_dict(), sort_keys=True, default=repr))
+            for event in reference.events
+        ]
+        manifest = load_bundle(result.bundle_path).manifest
+        assert manifest["trace_recorded"] == reference.recorded
+        assert manifest["trace_dropped"] == reference.dropped > 0
+        assert reference.recorded - reference.dropped == len(rows) == 500
+
+    def test_a_failing_run_without_bundle_dir_runs_once(self, runs):
+        result = run_nemesis(violating_config())
+        assert not result.ok and result.bundle_path is None
+        assert runs == [NULL_TRACER]
+
+    def test_capacity_zero_writes_an_empty_trace_after_one_run(
+        self, tmp_path, runs
+    ):
+        config = dataclasses.replace(
+            violating_config(str(tmp_path)), trace_capacity=0
+        )
+        result = run_nemesis(config)
+        assert runs == [NULL_TRACER]
+        bundle = load_bundle(result.bundle_path)
+        assert bundle.events == []
+        assert bundle.manifest["trace_recorded"] == 0
+        assert bundle.manifest["trace_dropped"] == 0
+        assert bundle.verdict["ok"] is False
+        assert len(bundle.history.operations) == 250
+
+    def test_a_diverging_replay_raises_instead_of_writing(
+        self, tmp_path, monkeypatch
+    ):
+        real = nemesis._run_schedule
+
+        def perturbed(config, tracer):
+            result = real(config, tracer)
+            if tracer.enabled:
+                result.stats.messages_sent += 1
+            return result
+
+        monkeypatch.setattr(nemesis, "_run_schedule", perturbed)
+        with pytest.raises(RuntimeError, match="perturbed a seeded run"):
+            run_nemesis(violating_config(str(tmp_path)))
+        assert os.listdir(tmp_path) == []
+
+
 class TestMonitorBundle:
     def test_verdict_names_the_offending_event(self, monitor_violation):
         verdict = monitor_violation.verdict
@@ -261,9 +359,7 @@ class TestTraceFile:
         tracer = Tracer()
         tracer.send(1.0, 1, 2, "CommitReq")
         tracer.record("leader_elected", 2.5, 2, term=3)
-        path = write_bundle(
-            str(tmp_path), dataclasses.replace(clean_result, tracer=tracer)
-        )
+        path = write_bundle(str(tmp_path), clean_result, tracer)
         loaded = load_bundle(path).events
         assert loaded == tracer.snapshot()
         assert loaded[1].data == {"term": 3}
@@ -272,9 +368,7 @@ class TestTraceFile:
         tracer = Tracer(capacity=2)
         for i in range(5):
             tracer.record("commit", float(i), 1)
-        path = write_bundle(
-            str(tmp_path), dataclasses.replace(clean_result, tracer=tracer)
-        )
+        path = write_bundle(str(tmp_path), clean_result, tracer)
         bundle = load_bundle(path)
         assert bundle.manifest["trace_recorded"] == 5
         assert bundle.manifest["trace_dropped"] == 3
@@ -286,9 +380,7 @@ class TestTraceFile:
         tracer = Tracer()
         tracer.record("commit", 1.0, 1, index=0)
         tracer.record("crash", 2.0, 2)
-        path = write_bundle(
-            str(tmp_path), dataclasses.replace(clean_result, tracer=tracer)
-        )
+        path = write_bundle(str(tmp_path), clean_result, tracer)
         with open(os.path.join(path, "trace.jsonl")) as handle:
             rows = [json.loads(line) for line in handle]
         assert rows == [event.to_dict() for event in tracer.snapshot()]

@@ -87,8 +87,11 @@ class TestRingBuffer:
         tracer = Tracer(capacity=2, sink=seen.append)
         for i in range(6):
             tracer.record("commit", float(i), 1, index=i)
-        # The ring kept 2; the sink (the monitor's feed) missed none.
+        # The sink (the monitor's feed) missed none and owns them all:
+        # the ring keeps no second copy, so nothing is evicted either.
         assert [e.data["index"] for e in seen] == list(range(6))
+        assert not tracer.events and tracer.snapshot() == []
+        assert tracer.recorded == 6 and tracer.dropped == 0
 
 
 class TestExport:
