@@ -30,13 +30,15 @@ from repro.mc.ablations import verify_intact_explorer
 from repro.mc.bounded_cli import signature
 
 #: The fixed address-space cap for the bounded run.  The unbounded
-#: Fig. 4 intact run peaks around 229 MiB here (forked from pytest);
-#: 192 MiB is about 0.8x of that and forces the bounded engine to
-#: actually evict (it peaks at ~146 MiB, flushing its tree table four
-#: times).
+#: Fig. 4 intact run peaked around 229 MiB here (forked from pytest)
+#: while the tree table held every tree a run built; 192 MiB is about
+#: 0.8x of that.  The table now holds only live trees (at most about
+#: 34,700 at this budget, just above TREE_CAP), so the capped run still
+#: flushes: once, peaking at 129 MiB standalone (``bounded_cli --budget
+#: fig4 --tree-cap 32768``), against four flushes and 135 MiB before.
 LIMIT_MB = 192
-#: Intern-table cap sized for LIMIT_MB: small enough that eviction
-#: fires several times per run, large enough that recomputation stays
+#: Live-tree cap sized for LIMIT_MB: just below the run's live peak, so
+#: a flush fires, and large enough that rebuilding derived tables stays
 #: off the critical path.
 TREE_CAP = 32_768
 

@@ -1,13 +1,14 @@
 """What is left of process-global memory policy, and the counters.
 
-PR 5 bought its model-checking speedup with process-wide strong tables
+PR 5 bought its model-checking speedup with process-wide intern tables
 -- the tree intern table, the cache intern table, and per-tree memo
-scratch.  Their bound has one knob, and the search owns it:
-``Explorer.tree_cap`` is applied by :func:`repro.mc.parallel.search`
-for its own span, and a flush keeps the trees of the search's live
-frontier (pydl8.5's ``Subnodes`` wipe; with nothing pinned it clears
-the table).  The cache table's bound is a constant.  DESIGN.md §16 has
-why.
+scratch.  The tree table is weak: it holds only the trees something
+else still holds, so a search's trees die with the search.  Its bound
+has one knob, and the search owns it: ``Explorer.tree_cap`` is applied
+by :func:`repro.mc.parallel.search` for its own span and counts live
+trees; a flush at the bound evicts nothing and trims the provenance
+that keeps otherwise dead parents alive.  The cache table is strong and
+its bound is a constant.  DESIGN.md §16 has why.
 
 This module keeps the pieces that are not a setting:
 

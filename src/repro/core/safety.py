@@ -32,7 +32,7 @@ from .cache import (
 )
 from .errors import SafetyViolation
 from .state import AdoreState, TimeMap
-from .tree import ROOT_CID, CacheTree, forget_tree
+from .tree import ROOT_CID, CacheTree
 
 
 # ----------------------------------------------------------------------
@@ -720,10 +720,10 @@ class IncrementalTreeChecker:
     copy, one tuple concatenation; ``CacheTree._shared``), so folding a
     log of plain entries is linear in its length
     (``tests/core/test_tree_growth_cost.py`` holds that line in call
-    counts).  After each step the superseded tree is released from the
-    hash-consing table and the new one forgets its provenance
-    (``trim=True``), so a monitor that runs for days holds one tree,
-    not its whole history.
+    counts).  After each step the new tree forgets its provenance
+    (``trim=True``), so the superseded tree dies with its last
+    reference (the hash-consing table is weak) and a monitor that runs
+    for days holds one tree, not its whole history.
 
     A *commit marker*'s check reads the kind partition and the child
     map (a configuration entry's the kind partition), and
@@ -816,7 +816,7 @@ class IncrementalTreeChecker:
         )
 
     def _grew(self, tree: CacheTree, description: str) -> None:
-        prev, self._tree = self._tree, tree
+        self._tree = tree
         if self.violation is None:
             report = check_state(
                 AdoreState(tree, _NO_TIMES), self._bound, only=self._invariants
@@ -825,13 +825,11 @@ class IncrementalTreeChecker:
                 self.violation = report
                 self.violation_event = description
         if self._trim:
-            # Drop the provenance chain (it pins every predecessor tree)
-            # and release the superseded tree from the intern table --
-            # handing on the tables a commit marker reads while markers
-            # are close (see the class docstring).
+            # Drop the provenance (it pins the superseded tree, which
+            # then dies with it) -- handing on the tables a commit
+            # marker reads while markers are close (see the class
+            # docstring).
             tree.release_predecessor(carry=self._run <= _CARRY_RUN)
-            if prev is not tree:
-                forget_tree(prev)
 
     # -- observations --------------------------------------------------
 

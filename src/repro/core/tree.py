@@ -13,7 +13,9 @@ growth operations are
 Trees are immutable: both operations return a new tree.  This makes
 states hashable, which the explicit-state model checker
 (:mod:`repro.mc`) relies on, and makes scenario scripts trivially
-re-playable.
+re-playable.  They are also hash-consed: a growth step that yields a
+tree equal to a live one returns that instance.  The table holds weak
+references, so a tree lives exactly as long as something else holds it.
 
 The paper keeps the tree append-only -- committed methods are not moved
 to a separate persistent log as in the ADO model; instead a cache is
@@ -22,6 +24,8 @@ to a separate persistent log as in the ADO model; instead a cache is
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -75,16 +79,19 @@ def _entry_fp(cid: Cid, parent: Optional[Cid], cache: Cache) -> int:
     return term
 
 
-#: Per-process hash-consing table: tree fingerprint -> the one shared
-#: instance.  Deliberately *strong*: the model checker generates each
-#: distinct successor tree a dozen times on average, and with weak
-#: values the discarded duplicates die before the next occurrence can
-#: hit the table, defeating hash-consing exactly where it pays.  Bounded
-#: by an epoch flush (:func:`flush_interned_trees`) so pathological
-#: runs cannot grow it without limit -- a flush only costs subsequent
-#: re-interning.  A search sets the bound for its own span
-#: (``Explorer.tree_cap``, :func:`set_tree_cap`).
-_INTERNED_TREES: Dict[int, "CacheTree"] = {}
+#: Per-process hash-consing table: tree fingerprint -> a weak reference
+#: to the one shared instance, so the table holds exactly the trees that
+#: something else still holds (a frontier entry, a successor's
+#: ``"prov"``, a violation, a checker's current tree).  Weak is enough
+#: for the model checker: in breadth-first order a duplicate tree is
+#: generated only while its first occurrence waits in the frontier, so
+#: that occurrence is alive and is found (a run materialises exactly as
+#: many trees as a strong table did).  A dead tree's slot is deleted by
+#: its reference's callback.  A search bounds the table for its own span
+#: (``Explorer.tree_cap``, :func:`set_tree_cap`): at the bound, an epoch
+#: flush (:func:`flush_interned_trees`) trims what keeps otherwise dead
+#: trees alive.
+_INTERNED_TREES: Dict[int, weakref.KeyedRef] = {}
 
 #: The tree table's bound outside any search, and ``Explorer.tree_cap``'s
 #: default.
@@ -93,66 +100,62 @@ DEFAULT_TREE_CAP = 1 << 19
 #: Current cap (set by :func:`set_tree_cap`).
 _INTERN_CAP = DEFAULT_TREE_CAP
 
-#: Callable yielding the fingerprints of trees a flush must keep (set by
-#: the search loop and its pool workers to their live frontier).
-_PIN_PROVIDER: Optional[Callable[[], Iterable[int]]] = None
-
 #: Effective flush trigger.  Normally ``_INTERN_CAP``; raised after a
-#: flush whose survivors (pinned frontier trees can exceed the cap)
-#: would otherwise re-trigger a flush on every insert.
+#: flush that leaves more live trees than the cap (a frontier wider than
+#: the bound), which would otherwise re-trigger a flush on every insert.
 _FLUSH_AT = _INTERN_CAP
 
-#: Flush/occupancy counters, surfaced via repro.obs metrics by
+#: Flush counters, surfaced via repro.obs metrics by
 #: :func:`repro.core.cachemgr.export_metrics`.
-_TREE_STATS: Dict[str, int] = {"flushes": 0, "evicted": 0, "survivors": 0, "prov_trimmed": 0}
+_TREE_STATS: Dict[str, int] = {"flushes": 0, "prov_trimmed": 0}
+
+
+def _unintern(ref: weakref.KeyedRef, _table=_INTERNED_TREES) -> None:
+    # The callback of a dead tree's reference: delete its slot, but only
+    # while the slot still holds a dead reference (one C-level step, the
+    # helper ``weakref.WeakValueDictionary`` uses).
+    _remove_dead_weakref(_table, ref.key)
+
+
+def _interned(fp: int) -> Optional["CacheTree"]:
+    ref = _INTERNED_TREES.get(fp)
+    return ref() if ref is not None else None
 
 
 def flush_interned_trees() -> None:
-    """Empty the tree intern table of every tree the pin provider does
-    not name (all of them when none is installed).
+    """Drop the ``"prov"`` memo entry of every interned tree.
 
-    Every table member -- evicted *and* surviving -- has its ``"prov"``
-    memo entry dropped: provenance tuples hold a strong reference to
-    the parent tree, so an untrimmed chain would pin every flushed
-    ancestor of a live frontier tree in memory for the rest of the run
-    (provenance only exists to give :meth:`CacheTree.derive` *one*
-    predecessor to extend tables from; a tree without it builds them
-    from scratch, and new successors of live trees re-establish it
-    immediately).
+    A flush evicts nothing: every member of the table is alive, held
+    by someone else, and removing it would free nothing.  What keeps
+    otherwise dead trees alive is provenance -- each tuple holds a
+    strong reference to the parent tree -- so trimming it frees every
+    parent that only a successor's provenance still held (provenance
+    only exists to give :meth:`CacheTree.derive` *one* predecessor to
+    extend tables from; a tree without it builds them from scratch).
     """
     global _FLUSH_AT
-    table = _INTERNED_TREES
-    before = len(table)
-    survivors: List["CacheTree"] = []
-    if _PIN_PROVIDER is not None:
-        pinned = set(_PIN_PROVIDER())
-        if pinned:
-            survivors = [tree for fp, tree in table.items() if fp in pinned]
     trimmed = 0
-    for tree in table.values():
-        memo = tree._memo
+    # A trimmed parent dies at once and its callback deletes its slot,
+    # so iterate over a copy.
+    for ref in list(_INTERNED_TREES.values()):
+        tree = ref()
+        memo = tree._memo if tree is not None else None
         if memo is not None and memo.pop("prov", None) is not None:
             trimmed += 1
-    # Survivors are the *live frontier* -- the engine expands them
-    # next -- so they keep their derived tables.
-    table.clear()
-    for tree in survivors:
-        table[tree.fingerprint()] = tree
-    stats = _TREE_STATS
-    stats["flushes"] += 1
-    stats["evicted"] += before - len(table)
-    stats["survivors"] = len(table)
-    stats["prov_trimmed"] += trimmed
-    # Survivors may legitimately exceed the cap (a pinned frontier wider
+    _TREE_STATS["flushes"] += 1
+    _TREE_STATS["prov_trimmed"] += trimmed
+    # The live trees may legitimately exceed the cap (a frontier wider
     # than the table bound); back off the trigger so the next flush
     # happens after a fresh quarter-epoch of growth, not on every insert.
-    _FLUSH_AT = max(_INTERN_CAP, len(table) + max(_INTERN_CAP // 4, 1))
+    _FLUSH_AT = max(_INTERN_CAP, len(_INTERNED_TREES) + max(_INTERN_CAP // 4, 1))
 
 
 def _intern_tree(fp: int, tree: "CacheTree") -> "CacheTree":
+    # Callers looked ``fp`` up and missed.
     if len(_INTERNED_TREES) >= _FLUSH_AT:
         flush_interned_trees()
-    return _INTERNED_TREES.setdefault(fp, tree)
+    _INTERNED_TREES[fp] = weakref.KeyedRef(tree, _unintern, fp)
+    return tree
 
 
 def set_tree_cap(cap: int) -> int:
@@ -172,26 +175,12 @@ def set_tree_cap(cap: int) -> int:
 
 
 def tree_cache_stats() -> Dict[str, int]:
-    """Flush/occupancy counters plus current table sizes."""
+    """Flush counters plus current table sizes (``occupancy``: live
+    trees)."""
     stats = dict(_TREE_STATS)
     stats["occupancy"] = len(_INTERNED_TREES)
     stats["entry_fp_occupancy"] = len(_ENTRY_FPS)
     return stats
-
-
-def set_tree_pin_provider(
-    provider: Optional[Callable[[], Iterable[int]]],
-) -> Optional[Callable[[], Iterable[int]]]:
-    """Install the flush's pin provider; returns the previous one.
-
-    The provider is consulted only at flush time and must yield the
-    fingerprints of trees that stay reachable from the caller's working
-    set (the model checker passes its in-RAM frontier window).
-    """
-    global _PIN_PROVIDER
-    previous = _PIN_PROVIDER
-    _PIN_PROVIDER = provider
-    return previous
 
 
 class CacheTree:
@@ -283,8 +272,9 @@ class CacheTree:
         the one new pair, so nothing is copied, ordered or paired a
         second time: the successor *shares* every ``(cid, cache)`` pair
         but the last with its predecessor.  Structurally-equal trees
-        stay reference-equal within a process, so the per-tree derived
-        tables (:meth:`node_tables`, the ``r2``/``r3`` memos in
+        are reference-equal within a process for as long as one of
+        them is alive, so the per-tree derived tables
+        (:meth:`node_tables`, the ``r2``/``r3`` memos in
         :mod:`repro.core.aux`) are computed once per *distinct* tree
         instead of once per path reaching it.
         """
@@ -324,8 +314,11 @@ class CacheTree:
 
     def release_predecessor(self, carry: bool = False) -> None:
         """Forget the growth step that made this tree (``"prov"`` pins
-        the predecessor, and through it every tree before), for a
-        consumer that grows one tree forever and never goes back.
+        the predecessor), for a consumer that will ask this tree to
+        derive nothing more from it: the search, once the tree's
+        successors are all generated and checked, and a checker that
+        grows one tree forever and never goes back.  With the intern
+        table weak, the predecessor then dies with its last holder.
 
         With ``carry``, first extend the child map the predecessor
         holds -- and, with it, its kind partition -- so that a later
@@ -333,15 +326,17 @@ class CacheTree:
         entries: one C-level dict copy now against one pass over every
         node then.  A predecessor without a child map hands on nothing.
         """
-        memo = self.memo()
-        prov = memo.get("prov")
-        if carry and prov is not None:
+        memo = self._memo
+        prov = memo.get("prov") if memo is not None else None
+        if prov is None:
+            return
+        if carry:
             held = prov[0]._memo
             if held and "children" in held:
                 self._child_map()
                 if "kinds" in held:
                     self._kind_lists()
-        memo.pop("prov", None)
+        del memo["prov"]
 
     # ------------------------------------------------------------------
     # Construction
@@ -368,7 +363,7 @@ class CacheTree:
         # Fingerprint-first: when the successor tree is already interned
         # (most candidate successors the model checker generates are),
         # return it without materializing the new entries dict at all.
-        tree = _INTERNED_TREES.get(fp)
+        tree = _interned(fp)
         if tree is None:
             entries = dict(self._entries)
             entries[cid] = TreeEntry(parent, cache)
@@ -400,7 +395,7 @@ class CacheTree:
                 fp - _entry_fp(child, parent, child_cache) + _entry_fp(child, cid, child_cache)
             ) & FP_MASK
         fp = (fp + _entry_fp(cid, parent, cache)) & FP_MASK
-        tree = _INTERNED_TREES.get(fp)
+        tree = _interned(fp)
         if tree is None:
             entries = dict(self._entries)
             for child in children[parent]:
@@ -926,23 +921,7 @@ def _restore_tree(entries: Dict[Cid, TreeEntry], fp: int) -> CacheTree:
     ``entries``) lets an intern hit return without building a tree at
     all.
     """
-    tree = _INTERNED_TREES.get(fp)
+    tree = _interned(fp)
     if tree is not None:
         return tree
     return _intern_tree(fp, CacheTree(entries, _fp=fp))
-
-
-def forget_tree(tree: CacheTree) -> None:
-    """Drop ``tree`` from the process-wide intern table.
-
-    The table holds *strong* references (see :data:`_INTERNED_TREES`),
-    which is right for the model checker -- every distinct tree recurs
-    -- but wrong for a long-lived incremental consumer that grows one
-    tree forever and never revisits predecessors: each superseded tree
-    would stay pinned until an epoch flush.  Forgetting is always safe:
-    the worst case is that an equal tree is re-built and re-interned
-    later, losing only its memo scratch.
-    """
-    got = _INTERNED_TREES.get(tree.fingerprint())
-    if got is tree:
-        del _INTERNED_TREES[tree.fingerprint()]

@@ -303,9 +303,10 @@ class Explorer:
         #: kept as a collision canary: fingerprint mode must visit the
         #: same states (see tests/mc/test_parity.py).
         self.fingerprints = fingerprints
-        #: The tree intern table's bound for the span of a search (the
-        #: one memory knob, DESIGN.md §16).  A flush only costs
-        #: re-interning, so it is not part of :meth:`config_fingerprint`.
+        #: The bound on live interned trees for the span of a search
+        #: (the one memory knob, DESIGN.md §16).  A flush only costs
+        #: rebuilding derived tables, so it is not part of
+        #: :meth:`config_fingerprint`.
         if tree_cap < 1:
             raise ValueError(f"tree cap must be >= 1, got {tree_cap}")
         self.tree_cap = tree_cap

@@ -8,9 +8,6 @@ one small interface and never asks which frontier it got:
 ``take(limit)``
     remove and return the next (at most ``limit``) entries, in the
     order the search must expand them;
-``states()``
-    the states of the entries currently queued (what a tree flush has
-    to keep);
 ``__iter__`` / ``restore(records)``
     every pending record in a form ``restore`` takes back, for
     checkpoints;
@@ -63,9 +60,6 @@ class FifoFrontier:
         popleft = self._queue.popleft
         return [popleft() for _ in range(min(limit, len(self._queue)))]
 
-    def states(self) -> Iterator[Any]:
-        return (entry[0] for entry in self._queue)
-
     def __len__(self) -> int:
         return len(self._queue)
 
@@ -111,9 +105,6 @@ class BestFirstFrontier:
             heapq.heappop(heap)[2:]
             for _ in range(min(limit, len(heap), GUIDED_WINDOW))
         ]
-
-    def states(self) -> Iterator[Any]:
-        return (record[2] for record in self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cachemgr import gc_paused
-from ..core.tree import set_tree_cap, set_tree_pin_provider
+from ..core.tree import set_tree_cap
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .checkpoint import discard_checkpoint, load_checkpoint, write_checkpoint
 from .explorer import ExplorationResult, Explorer, OpBudget, Violation
@@ -119,34 +119,25 @@ def _expand_batch(items):
     batch_seen = set()
     produced = 0
     results = []
-    # A flush inside this batch (the cap is inherited through fork) must
-    # keep the trees the batch is working from; the provider is
-    # consulted only at flush time.
-    previous_provider = set_tree_pin_provider(
-        lambda: [state.tree.fingerprint() for state, _ in items]
-    )
-    try:
-        for state, budget in items:
-            succs: List[Optional[Tuple]] = []
-            for op_desc, next_state, next_budget, key in explorer.expand(
-                state, budget
-            ):
-                produced += 1
-                if (shared is not None and key in shared) or key in batch_seen:
-                    succs.append(None)
-                    continue
-                batch_seen.add(key)
-                report = explorer.check(next_state)
-                succs.append((
-                    op_desc,
-                    next_state,
-                    next_budget,
-                    key,
-                    None if report.ok else report,
-                ))
-            results.append(succs)
-    finally:
-        set_tree_pin_provider(previous_provider)
+    for state, budget in items:
+        succs: List[Optional[Tuple]] = []
+        for op_desc, next_state, next_budget, key in explorer.expand(
+            state, budget
+        ):
+            produced += 1
+            if (shared is not None and key in shared) or key in batch_seen:
+                succs.append(None)
+                continue
+            batch_seen.add(key)
+            report = explorer.check(next_state)
+            succs.append((
+                op_desc,
+                next_state,
+                next_budget,
+                key,
+                None if report.ok else report,
+            ))
+        results.append(succs)
     return multiprocessing.current_process().name, produced, results
 
 
@@ -471,11 +462,12 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
     (:func:`~repro.core.cachemgr.gc_paused`): states, trees and traces
     are immutable and point only at older values.
 
-    The search owns the tree intern table's memory policy for its span:
-    on entry it makes ``explorer.tree_cap`` the bound (flushing a table
-    already over it) and installs a pin provider naming its working
-    set, so a flush keeps every tree it will expand; on every way out
-    it restores both and flushes down to the previous bound.
+    The search owns the tree intern table's bound for its span: on
+    entry it makes ``explorer.tree_cap`` the bound (flushing a table
+    already over it), and on every way out it restores the previous
+    one.  The table holds only live trees, and an expanded entry lets
+    go of its parent's tree, so a tree dies once no frontier entry
+    descends from it (DESIGN.md §16).
     """
     explorer = options.explorer
     checkpoint = options.checkpoint
@@ -518,20 +510,9 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
         )
         stats.checkpoints_written += 1
 
-    # A flush evicts the trees unreachable from the engine's working
-    # set: the window being expanded and the frontier's entries.
-    window: Sequence[Entry] = ()
-
-    def pinned_tree_fps():
-        fps = [entry[0].tree.fingerprint() for entry in window]
-        fps.extend(state.tree.fingerprint() for state in frontier.states())
-        return fps
-
     frontier = explorer.new_frontier()
     visited = executor = None
-    # The cap first: its entry flush keeps an enclosing search's frontier.
     previous_cap = set_tree_cap(explorer.tree_cap)
-    previous_provider = set_tree_pin_provider(pinned_tree_fps)
     try:
         loaded = None
         if checkpoint and resume:
@@ -601,7 +582,9 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
                                 )
                             continue
                         put((successor[1], successor[2], next_trace))
-            window = ()
+                    # Its successors have extended their tables from its
+                    # memo; it derives nothing more, so its parent may die.
+                    entry[0].tree.release_predecessor()
             level += 1
             rounds += 1
             stats.levels = rounds
@@ -656,7 +639,6 @@ def search(options: ParallelExplorer, resume: bool = True) -> ExplorationResult:
             discard_checkpoint(checkpoint)
         return result(exhausted=exhausted and frontier.exhaustive)
     finally:
-        set_tree_pin_provider(previous_provider)
         set_tree_cap(previous_cap)
         if executor is not None:
             executor.close()

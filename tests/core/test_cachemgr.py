@@ -1,14 +1,17 @@
 """Tests for the bounded intern tables (ISSUE 10 tentpole, ISSUE 26).
 
-Eviction only ever discards *memoized pure values* (interned trees,
-interned caches, derived memo scratch) -- everything is recomputable --
-so a flush must be semantically invisible: the model-checker parity
-suite (``tests/mc/test_bounded.py``) pins that end to end.  These
-tests pin the mechanics: the one setting (``Explorer.tree_cap``) is in
-force exactly for its search's span, the cap triggers flushes, a flush
-keeps what is pinned, a bound entered over a full table flushes it.
+A flush only ever discards *memoized pure values* (interned caches,
+tree provenance) -- everything is recomputable -- so it must be
+semantically invisible: the model-checker parity suite
+(``tests/mc/test_bounded.py``) pins that end to end.  These tests pin
+the mechanics: the one setting (``Explorer.tree_cap``) is in force
+exactly for its search's span, the cap counts live trees and triggers
+flushes, a flush frees what only provenance held and keeps every held
+tree the interned instance, a bound entered over a full table flushes
+it.
 """
 
+import gc
 from contextlib import contextmanager
 
 import pytest
@@ -22,7 +25,6 @@ from repro.core.tree import (
     ROOT_CID,
     flush_interned_trees,
     set_tree_cap,
-    set_tree_pin_provider,
     tree_cache_stats,
 )
 from repro.mc import ParallelExplorer, insert_btw_explorer, verify_intact_explorer
@@ -33,7 +35,9 @@ from ..helpers import mc, root
 
 @pytest.fixture(autouse=True)
 def _empty_tables():
-    """Every test leaves both tables empty behind it."""
+    """Every test starts with no tree that garbage cycles still hold,
+    and leaves the cache table empty behind it."""
+    gc.collect()
     yield
     flush_interned_trees()
     flush_interned_caches()
@@ -50,14 +54,13 @@ def tree_cap(cap):
 
 
 def grow_chain(length, start_time=1):
-    """A chain of ``length`` distinct interned trees; returns them all."""
+    """The tip of a chain of ``length`` distinct interned trees: only
+    the tip's provenance holds the trees before it."""
     tree = CacheTree.initial(root())
     parent = ROOT_CID
-    out = [tree]
     for t in range(start_time, start_time + length):
         tree, parent = tree.add_leaf(parent, mc(1, t, t))
-        out.append(tree)
-    return out
+    return tree
 
 
 SMALL_BUDGET = OpBudget(pulls=1, invokes=2, reconfigs=1, pushes=2)
@@ -72,23 +75,14 @@ class Boom(Exception):
 
 
 def bound_now():
-    return core_tree._INTERN_CAP, core_tree._PIN_PROVIDER
+    return core_tree._INTERN_CAP
 
 
 @pytest.fixture
-def outer_pins():
-    """A cap and a pin provider already in force around the search."""
-
-    def outer_pins():
-        return []
-
-    previous_cap = set_tree_cap(OUTER_CAP)
-    previous_provider = set_tree_pin_provider(outer_pins)
-    try:
-        yield outer_pins
-    finally:
-        set_tree_pin_provider(previous_provider)
-        set_tree_cap(previous_cap)
+def outer_cap():
+    """A cap already in force around the search."""
+    with tree_cap(OUTER_CAP):
+        yield OUTER_CAP
 
 
 def bounded_search(explorer, nested=False, boom=False):
@@ -108,20 +102,18 @@ def bounded_search(explorer, nested=False, boom=False):
     return result, seen
 
 
-def assert_ran_under_its_own_bound(seen, outer_pins):
-    """Every round ran under the search's cap and its own provider, and
-    the caller got its own back."""
+def assert_ran_under_its_own_bound(seen):
+    """Every round ran under the search's cap, and the caller got its
+    own back."""
     assert seen, "progress never ran"
-    cap, provider = seen[0]
-    assert cap == INNER_CAP and provider is not outer_pins
-    assert set(seen) == {(INNER_CAP, provider)}
-    assert bound_now() == (OUTER_CAP, outer_pins)
+    assert set(seen) == {INNER_CAP}
+    assert bound_now() == OUTER_CAP
 
 
 class TestPolicyFacade:
     """The policy's one surface: ``Explorer.tree_cap``, which ``search``
-    applies for its span beside its pin provider and hands back on every
-    way out -- plus the counters ``bench/mc.py`` reads after a run."""
+    applies for its span and hands back on every way out -- plus the
+    counters ``bench/mc.py`` reads after a run."""
 
     def test_default_policy_values(self):
         default = verify_intact_explorer()
@@ -134,35 +126,38 @@ class TestPolicyFacade:
         with pytest.raises(ValueError, match="tree cap"):
             verify_intact_explorer(tree_cap=0)
 
-    def test_bounded_restores_previous_policy(self, outer_pins):
+    def test_bounded_restores_previous_policy(self, outer_cap):
         result, seen = bounded_search(
             verify_intact_explorer(SMALL_BUDGET, tree_cap=INNER_CAP)
         )
         assert result.safe
-        assert_ran_under_its_own_bound(seen, outer_pins)
+        assert_ran_under_its_own_bound(seen)
 
-    def test_bounded_restores_on_exception(self, outer_pins):
+    def test_bounded_restores_on_exception(self, outer_cap):
         with pytest.raises(Boom):
             bounded_search(
                 verify_intact_explorer(SMALL_BUDGET, tree_cap=INNER_CAP),
                 boom=True,
             )
-        assert bound_now() == (OUTER_CAP, outer_pins)
+        assert bound_now() == OUTER_CAP
 
-    def test_bounded_restores_after_a_first_violation(self, outer_pins):
+    def test_bounded_restores_after_a_first_violation(self, outer_cap):
         result, seen = bounded_search(insert_btw_explorer(tree_cap=INNER_CAP))
         assert not result.safe
-        assert_ran_under_its_own_bound(seen, outer_pins)
+        assert_ran_under_its_own_bound(seen)
 
-    def test_a_nested_search_hands_the_outer_bound_back(self, outer_pins):
+    def test_a_nested_search_hands_the_outer_bound_back(self, outer_cap):
         result, seen = bounded_search(
             verify_intact_explorer(SMALL_BUDGET, tree_cap=INNER_CAP),
             nested=True,
         )
         assert result.safe and len(seen) > 2
-        assert_ran_under_its_own_bound(seen, outer_pins)
+        assert_ran_under_its_own_bound(seen)
 
-    def test_the_exit_flushes_down_to_the_previous_cap(self, outer_pins):
+    def test_the_exit_flushes_down_to_the_previous_cap(self, outer_cap):
+        # A run that built far more trees than the caller's cap leaves
+        # the table within it: its trees die with it, and what the
+        # caller still held would be trimmed by the restored bound.
         result = verify_intact_explorer(
             OpBudget(pulls=2, invokes=1, reconfigs=1, pushes=2),
             tree_cap=1 << 16,
@@ -178,44 +173,39 @@ class TestPolicyFacade:
 
 
 class TestWipePolicies:
-    """The one flush: keep what the pin provider names, drop the rest."""
+    """The one flush: it evicts nothing (the table holds only live
+    trees) and trims every live tree's provenance, which frees what
+    only provenance held."""
 
     def test_cap_triggers_flush_and_bounds_occupancy(self):
-        flush_interned_trees()
+        base = tree_cache_stats()["occupancy"]
         with tree_cap(16):
             before = tree_cache_stats()["flushes"]
-            trees = grow_chain(64)
+            tip = grow_chain(64)
             stats = tree_cache_stats()
             assert stats["flushes"] > before
-            assert stats["occupancy"] <= 32  # cap + one window of growth
-            assert stats["evicted"] > 0
-        assert trees  # the objects themselves are untouched by eviction
+            # Only provenance held the chain behind the tip: each flush
+            # freed it, so the cap bounds the live trees.
+            assert stats["occupancy"] - base <= 16
+        assert len(tip) == 65  # the tip itself is untouched
 
-    def test_subnodes_keeps_pinned_trees_identity_stable(self):
-        flush_interned_trees()
-        # grow_chain(4): hot == base.add_leaf(parent_cid=3, mc(1, 4, 4)).
-        chain = grow_chain(4)
-        base, hot = chain[-2], chain[-1]
-        previous = set_tree_pin_provider(
-            lambda: [base.fingerprint(), hot.fingerprint()]
-        )
-        try:
-            with tree_cap(8):
-                grow_chain(32, start_time=100)  # force flushes
-                assert tree_cache_stats()["flushes"] >= 1
-                # Re-deriving the pinned successor finds the *same*
-                # interned object: it survived every flush.
-                again, _ = base.add_leaf(3, mc(1, 4, 4))
-                assert again is hot
-        finally:
-            set_tree_pin_provider(previous)
+    def test_a_held_tree_stays_the_interned_instance_across_flushes(self):
+        base = grow_chain(3)
+        hot, _ = base.add_leaf(3, mc(1, 4, 4))
+        with tree_cap(8):
+            before = tree_cache_stats()["flushes"]
+            grow_chain(32, start_time=100)  # force flushes
+            assert tree_cache_stats()["flushes"] > before
+            # Re-deriving the held successor finds the *same* interned
+            # object: a flush never drops a live tree.
+            again, _ = base.add_leaf(3, mc(1, 4, 4))
+            assert again is hot
 
     def test_entering_a_bound_flushes_a_table_already_over_it(self):
         # A warm process: the table holds more trees than the search's
         # cap allows, and a run that only re-derives them never misses,
         # so nothing after entry would ever flush it.
-        flush_interned_trees()
-        chain = grow_chain(32)
+        tip = grow_chain(32)  # holds the 31 trees before it
         assert tree_cache_stats()["occupancy"] > 8
         before = tree_cache_stats()["flushes"]
         explorer = verify_intact_explorer(
@@ -233,7 +223,7 @@ class TestWipePolicies:
         stats, = at_entry
         assert stats["occupancy"] <= 8  # before the first intern
         assert stats["flushes"] == before + 1
-        assert grow_chain(32) == chain  # all re-derivable
+        assert grow_chain(32) is tip  # re-derivable, and still interned
 
 
 class TestCacheInternTable:

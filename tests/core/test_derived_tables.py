@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import AdoreState, CacheTree, TimeMap
 from repro.core.safety import IncrementalTreeChecker, SafetyReport, check_state
-from repro.core.tree import ROOT_CID, flush_interned_trees
+from repro.core.tree import ROOT_CID
 
 from ..helpers import NODES3, cc, ec, mc, rc, root
 from .test_incremental_checker import E as Entry
@@ -26,10 +26,11 @@ NO_TIMES = TimeMap()
 
 @pytest.fixture(autouse=True)
 def fresh_intern_table():
-    # Interned trees keep their memos from test to test.
-    flush_interned_trees()
+    # A tree that garbage cycles still hold keeps its memo from test to
+    # test; the intern table holds nothing else between tests.
+    gc.collect()
     yield
-    flush_interned_trees()
+    gc.collect()
 
 
 def report_of(tree, **kwargs):
@@ -193,7 +194,7 @@ def test_extending_the_tables_costs_the_same_whatever_the_tree_size():
     # Parent commit: 116 / 732 / 5,660 calls for 8 / 64 / 512 nodes
     # (one pass per table over every cache); now 38 for each.
     def cost(nodes):
-        flush_interned_trees()
+        gc.collect()
         parent, tip = chain(nodes - 2)
         parent.node_tables(), parent.kind_cids("C"), parent.children(ROOT_CID)
         assert len(parent) == nodes

@@ -238,12 +238,12 @@ def test_rcaches_selector():
 
 
 def test_flush_trims_provenance_of_all_table_members():
-    """Regression: an epoch flush must drop the ``"prov"`` memo entry
-    from every interned tree -- survivors included.
+    """An epoch flush drops the ``"prov"`` memo entry from every live
+    interned tree.
 
-    Provenance tuples hold a strong reference to the parent tree, so a
-    surviving frontier tree would otherwise pin its *entire* flushed
-    ancestor chain for the rest of the run, defeating the flush.
+    Provenance tuples hold a strong reference to the parent tree, and
+    the intern table only a weak one, so the provenance chain is all
+    that keeps a live tree's ancestors alive: trimming it frees them.
     """
     import gc
     import weakref
@@ -267,9 +267,9 @@ def test_flush_trims_provenance_of_all_table_members():
 
     assert tree_cache_stats()["prov_trimmed"] > before
     assert "prov" not in (tip._memo or {})
-    # With provenance trimmed, nothing references the flushed chain.
+    # With provenance trimmed, nothing references the ancestor chain.
     leaked = [ref for ref in ancestors if ref() is not None]
-    assert not leaked, f"{len(leaked)} flushed ancestors still pinned"
+    assert not leaked, f"{len(leaked)} ancestors still pinned"
 
 
 def test_successors_reestablish_provenance_after_flush():

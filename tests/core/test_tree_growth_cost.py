@@ -65,13 +65,14 @@ so is cubic), so the path is walked again, one ``list.append`` per
 ancestor -- 1,446,000 of the 1,755,050 calls at 1,200 pairs.
 """
 
+import gc
 import sys
 
 import pytest
 
 import repro.core.tree as tree_mod
 from repro.core.safety import _CARRY_RUN, IncrementalTreeChecker
-from repro.core.tree import ROOT_CID, CacheTree, flush_interned_trees
+from repro.core.tree import ROOT_CID, CacheTree
 
 from ..helpers import NODES3, cc, mc
 from .test_derived_tables import Entry, calls_during, chain
@@ -79,10 +80,11 @@ from .test_derived_tables import Entry, calls_during, chain
 
 @pytest.fixture(autouse=True)
 def fresh_intern_table():
-    # An interned successor would be returned without being built.
-    flush_interned_trees()
+    # An interned successor would be returned without being built, and
+    # garbage cycles may still hold one.
+    gc.collect()
     yield
-    flush_interned_trees()
+    gc.collect()
 
 
 def add_leaf_cost(nodes):
@@ -108,7 +110,7 @@ def test_one_growth_step_costs_the_same_whatever_the_tree_size(cost):
 
 
 def fold_cost(entries):
-    flush_interned_trees()
+    gc.collect()
     engine = IncrementalTreeChecker(NODES3, trim=True)
     # Payloads no other fold shares, so every fold interns its caches
     # afresh and the count does not depend on what ran before.
@@ -129,7 +131,7 @@ def marker_fold_cost(entries, every=1):
     of a fold in which the replica reports a commit after every
     ``every`` entries.  The slots are the C-level work a call count
     cannot see: ``dict(base)`` is one call whatever the tree's size."""
-    flush_interned_trees()
+    gc.collect()
     engine = IncrementalTreeChecker(NODES3, trim=True)
     log = [Entry(1, vrsn, ("put", "marked", entries, vrsn)) for vrsn in range(1, entries + 1)]
     walk = CacheTree._branch_of.__code__

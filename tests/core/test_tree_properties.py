@@ -7,6 +7,7 @@ every structural invariant, and the derived queries (ancestors, paths,
 nearest common ancestors) satisfy their algebraic laws.
 """
 
+import gc
 import pickle
 
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from repro.core.safety import (
     check_state,
     rdist,
 )
+from repro.core import tree as core_tree
 from repro.core.tree import ROOT_CID, _restore_tree, flush_interned_trees
 from repro.mc.explorer import uncommitted_rcaches
 from repro.mc.symmetry import apply_renaming
@@ -189,7 +191,9 @@ def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
     # Fed the same entries in any order, each of those must arrive at
     # the grown tree.
     assert "_children" not in CacheTree.__slots__
-    flush_interned_trees()  # so every growth step below builds its tree
+    # The intern table holds only live trees: collect what an earlier
+    # example left in cycles, so every growth step below builds its tree.
+    gc.collect()
     tree = grow_random_tree(data)
     parent = data.draw(st.sampled_from(sorted(tree.cids())), label="last parent")
     last = MCache(caller=1, time=9, vrsn=99, conf=frozenset({1, 2, 3}), method="last")
@@ -207,14 +211,14 @@ def test_grown_tree_equals_the_tree_built_directly_from_its_entries(data):
         assert_same_tree(grown, CacheTree(dict(shuffled)))
 
         # Unpickling: a real round trip, and the hook fed the entries
-        # out of order.  The intern table is emptied first each time, or
-        # the hook would hand back the tree it interned before without
+        # out of order.  The table forgets the live tree first each time,
+        # as if it had died, or the hook would hand it back without
         # building one.
         for restore in (
             lambda: pickle.loads(pickle.dumps(grown)),
             lambda: _restore_tree(dict(shuffled), grown.fingerprint()),
         ):
-            flush_interned_trees()
+            del core_tree._INTERNED_TREES[grown.fingerprint()]
             restored = restore()
             assert restored is not grown
             assert_same_tree(grown, restored)
@@ -300,9 +304,9 @@ def rcaches_with_no_ccache_below(tree):
 def grow_mixed_tree(data, max_ops=10):
     """Random growth over all four kinds with random table reads and
     one epoch flush somewhere along the way."""
-    # Interned trees outlive a hypothesis example with their memos:
-    # start from an empty table so every run derives afresh.
-    flush_interned_trees()
+    # Trees an earlier example left in cycles keep their memos: collect
+    # them so every run derives afresh.
+    gc.collect()
     tree = CacheTree.initial(root())
     ops = data.draw(st.integers(0, max_ops), label="ops")
     flush_at = data.draw(st.integers(0, max_ops), label="flush_at")
@@ -386,7 +390,7 @@ def test_trimming_checker_tree_equals_the_tree_built_from_scratch(data):
     # IncrementalTreeChecker(trim=True) drops each tree's provenance
     # right after checking it, so every table is derived inside the one
     # check_state call that still sees the predecessor, or from scratch.
-    flush_interned_trees()
+    gc.collect()
     engine = IncrementalTreeChecker(NODES3, trim=True, lemma_rdist_bound=None,
                                     invariants=SafetyReport.LABELS)
     logs = {nid: [] for nid in (1, 2, 3)}

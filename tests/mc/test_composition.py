@@ -104,6 +104,7 @@ def test_differential_keeps_its_strategy_with_workers_and_checkpoints(tmp_path):
 
 class TestTwoEnginesInOneProcess:
     def test_nested_run_leaves_the_outer_run_alone(self):
+        outer_cap = core_tree._INTERN_CAP
         plain = verify_intact_explorer(SMALL_BUDGET).run()
         nested = []
 
@@ -119,10 +120,12 @@ class TestTwoEnginesInOneProcess:
         ).run()
         assert signature(outer) == signature(plain)
         assert signature(nested[0]) == signature(insert_btw_explorer().run())
-        assert core_tree._PIN_PROVIDER is None
+        assert core_tree._INTERN_CAP == outer_cap
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pin_provider_is_restored_on_every_exit(self, workers, tmp_path):
+    def test_the_tree_cap_is_restored_on_every_exit(self, workers, tmp_path):
+        outer_cap = core_tree._INTERN_CAP
+
         def interrupt(snapshot):
             raise KeyboardInterrupt
 
@@ -136,17 +139,20 @@ class TestTwoEnginesInOneProcess:
         ]
         for options in exits:
             engine = ParallelExplorer(
-                verify_intact_explorer(SMALL_BUDGET), workers=workers, **options
+                verify_intact_explorer(SMALL_BUDGET, tree_cap=64),
+                workers=workers, **options,
             )
             try:
                 engine.run()
             except KeyboardInterrupt:
                 pass
-            assert core_tree._PIN_PROVIDER is None
+            assert core_tree._INTERN_CAP == outer_cap
         # first-violation early return
-        result = ParallelExplorer(insert_btw_explorer(), workers=workers).run()
+        result = ParallelExplorer(
+            insert_btw_explorer(tree_cap=64), workers=workers
+        ).run()
         assert not result.safe
-        assert core_tree._PIN_PROVIDER is None
+        assert core_tree._INTERN_CAP == outer_cap
 
 
 def test_every_run_reports_engine_stats():
